@@ -19,8 +19,7 @@ from pathlib import Path
 from . import __version__
 from .data import (
     LABELING_MODES,
-    Subgroup,
-    classify_pair,
+    encode_pairs,
     load_dataset,
     random_reward_model,
     save_dataset,
@@ -41,8 +40,8 @@ from .losses import (
 from .policy import load_policy, random_policy, save_policy
 from .trainer import (
     TrainConfig,
-    _ordering_summary,
     evaluate,
+    ordering_summary,
     train,
     write_report_csv,
     write_report_json,
@@ -224,9 +223,8 @@ def cmd_curves(args) -> int:
 
 
 def _census(pairs, reference, label: str) -> None:
-    groups = [classify_pair(reference, p) for p in pairs]
     n = len(pairs)
-    n_correct = sum(1 for g in groups if g is Subgroup.CORRECT_AT_INIT)
+    n_correct = int(encode_pairs(reference, pairs).correct_at_init.sum())
     n_flipped = sum(1 for p in pairs if p.label_flipped)
     n_disagree = sum(1 for p in pairs if p.true_reward_chosen < p.true_reward_rejected)
     print(f"{label}: {n} pairs")
@@ -373,17 +371,12 @@ def cmd_eval(args) -> int:
         num_prompt_classes=reference.num_prompt_classes,
         vocab_size=reference.vocab_size,
     )
-    if not args.beta > 0.0:
-        raise ValueError(f"--beta must be > 0, got {args.beta}")
+    if not 0.0 < args.beta < math.inf:
+        raise ValueError(f"--beta must be finite and > 0, got {args.beta}")
 
-    metrics = evaluate(policy, reference, dataset, args.beta)
-    ordering = _ordering_summary(policy, reference, dataset, args.beta)
-    margins = metrics["mean_margin_by_subgroup"]
-    margin_ordering = None
-    if margins[Subgroup.INCORRECT_AT_INIT.value] is not None and margins[Subgroup.CORRECT_AT_INIT.value] is not None:
-        margin_ordering = (
-            margins[Subgroup.INCORRECT_AT_INIT.value] < margins[Subgroup.CORRECT_AT_INIT.value]
-        )
+    pairs = encode_pairs(reference, dataset)
+    metrics = evaluate(policy, pairs, args.beta)
+    ordering = ordering_summary(policy, pairs, args.beta, metrics)
 
     manifest = _manifest(
         "eval",
@@ -401,7 +394,9 @@ def cmd_eval(args) -> int:
         "metrics": metrics,
         "weights": ordering["weight_profile"],
         "focal_to_dpo_weight_ratio": ordering["focal_to_dpo_weight_ratio"],
-        "margin_ordering_incorrect_below_correct": margin_ordering,
+        "margin_ordering_incorrect_below_correct": ordering[
+            "margin_ordering_incorrect_below_correct"
+        ],
         "ratio_ordering_incorrect_below_correct": ordering[
             "ratio_ordering_incorrect_below_correct"
         ],

@@ -17,7 +17,15 @@ from enum import Enum
 import numpy as np
 
 from .numerics import sigmoid
-from .policy import PolicyTable, TokenSequence, _sample_tokens, sequence_log_prob
+from .policy import (
+    PolicyTable,
+    TokenRows,
+    TokenSequence,
+    _sample_tokens,
+    encode_sequences,
+    log_probs,
+    log_softmax,
+)
 
 LABELING_MODES = ("deterministic", "bradley_terry")
 DISTINCT_DRAW_RETRIES = 100
@@ -42,6 +50,8 @@ __all__ = [
     "random_reward_model",
     "true_reward",
     "synthesize_dataset",
+    "EncodedPairs",
+    "encode_pairs",
     "classify_pair",
     "save_dataset",
     "load_dataset",
@@ -208,14 +218,68 @@ def synthesize_dataset(
     return pairs
 
 
+@dataclass(frozen=True)
+class EncodedPairs:
+    """A preference dataset as arrays, scored once against the frozen
+    reference: its log-probabilities of every chosen and rejected row, and
+    the subgroup label that follows from them."""
+
+    reference: PolicyTable
+    pair_ids: np.ndarray
+    chosen: TokenRows
+    rejected: TokenRows
+    ref_chosen: np.ndarray
+    ref_rejected: np.ndarray
+    correct_at_init: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.pair_ids)
+
+    def take(self, idx) -> "EncodedPairs":
+        """The pairs at the given indices, in that order."""
+        return EncodedPairs(
+            self.reference,
+            self.pair_ids[idx],
+            self.chosen.take(idx),
+            self.rejected.take(idx),
+            self.ref_chosen[idx],
+            self.ref_rejected[idx],
+            self.correct_at_init[idx],
+        )
+
+    def subgroups(self) -> list[Subgroup]:
+        return [
+            Subgroup.CORRECT_AT_INIT if correct else Subgroup.INCORRECT_AT_INIT
+            for correct in self.correct_at_init
+        ]
+
+
+def encode_pairs(reference: PolicyTable, pairs: list[PreferencePair]) -> EncodedPairs:
+    """Encode a non-empty, fixed-length dataset and score it against the
+    reference. Subgroups follow the reference's raw log-likelihood ranking;
+    ties count as incorrect (matching the strict margin rule used for
+    accuracy)."""
+    if not pairs:
+        raise ValueError("dataset must be non-empty")
+    chosen = encode_sequences(reference, [pair.chosen for pair in pairs])
+    rejected = encode_sequences(reference, [pair.rejected for pair in pairs])
+    log_table = log_softmax(reference.logits)
+    ref_chosen = log_probs(log_table, chosen)
+    ref_rejected = log_probs(log_table, rejected)
+    return EncodedPairs(
+        reference,
+        np.array([pair.pair_id for pair in pairs], dtype=np.int64),
+        chosen,
+        rejected,
+        ref_chosen,
+        ref_rejected,
+        ref_chosen > ref_rejected,
+    )
+
+
 def classify_pair(reference: PolicyTable, pair: PreferencePair) -> Subgroup:
-    """Subgroup by the reference's raw log-likelihood ranking; ties count as
-    incorrect (matching the strict margin rule used for accuracy)."""
-    chosen_lp = sequence_log_prob(reference, pair.chosen)
-    rejected_lp = sequence_log_prob(reference, pair.rejected)
-    if chosen_lp > rejected_lp:
-        return Subgroup.CORRECT_AT_INIT
-    return Subgroup.INCORRECT_AT_INIT
+    """Subgroup of one pair; see encode_pairs."""
+    return encode_pairs(reference, [pair]).subgroups()[0]
 
 
 def save_dataset(path, pairs: list[PreferencePair]) -> None:

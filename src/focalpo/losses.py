@@ -13,6 +13,7 @@ gradient of the chosen/rejected log-probability difference during descent;
 beta and the policy-gradient term live in the trainer.
 """
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -70,8 +71,8 @@ class LossConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.variant, LossVariant):
             raise ValueError(f"variant must be a LossVariant, got {self.variant!r}")
-        if not self.beta > 0.0:
-            raise ValueError(f"beta must be > 0, got {self.beta!r}")
+        if not 0.0 < self.beta < math.inf:
+            raise ValueError(f"beta must be finite and > 0, got {self.beta!r}")
         if not 0.0 <= self.gamma <= GAMMA_MAX:
             raise ValueError(f"gamma must lie in [0, {GAMMA_MAX}], got {self.gamma!r}")
         if self.variant is not LossVariant.DPO and self.gamma == 0.0:

@@ -6,20 +6,29 @@ begin-of-sequence context, so the table shape is C x (V+1) x V. Sequence
 log-probabilities are exact log-softmax chains, and their parameter
 gradients have the closed softmax form. There is no EOS token; datasets use
 a fixed sequence length.
+
+All scoring is batched: sequences are encoded once into TokenRows, the
+table's log-softmax is taken once, and the log-probabilities of every row
+come from one gather and a sum over positions. The one-sequence functions
+are wrappers over the same path.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-
-from . import _kernels
 
 __all__ = [
     "TokenSequence",
     "PolicyTable",
+    "TokenRows",
+    "encode_sequences",
+    "log_softmax",
+    "log_probs",
+    "log_prob_grad",
     "random_policy",
     "uniform_policy",
     "sequence_log_prob",
@@ -93,15 +102,71 @@ def uniform_policy(num_prompt_classes: int, vocab_size: int) -> PolicyTable:
     return PolicyTable(num_prompt_classes, vocab_size, logits)
 
 
-def _check_sequence(policy: PolicyTable, seq: TokenSequence) -> np.ndarray:
-    if seq.prompt_class >= policy.num_prompt_classes:
+class TokenRows(NamedTuple):
+    """Equal-length sequences as arrays: prompt classes (N,), tokens (N, L)
+    and the context each token is drawn in (N, L), which is the previous
+    token, or the BOS index V before the first token."""
+
+    classes: np.ndarray
+    tokens: np.ndarray
+    contexts: np.ndarray
+
+    def take(self, idx) -> "TokenRows":
+        return TokenRows(self.classes[idx], self.tokens[idx], self.contexts[idx])
+
+
+def encode_sequences(policy: PolicyTable, seqs) -> TokenRows:
+    """Encode TokenSequences for a table of this shape; indices out of range
+    raise IndexError and sequences of differing lengths raise ValueError."""
+    if not seqs:
+        raise ValueError("no sequences to encode")
+    length = len(seqs[0].tokens)
+    for i, seq in enumerate(seqs):
+        if len(seq.tokens) != length:
+            raise ValueError(
+                f"row {i}: sequence length {len(seq.tokens)} differs from dataset length {length}"
+            )
+    classes = np.array([seq.prompt_class for seq in seqs], dtype=np.int64)
+    tokens = np.array([seq.tokens for seq in seqs], dtype=np.int64)
+    if classes.max() >= policy.num_prompt_classes:
         raise IndexError(
-            f"prompt_class {seq.prompt_class} out of range for {policy.num_prompt_classes} classes"
+            f"prompt_class {classes.max()} out of range for {policy.num_prompt_classes} classes"
         )
-    for t in seq.tokens:
-        if t >= policy.vocab_size:
-            raise IndexError(f"token {t} out of range for vocab size {policy.vocab_size}")
-    return np.asarray(seq.tokens, dtype=np.int64)
+    if tokens.max() >= policy.vocab_size:
+        raise IndexError(f"token {tokens.max()} out of range for vocab size {policy.vocab_size}")
+    contexts = np.empty_like(tokens)
+    contexts[:, :1] = policy.bos_index
+    contexts[:, 1:] = tokens[:, :-1]
+    return TokenRows(classes, tokens, contexts)
+
+
+def log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Log of the next-token distribution of every context of the table."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+def log_probs(log_table: np.ndarray, rows: TokenRows) -> np.ndarray:
+    """log pi(row | prompt class) for every row, given log_softmax(logits)."""
+    return log_table[rows.classes[:, None], rows.contexts, rows.tokens].sum(axis=1)
+
+
+def log_prob_grad(log_table: np.ndarray, rows: TokenRows, coeffs: np.ndarray) -> np.ndarray:
+    """sum_i coeffs[i] * d(log pi(row_i))/d(logits), as a dense table.
+
+    Per context the softmax-gradient identity applies: token counts minus
+    visits times the next-token distribution, both weighted by coeffs.
+    """
+    num_classes, num_contexts, vocab = log_table.shape
+    context_ids = (rows.classes[:, None] * num_contexts + rows.contexts).ravel()
+    weights = np.repeat(coeffs, rows.tokens.shape[1])
+    visits = np.bincount(context_ids, weights, minlength=num_classes * num_contexts)
+    counts = np.bincount(
+        context_ids * vocab + rows.tokens.ravel(), weights, minlength=log_table.size
+    )
+    return counts.reshape(log_table.shape) - visits.reshape(
+        num_classes, num_contexts, 1
+    ) * np.exp(log_table)
 
 
 def _check_same_shape(policy: PolicyTable, reference: PolicyTable) -> None:
@@ -118,8 +183,7 @@ def _check_same_shape(policy: PolicyTable, reference: PolicyTable) -> None:
 
 def sequence_log_prob(policy: PolicyTable, seq: TokenSequence) -> float:
     """log pi(seq | prompt_class): sum of log-softmax chain terms, always <= 0."""
-    tokens = _check_sequence(policy, seq)
-    return _kernels.seq_log_prob(policy.logits, seq.prompt_class, tokens)
+    return float(log_probs(log_softmax(policy.logits), encode_sequences(policy, [seq]))[0])
 
 
 def sequence_log_prob_grad(policy: PolicyTable, seq: TokenSequence) -> np.ndarray:
@@ -128,10 +192,8 @@ def sequence_log_prob_grad(policy: PolicyTable, seq: TokenSequence) -> np.ndarra
     Only contexts visited by the sequence are nonzero; entries per context
     follow the softmax-gradient identity 1{k == token} - p_k.
     """
-    tokens = _check_sequence(policy, seq)
-    grad = np.zeros_like(policy.logits)
-    _kernels.add_scaled_seq_grad(policy.logits, seq.prompt_class, tokens, 1.0, grad)
-    return grad
+    rows = encode_sequences(policy, [seq])
+    return log_prob_grad(log_softmax(policy.logits), rows, np.ones(1))
 
 
 def implicit_reward(policy: PolicyTable, reference: PolicyTable, seq: TokenSequence, beta: float) -> float:

@@ -3,8 +3,11 @@
 Each step assembles the parameter gradient from closed-form pieces: the
 scalar gradient weight of the configured loss, times beta, times the
 analytic gradient of the chosen/rejected log-probability difference. The
-reference table is never modified; all randomness comes from the shuffle
-seed, so identical configurations reproduce identical reports.
+dataset is encoded once (see data.encode_pairs), so the frozen reference is
+scored once per dataset and every step, snapshot and evaluation reads its
+log-probabilities and subgroup labels from that encoding. The reference
+table is never modified; all randomness comes from the shuffle seed, so
+identical configurations reproduce identical reports.
 """
 
 from __future__ import annotations
@@ -15,10 +18,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import _kernels
-from .data import PreferencePair, Subgroup, classify_pair
+from .data import EncodedPairs, PreferencePair, Subgroup, encode_pairs
 from .losses import LossConfig, LossVariant, gradient_weight, pair_loss
-from .policy import PolicyTable, _check_same_shape, _check_sequence, pair_margin
+from .policy import PolicyTable, _check_same_shape, log_prob_grad, log_probs, log_softmax
 
 OPTIMIZERS = ("sgd", "adam")
 
@@ -38,6 +40,7 @@ __all__ = [
     "subgroup_weight_profile",
     "standard_profile_variants",
     "profile_as_dict",
+    "ordering_summary",
     "write_report_csv",
     "write_report_json",
 ]
@@ -59,8 +62,8 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.loss, LossConfig):
             raise ValueError("loss must be a LossConfig")
-        if not self.learning_rate >= 0.0:
-            raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate!r}")
+        if not 0.0 <= self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate!r}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.num_epochs < 0:
@@ -69,6 +72,11 @@ class TrainConfig:
             raise ValueError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
         if self.eval_every < 1:
             raise ValueError(f"eval_every must be >= 1, got {self.eval_every}")
+        for name in ("adam_beta1", "adam_beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)!r}")
+        if not 0.0 < self.adam_epsilon < math.inf:
+            raise ValueError(f"adam_epsilon must be finite and > 0, got {self.adam_epsilon!r}")
 
     def echo(self) -> dict:
         """JSON-ready configuration record for reports and manifests."""
@@ -160,10 +168,18 @@ def init_optimizer_state(config: TrainConfig, policy: PolicyTable) -> OptimizerS
     return OptimizerState(0, np.zeros(shape), np.zeros(shape))
 
 
+def _margins(log_table: np.ndarray, pairs: EncodedPairs, beta: float):
+    """Per-pair margins, plus the policy's log-probabilities of the chosen
+    and rejected rows, for the policy whose log_softmax is log_table."""
+    chosen = log_probs(log_table, pairs.chosen)
+    rejected = log_probs(log_table, pairs.rejected)
+    margins = beta * (chosen - pairs.ref_chosen) - beta * (rejected - pairs.ref_rejected)
+    return margins, chosen, rejected
+
+
 def assemble_gradient(
     policy: PolicyTable,
-    reference: PolicyTable,
-    batch: list[PreferencePair],
+    batch: EncodedPairs,
     loss_config: LossConfig,
 ) -> tuple[np.ndarray, list[PairDiagnostics]]:
     """Mean-loss parameter gradient over a batch, plus per-pair diagnostics.
@@ -171,38 +187,35 @@ def assemble_gradient(
     G = -(1/B) * sum_i weight_i * beta * (grad log pi(chosen_i) - grad log pi(rejected_i))
     which equals d(mean pair_loss)/d(logits) by the chain rule.
     """
-    if not batch:
+    if not len(batch):
         raise ValueError("batch must be non-empty")
-    _check_same_shape(policy, reference)
-    grad = np.zeros_like(policy.logits)
+    _check_same_shape(policy, batch.reference)
+    log_table = log_softmax(policy.logits)
+    margins, _, _ = _margins(log_table, batch, loss_config.beta)
     diagnostics = []
-    inv_batch = 1.0 / len(batch)
-    for pair in batch:
-        margin = pair_margin(policy, reference, pair, loss_config.beta)
+    for pair_id, margin, subgroup in zip(
+        batch.pair_ids.tolist(), margins.tolist(), batch.subgroups()
+    ):
         if not math.isfinite(margin):
-            raise FloatingPointError(f"non-finite margin for pair_id {pair.pair_id}")
+            raise FloatingPointError(f"non-finite margin for pair_id {pair_id}")
         out = pair_loss(loss_config, margin)
         if not math.isfinite(out.weight):
-            raise FloatingPointError(f"non-finite gradient weight for pair_id {pair.pair_id}")
-        coeff = -out.weight * loss_config.beta * inv_batch
-        chosen_tokens = _check_sequence(policy, pair.chosen)
-        rejected_tokens = _check_sequence(policy, pair.rejected)
-        _kernels.add_scaled_seq_grad(
-            policy.logits, pair.prompt_class, chosen_tokens, coeff, grad
-        )
-        _kernels.add_scaled_seq_grad(
-            policy.logits, pair.prompt_class, rejected_tokens, -coeff, grad
-        )
+            raise FloatingPointError(f"non-finite gradient weight for pair_id {pair_id}")
         diagnostics.append(
             PairDiagnostics(
-                pair_id=pair.pair_id,
+                pair_id=pair_id,
                 margin=margin,
                 probability=out.probability,
                 loss=out.loss,
                 weight=out.weight,
-                subgroup=classify_pair(reference, pair),
+                subgroup=subgroup,
             )
         )
+    weights = np.array([diag.weight for diag in diagnostics])
+    coeffs = -weights * loss_config.beta * (1.0 / len(batch))
+    grad = log_prob_grad(log_table, batch.chosen, coeffs) + log_prob_grad(
+        log_table, batch.rejected, -coeffs
+    )
     if not np.isfinite(grad).all():
         raise FloatingPointError("non-finite entry in the assembled batch gradient")
     return grad, diagnostics
@@ -228,13 +241,12 @@ def _apply_update(
 
 def train_step(
     policy: PolicyTable,
-    reference: PolicyTable,
-    batch: list[PreferencePair],
+    batch: EncodedPairs,
     config: TrainConfig,
     optimizer_state: OptimizerState,
 ) -> tuple[PolicyTable, OptimizerState, list[PairDiagnostics]]:
     """One optimizer update on a batch; the reference is never touched."""
-    grad, diagnostics = assemble_gradient(policy, reference, batch, config.loss)
+    grad, diagnostics = assemble_gradient(policy, batch, config.loss)
     _apply_update(policy, grad, config, optimizer_state)
     return policy, optimizer_state, diagnostics
 
@@ -242,19 +254,18 @@ def train_step(
 def _snapshot(
     step: int,
     policy: PolicyTable,
-    reference: PolicyTable,
-    dataset: list[PreferencePair],
+    pairs: EncodedPairs,
     loss_config: LossConfig,
 ) -> StepRecord:
-    losses, abs_weights, margins = [], [], []
+    margins, _, _ = _margins(log_softmax(policy.logits), pairs, loss_config.beta)
+    margins = margins.tolist()
+    losses, abs_weights = [], []
     by_group = {Subgroup.CORRECT_AT_INIT: [], Subgroup.INCORRECT_AT_INIT: []}
-    for pair in dataset:
-        margin = pair_margin(policy, reference, pair, loss_config.beta)
+    for margin, subgroup in zip(margins, pairs.subgroups()):
         out = pair_loss(loss_config, margin)
         losses.append(out.loss)
         abs_weights.append(abs(out.weight))
-        margins.append(margin)
-        by_group[classify_pair(reference, pair)].append((out.weight, margin))
+        by_group[subgroup].append((out.weight, margin))
 
     def group_mean_weight(group):
         rows = by_group[group]
@@ -276,26 +287,18 @@ def _snapshot(
     )
 
 
-def evaluate(
-    policy: PolicyTable,
-    reference: PolicyTable,
-    dataset: list[PreferencePair],
-    beta: float,
-) -> dict:
+def evaluate(policy: PolicyTable, pairs: EncodedPairs, beta: float) -> dict:
     """Ranking accuracy (margin > 0, strict), flip rates, and subgroup margins.
 
     Flip rates compare the policy's own log-likelihood ranking of each pair
     against the at-init subgroup label, so a policy equal to the reference
     has flip rates of exactly zero. Empty-subgroup entries are None.
     """
-    _check_same_shape(policy, reference)
-    if not dataset:
-        raise ValueError("dataset must be non-empty")
-    margins, groups, policy_correct = [], [], []
-    for pair in dataset:
-        margins.append(pair_margin(policy, reference, pair, beta))
-        groups.append(classify_pair(reference, pair))
-        policy_correct.append(classify_pair(policy, pair) is Subgroup.CORRECT_AT_INIT)
+    _check_same_shape(policy, pairs.reference)
+    margins, chosen, rejected = _margins(log_softmax(policy.logits), pairs, beta)
+    margins = margins.tolist()
+    groups = pairs.subgroups()
+    policy_correct = (chosen > rejected).tolist()
 
     def subgroup_indices(group):
         return [i for i, g in enumerate(groups) if g is group]
@@ -320,7 +323,7 @@ def evaluate(
         else None
     )
     return {
-        "num_pairs": len(dataset),
+        "num_pairs": len(pairs),
         "subgroup_counts": {
             Subgroup.CORRECT_AT_INIT.value: len(correct_idx),
             Subgroup.INCORRECT_AT_INIT.value: len(incorrect_idx),
@@ -341,8 +344,7 @@ def evaluate(
 
 def subgroup_weight_profile(
     policy: PolicyTable,
-    reference: PolicyTable,
-    dataset: list[PreferencePair],
+    pairs: EncodedPairs,
     variants: list[LossConfig],
 ) -> list[ProfileRow]:
     """Mean gradient weight per (variant, subgroup) at the frozen policy state.
@@ -350,13 +352,12 @@ def subgroup_weight_profile(
     No parameter updates happen here. Empty subgroups are simply absent from
     the returned rows.
     """
-    _check_same_shape(policy, reference)
-    groups = [classify_pair(reference, pair) for pair in dataset]
+    _check_same_shape(policy, pairs.reference)
+    log_table = log_softmax(policy.logits)
+    groups = pairs.subgroups()
     rows = []
     for variant_config in variants:
-        margins = [
-            pair_margin(policy, reference, pair, variant_config.beta) for pair in dataset
-        ]
+        margins = _margins(log_table, pairs, variant_config.beta)[0].tolist()
         weights = [gradient_weight(variant_config, m) for m in margins]
         for group in (Subgroup.CORRECT_AT_INIT, Subgroup.INCORRECT_AT_INIT):
             selected = [w for w, g in zip(weights, groups) if g is group]
@@ -397,10 +398,20 @@ def profile_as_dict(rows: list[ProfileRow]) -> dict:
     return out
 
 
-def _ordering_summary(policy, reference, dataset, beta) -> dict:
-    """Subgroup weight profile for the standard trio plus the margin/ratio
-    orderings that the focal down-weighting mechanism predicts."""
-    rows = subgroup_weight_profile(policy, reference, dataset, standard_profile_variants(beta))
+def ordering_summary(policy: PolicyTable, pairs: EncodedPairs, beta: float, metrics: dict) -> dict:
+    """The orderings that the focal down-weighting mechanism predicts:
+    whether the incorrect-at-init subgroup sits at the lower mean margin
+    (read from `metrics`, evaluate()'s output for the same policy, pairs and
+    beta) and at the lower focal-to-dpo weight ratio, with the subgroup
+    weight profile of the standard trio the ratios come from. An ordering
+    is None when a subgroup is empty."""
+    margins = metrics["mean_margin_by_subgroup"]
+    margin_ordering = None
+    if margins[Subgroup.INCORRECT_AT_INIT.value] is not None and margins[Subgroup.CORRECT_AT_INIT.value] is not None:
+        margin_ordering = (
+            margins[Subgroup.INCORRECT_AT_INIT.value] < margins[Subgroup.CORRECT_AT_INIT.value]
+        )
+    rows = subgroup_weight_profile(policy, pairs, standard_profile_variants(beta))
     profile = profile_as_dict(rows)
 
     def mean_weight(variant, group):
@@ -418,6 +429,7 @@ def _ordering_summary(policy, reference, dataset, beta) -> dict:
             ratios[Subgroup.INCORRECT_AT_INIT.value] < ratios[Subgroup.CORRECT_AT_INIT.value]
         )
     return {
+        "margin_ordering_incorrect_below_correct": margin_ordering,
         "weight_profile": profile,
         "focal_to_dpo_weight_ratio": ratios,
         "ratio_ordering_incorrect_below_correct": ratio_ordering,
@@ -436,36 +448,28 @@ def train(
     at the final step. The final block carries evaluate() metrics plus the
     subgroup weight profile and ordering flags at the trained state.
     """
-    if not dataset:
-        raise ValueError("dataset must be non-empty")
     _check_same_shape(policy, reference)
     start = time.perf_counter()
+    pairs = encode_pairs(reference, dataset)
     optimizer_state = init_optimizer_state(config, policy)
-    records = [_snapshot(0, policy, reference, dataset, config.loss)]
+    records = [_snapshot(0, policy, pairs, config.loss)]
     rng = np.random.default_rng(config.shuffle_seed)
     step = 0
     for _ in range(config.num_epochs):
-        order = rng.permutation(len(dataset))
-        for lo in range(0, len(dataset), config.batch_size):
-            batch = [dataset[i] for i in order[lo : lo + config.batch_size]]
-            train_step(policy, reference, batch, config, optimizer_state)
+        order = rng.permutation(len(pairs))
+        for lo in range(0, len(pairs), config.batch_size):
+            batch = pairs.take(order[lo : lo + config.batch_size])
+            train_step(policy, batch, config, optimizer_state)
             step += 1
             if step % config.eval_every == 0:
-                records.append(_snapshot(step, policy, reference, dataset, config.loss))
+                records.append(_snapshot(step, policy, pairs, config.loss))
     if step > 0 and records[-1].step != step:
-        records.append(_snapshot(step, policy, reference, dataset, config.loss))
+        records.append(_snapshot(step, policy, pairs, config.loss))
 
-    final = evaluate(policy, reference, dataset, config.loss.beta)
-    margins = final["mean_margin_by_subgroup"]
-    margin_ordering = None
-    if margins[Subgroup.INCORRECT_AT_INIT.value] is not None and margins[Subgroup.CORRECT_AT_INIT.value] is not None:
-        margin_ordering = (
-            margins[Subgroup.INCORRECT_AT_INIT.value] < margins[Subgroup.CORRECT_AT_INIT.value]
-        )
+    final = evaluate(policy, pairs, config.loss.beta)
     final["initial_mean_loss"] = records[0].mean_loss
     final["final_mean_loss"] = records[-1].mean_loss
-    final["margin_ordering_incorrect_below_correct"] = margin_ordering
-    final.update(_ordering_summary(policy, reference, dataset, config.loss.beta))
+    final.update(ordering_summary(policy, pairs, config.loss.beta, final))
     return TrainReport(
         config=config.echo(),
         steps=records,

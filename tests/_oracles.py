@@ -1,12 +1,19 @@
-"""Independent high-precision oracles shared by the test modules.
+"""Independent oracles shared by the test modules.
 
-These mirror the documented loss formulas in mpmath arithmetic. They exist
-only at test time: finite differences of the mirror are free of the
-double-precision cancellation that makes naive FD useless in the saturated
-tails (e.g. the (1-p) factor at margins beyond ~8).
+The loss oracles mirror the documented loss formulas in mpmath arithmetic.
+They exist only at test time: finite differences of the mirror are free of
+the double-precision cancellation that makes naive FD useless in the
+saturated tails (e.g. the (1-p) factor at margins beyond ~8).
+
+The sequence oracles walk the log-softmax chain of a policy table one token
+at a time in scalar Python arithmetic, sharing no code with the batched
+numpy path they check.
 """
 
+import math
+
 import mpmath as mp
+import numpy as np
 
 mp.mp.dps = 30
 
@@ -35,3 +42,31 @@ def fd_weight(variant: str, gamma: float, delta: float, h: float = 1e-5) -> floa
     """Central finite difference of the mirrored loss: approximates -dL/dDelta."""
     num = mirror_pair_loss(variant, gamma, delta + h) - mirror_pair_loss(variant, gamma, delta - h)
     return float(-num / (2 * mp.mpf(h)))
+
+
+def _chain(logits, prompt_class, tokens):
+    """Yield (context, token, next-token probabilities, log-prob term) along
+    the sequence; `logits` is a nested list of shape (C, V+1, V)."""
+    context = len(logits[prompt_class]) - 1  # the BOS context
+    for token in tokens:
+        row = logits[prompt_class][context]
+        m = max(row)
+        log_z = m + math.log(math.fsum(math.exp(v - m) for v in row))
+        yield context, token, [math.exp(v - log_z) for v in row], row[token] - log_z
+        context = token
+
+
+def scalar_log_prob(logits, prompt_class, tokens) -> float:
+    """log pi(tokens | prompt_class) as a sum of scalar log-softmax terms."""
+    return math.fsum(term for _, _, _, term in _chain(logits, prompt_class, tokens))
+
+
+def scalar_log_prob_grad(logits, prompt_class, tokens) -> np.ndarray:
+    """d(log pi(tokens | prompt_class))/d(logits): per visited context,
+    1{k == token} - p_k, accumulated one token at a time."""
+    grad = np.zeros((len(logits), len(logits[0]), len(logits[0][0])))
+    for context, token, probs, _ in _chain(logits, prompt_class, tokens):
+        for k, p in enumerate(probs):
+            grad[prompt_class, context, k] -= p
+        grad[prompt_class, context, token] += 1.0
+    return grad

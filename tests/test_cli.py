@@ -199,6 +199,29 @@ class TestTrain:
         for name in ("manifest.json", "report.csv", "report.json", "policy.txt"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [
+            ("--adam-beta1", "1.5", "adam_beta1"),
+            ("--adam-beta2", "1.0", "adam_beta2"),
+            ("--adam-eps", "-1", "adam_epsilon"),
+            ("--adam-eps", "inf", "adam_epsilon"),
+            ("--lr", "inf", "learning_rate"),
+            ("--beta", "inf", "beta"),
+        ],
+    )
+    def test_out_of_range_value_fails_before_any_file(
+        self, synth_dir, tmp_path, capsys, flag, value, field
+    ):
+        out = tmp_path / "run"
+        code = main(
+            train_args(synth_dir / "pairs.jsonl", synth_dir / "reference.txt", out,
+                       extra=(flag, value))
+        )
+        assert code == 1
+        assert f"{field} must" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_dataset_is_runtime_error(self, synth_dir, tmp_path, capsys):
         code = main(
             train_args(tmp_path / "nope.jsonl", synth_dir / "reference.txt", tmp_path / "run")

@@ -1,53 +1,78 @@
-"""Backend parity: the compiled kernels must be bit-identical to the pure
-Python reference on random inputs."""
+"""The batched log-probability and gradient path against the independent
+scalar log-softmax chain in _oracles, on random tables with logit scales up
+to 50."""
 
 import numpy as np
 import pytest
 
-from focalpo._kernels import available_backends
-
-
-requires_compiled = pytest.mark.skipif(
-    "compiled" not in available_backends(), reason="compiled extension not built"
+from focalpo.policy import (
+    PolicyTable,
+    TokenSequence,
+    encode_sequences,
+    log_prob_grad,
+    log_probs,
+    log_softmax,
+    sequence_log_prob,
+    sequence_log_prob_grad,
 )
 
+from _oracles import scalar_log_prob, scalar_log_prob_grad
 
-def random_case(rng, num_classes=3, vocab=7, length=6):
+TOLERANCE = dict(rtol=1e-12, atol=1e-12)
+
+
+def random_case(rng, num_classes=3, vocab=7, length=6, num_rows=5):
     scale = rng.uniform(0.5, 50.0)
     logits = scale * rng.standard_normal((num_classes, vocab + 1, vocab))
-    tokens = rng.integers(0, vocab, size=length).astype(np.int64)
-    prompt_class = int(rng.integers(num_classes))
-    return logits, prompt_class, tokens
+    seqs = [
+        TokenSequence(
+            int(rng.integers(num_classes)),
+            tuple(int(t) for t in rng.integers(0, vocab, size=length)),
+        )
+        for _ in range(num_rows)
+    ]
+    return PolicyTable(num_classes, vocab, logits), seqs
 
 
-@requires_compiled
-def test_seq_log_prob_bitwise_parity():
-    backends = available_backends()
+def test_log_probs_match_scalar_chain():
     rng = np.random.default_rng(7)
     for _ in range(300):
-        logits, prompt_class, tokens = random_case(rng)
-        pure_value = backends["python"].seq_log_prob(logits, prompt_class, tokens)
-        fast_value = backends["compiled"].seq_log_prob(logits, prompt_class, tokens)
-        assert pure_value == fast_value
+        policy, seqs = random_case(rng)
+        table = policy.logits.tolist()
+        expected = [scalar_log_prob(table, seq.prompt_class, seq.tokens) for seq in seqs]
+        batched = log_probs(log_softmax(policy.logits), encode_sequences(policy, seqs))
+        np.testing.assert_allclose(batched, expected, **TOLERANCE)
+        one_row = [sequence_log_prob(policy, seq) for seq in seqs]
+        np.testing.assert_allclose(one_row, expected, **TOLERANCE)
 
 
-@requires_compiled
-def test_add_scaled_seq_grad_bitwise_parity():
-    backends = available_backends()
+def test_log_prob_grad_matches_scalar_chain():
     rng = np.random.default_rng(8)
     for _ in range(300):
-        logits, prompt_class, tokens = random_case(rng)
-        scale = float(rng.uniform(-2.0, 2.0))
-        grad_pure = rng.standard_normal(logits.shape)  # nonzero accumulator
-        grad_fast = grad_pure.copy()
-        backends["python"].add_scaled_seq_grad(logits, prompt_class, tokens, scale, grad_pure)
-        backends["compiled"].add_scaled_seq_grad(logits, prompt_class, tokens, scale, grad_fast)
-        assert np.array_equal(grad_pure, grad_fast)
+        policy, seqs = random_case(rng)
+        table = policy.logits.tolist()
+        coeffs = rng.uniform(-2.0, 2.0, size=len(seqs))
+        expected = sum(
+            c * scalar_log_prob_grad(table, seq.prompt_class, seq.tokens)
+            for c, seq in zip(coeffs, seqs)
+        )
+        batched = log_prob_grad(log_softmax(policy.logits), encode_sequences(policy, seqs), coeffs)
+        np.testing.assert_allclose(batched, expected, **TOLERANCE)
+        np.testing.assert_allclose(
+            sequence_log_prob_grad(policy, seqs[0]),
+            scalar_log_prob_grad(table, seqs[0].prompt_class, seqs[0].tokens),
+            **TOLERANCE,
+        )
 
 
-def test_active_backend_exports_kernels():
-    import focalpo._kernels as kernels
+def test_encoded_contexts_start_at_bos():
+    policy = PolicyTable(2, 3, np.zeros((2, 4, 3)))
+    rows = encode_sequences(policy, [TokenSequence(1, (2, 0, 1)), TokenSequence(0, (0, 0, 2))])
+    assert rows.classes.tolist() == [1, 0]
+    assert rows.contexts.tolist() == [[3, 2, 0], [3, 0, 0]]
 
-    assert kernels.BACKEND in ("python", "compiled")
-    assert callable(kernels.seq_log_prob)
-    assert callable(kernels.add_scaled_seq_grad)
+
+def test_encoder_rejects_mixed_lengths():
+    policy = PolicyTable(1, 3, np.zeros((1, 4, 3)))
+    with pytest.raises(ValueError, match="differs from dataset length"):
+        encode_sequences(policy, [TokenSequence(0, (0, 1)), TokenSequence(0, (0, 1, 2))])

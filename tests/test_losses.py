@@ -41,6 +41,8 @@ class TestConfig:
     def test_rejects_bad_beta(self):
         with pytest.raises(ValueError):
             LossConfig(LossVariant.DPO, beta=0.0)
+        with pytest.raises(ValueError):
+            LossConfig(LossVariant.DPO, beta=math.inf)
 
     def test_rejects_zero_gamma_for_focal(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from focalpo.data import SynthConfig, Subgroup, random_reward_model, synthesize_dataset
+from focalpo.data import (
+    SynthConfig,
+    Subgroup,
+    encode_pairs,
+    random_reward_model,
+    synthesize_dataset,
+)
 from focalpo.losses import LossConfig, LossVariant, gradient_weight
 from focalpo.policy import (
     PolicyTable,
@@ -73,7 +79,8 @@ class TestTrainStep:
         config = train_config(learning_rate=0.0, optimizer="sgd")
         state = init_optimizer_state(config, policy)
         before = policy.logits.copy()
-        _, _, diagnostics = train_step(policy, reference, dataset[:8], config, state)
+        batch = encode_pairs(reference, dataset).take(np.arange(8))
+        _, _, diagnostics = train_step(policy, batch, config, state)
         assert np.array_equal(policy.logits, before)
         assert len(diagnostics) == 8
         for diag in diagnostics:
@@ -95,7 +102,7 @@ class TestTrainStep:
         )
         expected = policy.logits + lr * weight * beta * grad_diff
         state = init_optimizer_state(config, policy)
-        train_step(policy, reference, [pair], config, state)
+        train_step(policy, encode_pairs(reference, [pair]), config, state)
         np.testing.assert_allclose(policy.logits, expected, atol=1e-12)
 
     def test_full_batch_sgd_descends(self):
@@ -114,7 +121,7 @@ class TestTrainStep:
             trial = policy.clone()
             before = mean_batch_loss(trial, reference, dataset, config.loss)
             state = init_optimizer_state(config, trial)
-            train_step(trial, reference, dataset, config, state)
+            train_step(trial, encode_pairs(reference, dataset), config, state)
             after = mean_batch_loss(trial, reference, dataset, config.loss)
             assert after <= before
 
@@ -123,7 +130,12 @@ class TestTrainStep:
         policy = reference.clone()
         config = train_config()
         with pytest.raises(ValueError):
-            train_step(policy, reference, [], config, init_optimizer_state(config, policy))
+            train_step(
+                policy,
+                encode_pairs(reference, dataset).take([]),
+                config,
+                init_optimizer_state(config, policy),
+            )
 
     def test_non_finite_margin_aborts_with_pair_id(self):
         # logits at +/-1e308 are finite, but a two-step chain of suppressed
@@ -136,7 +148,10 @@ class TestTrainStep:
         config = train_config(beta=1.0, optimizer="sgd")
         with pytest.raises(FloatingPointError, match="pair_id"):
             train_step(
-                policy, reference, dataset[:1], config, init_optimizer_state(config, policy)
+                policy,
+                encode_pairs(reference, dataset[:1]),
+                config,
+                init_optimizer_state(config, policy),
             )
 
 
@@ -152,7 +167,7 @@ class TestGradientCheck:
             (LossVariant.FOCUS_INCORRECT, 1.0),
         ]:
             loss_config = LossConfig(variant, beta=0.7, gamma=gamma)
-            grad, _ = assemble_gradient(policy, reference, dataset, loss_config)
+            grad, _ = assemble_gradient(policy, encode_pairs(reference, dataset), loss_config)
             fd = np.zeros_like(grad)
             for idx in np.ndindex(*grad.shape):
                 policy.logits[idx] += h
@@ -209,7 +224,7 @@ class TestTrain:
 class TestEvaluate:
     def test_policy_equal_to_reference(self):
         dataset, reference = toy_setup(num_pairs=40)
-        metrics = evaluate(reference.clone(), reference, dataset, beta=0.01)
+        metrics = evaluate(reference.clone(), encode_pairs(reference, dataset), beta=0.01)
         assert metrics["overall_accuracy"] == 0.0
         assert metrics["flip_incorrect_to_correct"] == 0.0
         assert metrics["flip_correct_to_incorrect"] == 0.0
@@ -233,7 +248,7 @@ class TestEvaluate:
                     sequence_log_prob_grad(policy, pair.chosen)
                     - sequence_log_prob_grad(policy, pair.rejected)
                 )
-        metrics = evaluate(policy, reference, dataset, beta=0.01)
+        metrics = evaluate(policy, encode_pairs(reference, dataset), beta=0.01)
         assert metrics["overall_accuracy"] == 1.0
 
     def test_accuracy_matches_brute_force_margins(self):
@@ -241,7 +256,7 @@ class TestEvaluate:
 
         dataset, reference = toy_setup(num_pairs=200)
         policy = random_policy(3, 6, seed=13)
-        metrics = evaluate(policy, reference, dataset, beta=0.02)
+        metrics = evaluate(policy, encode_pairs(reference, dataset), beta=0.02)
         correct = 0
         for pair in dataset:
             margin = 0.02 * (
@@ -259,7 +274,7 @@ class TestSubgroupWeightProfile:
     def test_constant_weights_at_reference_state(self):
         dataset, reference = toy_setup(num_pairs=50)
         rows = subgroup_weight_profile(
-            reference.clone(), reference, dataset, standard_profile_variants(0.01)
+            reference.clone(), encode_pairs(reference, dataset), standard_profile_variants(0.01)
         )
         by_variant = {}
         for row in rows:
@@ -284,7 +299,7 @@ class TestSubgroupWeightProfile:
                 )
                 policy.logits += 0.5 * grad
         rows = subgroup_weight_profile(
-            policy, reference, dataset, standard_profile_variants(1.0)
+            policy, encode_pairs(reference, dataset), standard_profile_variants(1.0)
         )
         means = {(r.variant, r.subgroup): r.mean_weight for r in rows}
         ratio_correct = means[("focal", Subgroup.CORRECT_AT_INIT)] / means[
@@ -313,7 +328,7 @@ class TestSubgroupWeightProfile:
             LossConfig(LossVariant.DPO, beta=1.0),
             LossConfig(LossVariant.FOCUS_INCORRECT, beta=1.0, gamma=1.0),
         ]
-        rows = subgroup_weight_profile(policy, reference, [pair], variants)
+        rows = subgroup_weight_profile(policy, encode_pairs(reference, [pair]), variants)
         means = {r.variant: r.mean_weight for r in rows}
         assert means["focus-incorrect"] == pytest.approx(1.0, abs=1e-3)
         assert means["dpo"] == pytest.approx(0.9999546021312976, abs=1e-9)
@@ -322,7 +337,7 @@ class TestSubgroupWeightProfile:
         dataset, reference = toy_setup(num_pairs=80)
         policy = random_policy(3, 6, seed=44)
         rows = subgroup_weight_profile(
-            policy, reference, dataset, standard_profile_variants(0.05)
+            policy, encode_pairs(reference, dataset), standard_profile_variants(0.05)
         )
         means = {(r.variant, r.subgroup): r.mean_weight for r in rows}
         for group in (Subgroup.CORRECT_AT_INIT, Subgroup.INCORRECT_AT_INIT):
@@ -332,7 +347,7 @@ class TestSubgroupWeightProfile:
         reference = uniform_policy(2, 4)  # ties everywhere: all incorrect-at-init
         dataset, _ = toy_setup(num_pairs=10, num_classes=2, vocab=4, length=3)
         rows = subgroup_weight_profile(
-            reference.clone(), reference, dataset, standard_profile_variants(0.01)
+            reference.clone(), encode_pairs(reference, dataset), standard_profile_variants(0.01)
         )
         assert all(row.subgroup is Subgroup.INCORRECT_AT_INIT for row in rows)
 
