@@ -13,13 +13,17 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .data import (
     LABELING_MODES,
     encode_pairs,
+    holdout_size,
     load_dataset,
     random_reward_model,
     save_dataset,
@@ -32,7 +36,6 @@ from .losses import (
     TUNED_GAMMA_RANGE,
     LossConfig,
     LossVariant,
-    gradient_weight,
     modulating_factor,
     pair_loss,
     parse_variant,
@@ -41,13 +44,19 @@ from .policy import load_policy, random_policy, save_policy
 from .trainer import (
     TrainConfig,
     evaluate,
-    ordering_summary,
     train,
     write_report_csv,
     write_report_json,
 )
 
 MANIFEST_NAME = "manifest.json"
+MAX_GRID_POINTS = 1_000_000
+GRID_OPTIONS = ("--delta-grid", "--p-grid")
+
+
+class UsageError(ValueError):
+    """Inputs that are each valid but cannot go together; exits 2 like
+    the parser's own usage errors."""
 
 
 def _fmt(x: float) -> str:
@@ -95,17 +104,46 @@ def _grid(text: str) -> tuple[float, float, float]:
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid grid token {part!r} in {text!r}")
     lo, hi, step = values
+    if not all(map(math.isfinite, values)):
+        raise argparse.ArgumentTypeError(f"grid values must be finite in {text!r}")
     if not lo < hi:
         raise argparse.ArgumentTypeError(f"grid min must be < max in {text!r}")
     if not step > 0:
         raise argparse.ArgumentTypeError(f"grid step must be > 0 in {text!r}")
+    if not (hi - lo) / step + 1e-9 < MAX_GRID_POINTS:  # as counted by _grid_points
+        raise argparse.ArgumentTypeError(
+            f"grid {text!r} has more than {MAX_GRID_POINTS} points; use a larger step"
+        )
     return lo, hi, step
 
 
-def _grid_points(grid: tuple[float, float, float]) -> list[float]:
+def _probability_grid(text: str) -> tuple[float, float, float]:
+    grid = _grid(text)
+    if not (0.0 < grid[0] and _grid_points(grid)[-1] < 1.0):
+        raise argparse.ArgumentTypeError(
+            f"probability grid {text!r} must lie in the open interval (0, 1)"
+        )
+    return grid
+
+
+def _grid_points(grid: tuple[float, float, float]) -> np.ndarray:
     lo, hi, step = grid
     count = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    return [lo + k * step for k in range(count)]
+    return lo + np.arange(count) * step
+
+
+def _join_grid_values(argv: list[str]) -> list[str]:
+    """Rewrite `--delta-grid -5:5:1` as `--delta-grid=-5:5:1`: argparse
+    takes a value that starts with '-' for an option unless it looks like a
+    plain negative number, so a grid with a negative lower bound would
+    otherwise only parse in the joined form."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in GRID_OPTIONS and re.fullmatch(r"-[^:]*:[^:]*:[^:]*", arg):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
 
 
 def _write_manifest(out_dir: Path, manifest: dict) -> None:
@@ -125,11 +163,17 @@ def _manifest(command: str, configuration: dict, seeds: dict, outputs: dict) -> 
     }
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list[float]]) -> None:
+def _write_csv(path: Path, columns: dict[str, np.ndarray]) -> None:
+    """One column per entry, in order, with the entry's name as its header."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        np.savetxt(
+            fh,
+            np.column_stack(list(columns.values())),
+            fmt="%.9g",
+            delimiter=",",
+            header=",".join(columns),
+            comments="",
+        )
 
 
 # ----------------------------------------------------------------- curves
@@ -172,49 +216,35 @@ def cmd_curves(args) -> int:
     _write_manifest(out_dir, manifest)
 
     p_values = _grid_points(args.p_grid)
-    factor_header = ["p"]
+    factors = {"p": p_values}
     for g in gammas:
-        factor_header.extend(_gamma_columns(g))
-    factor_rows = []
-    for p in p_values:
-        row = [p]
-        for g in gammas:
-            for variant in _gamma_columns(g).values():
-                row.append(modulating_factor(variant, p, g))
-        factor_rows.append(row)
-    _write_csv(out_dir / "factors.csv", factor_header, factor_rows)
+        for name, variant in _gamma_columns(g).items():
+            factors[name] = modulating_factor(variant, p_values, g)
+    _write_csv(out_dir / "factors.csv", factors)
 
     deltas = _grid_points(args.delta_grid)
-    weight_header = ["delta", "dpo"]
-    loss_header = ["delta", "dpo"]
+    dpo = pair_loss(LossConfig(LossVariant.DPO), deltas)
+    weights = {"delta": deltas, "dpo": dpo.weight}
+    losses = {"delta": deltas, "dpo": dpo.loss}
     for g in weight_gammas:
-        weight_header.extend(_gamma_columns(g))
-        loss_header.extend(_gamma_columns(g))
-    weight_rows, loss_rows = [], []
-    for delta in deltas:
-        weight_row = [delta, gradient_weight(LossConfig(LossVariant.DPO), delta)]
-        loss_row = [delta, pair_loss(LossConfig(LossVariant.DPO), delta).loss]
-        for g in weight_gammas:
-            for variant in _gamma_columns(g).values():
-                config = LossConfig(variant, gamma=g)
-                weight_row.append(gradient_weight(config, delta))
-                loss_row.append(pair_loss(config, delta).loss)
-        weight_rows.append(weight_row)
-        loss_rows.append(loss_row)
-    _write_csv(out_dir / "weights.csv", weight_header, weight_rows)
-    _write_csv(out_dir / "losses.csv", loss_header, loss_rows)
+        for name, variant in _gamma_columns(g).items():
+            out = pair_loss(LossConfig(variant, gamma=g), deltas)
+            weights[name] = out.weight
+            losses[name] = out.loss
+    _write_csv(out_dir / "weights.csv", weights)
+    _write_csv(out_dir / "losses.csv", losses)
 
     print(f"wrote factors.csv ({len(p_values)} rows), weights.csv and losses.csv "
           f"({len(deltas)} rows) under {out_dir}")
     # Empirical gap between the exact factor form and its adopted
     # approximation, reported over the margin grid rather than asserted.
     for g in weight_gammas:
-        exact = LossConfig(LossVariant.FOCAL_EXACT, gamma=g)
-        approx = LossConfig(LossVariant.FOCAL, gamma=g)
-        gaps = [pair_loss(exact, d).loss - pair_loss(approx, d).loss for d in deltas]
+        exact = pair_loss(LossConfig(LossVariant.FOCAL_EXACT, gamma=g), deltas)
+        approx = pair_loss(LossConfig(LossVariant.FOCAL, gamma=g), deltas)
+        gaps = exact.loss - approx.loss
         print(
             f"exact-vs-approx loss gap at gamma={g:g}: "
-            f"min {_fmt(min(gaps))}, max {_fmt(max(gaps))} over delta grid"
+            f"min {_fmt(gaps.min())}, max {_fmt(gaps.max())} over delta grid"
         )
     return 0
 
@@ -246,6 +276,11 @@ def cmd_synth(args) -> int:
         noise_rate=args.noise,
         generator_seed=args.seed,
     )
+    if holdout_size(args.pairs, args.holdout_fraction) == args.pairs:
+        raise UsageError(
+            f"--holdout-fraction {args.holdout_fraction:g} holds out all of --pairs "
+            f"{args.pairs}, leaving no training pairs"
+        )
     out_dir = Path(args.out)
     outputs = {"reference": "reference.txt", "pairs": "pairs.jsonl"}
     if args.holdout_fraction > 0.0:
@@ -374,9 +409,8 @@ def cmd_eval(args) -> int:
     if not 0.0 < args.beta < math.inf:
         raise ValueError(f"--beta must be finite and > 0, got {args.beta}")
 
-    pairs = encode_pairs(reference, dataset)
-    metrics = evaluate(policy, pairs, args.beta)
-    ordering = ordering_summary(policy, pairs, args.beta, metrics)
+    evaluation = evaluate(policy, encode_pairs(reference, dataset), args.beta)
+    ordering = evaluation.orderings()
 
     manifest = _manifest(
         "eval",
@@ -391,7 +425,7 @@ def cmd_eval(args) -> int:
     )
     output = {
         "manifest": manifest,
-        "metrics": metrics,
+        "metrics": evaluation.metrics(),
         "weights": ordering["weight_profile"],
         "focal_to_dpo_weight_ratio": ordering["focal_to_dpo_weight_ratio"],
         "margin_ordering_incorrect_below_correct": ordering[
@@ -434,7 +468,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--delta-grid", type=_grid, default=(-10.0, 10.0, 0.1), help="margin grid min:max:step"
     )
     p_curves.add_argument(
-        "--p-grid", type=_grid, default=(0.01, 0.99, 0.01), help="probability grid min:max:step"
+        "--p-grid",
+        type=_probability_grid,
+        default=(0.01, 0.99, 0.01),
+        help="probability grid min:max:step, inside (0, 1)",
     )
     p_curves.set_defaults(func=cmd_curves)
 
@@ -485,9 +522,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_grid_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.func(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, OSError, RuntimeError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -55,6 +55,7 @@ __all__ = [
     "classify_pair",
     "save_dataset",
     "load_dataset",
+    "holdout_size",
     "split_holdout",
 ]
 
@@ -247,12 +248,6 @@ class EncodedPairs:
             self.correct_at_init[idx],
         )
 
-    def subgroups(self) -> list[Subgroup]:
-        return [
-            Subgroup.CORRECT_AT_INIT if correct else Subgroup.INCORRECT_AT_INIT
-            for correct in self.correct_at_init
-        ]
-
 
 def encode_pairs(reference: PolicyTable, pairs: list[PreferencePair]) -> EncodedPairs:
     """Encode a non-empty, fixed-length dataset and score it against the
@@ -279,7 +274,9 @@ def encode_pairs(reference: PolicyTable, pairs: list[PreferencePair]) -> Encoded
 
 def classify_pair(reference: PolicyTable, pair: PreferencePair) -> Subgroup:
     """Subgroup of one pair; see encode_pairs."""
-    return encode_pairs(reference, [pair]).subgroups()[0]
+    if encode_pairs(reference, [pair]).correct_at_init[0]:
+        return Subgroup.CORRECT_AT_INIT
+    return Subgroup.INCORRECT_AT_INIT
 
 
 def save_dataset(path, pairs: list[PreferencePair]) -> None:
@@ -389,10 +386,14 @@ def load_dataset(path, num_prompt_classes=None, vocab_size=None) -> list[Prefere
     return pairs
 
 
-def split_holdout(pairs: list[PreferencePair], fraction: float) -> tuple[list, list]:
-    """Deterministic tail split: the last round(n * fraction) pairs are held out."""
+def holdout_size(num_pairs: int, fraction: float) -> int:
+    """How many of num_pairs pairs split_holdout holds out: round(n * fraction)."""
     if not 0.0 <= fraction < 1.0:
         raise ValueError(f"holdout fraction must lie in [0, 1), got {fraction!r}")
-    num_holdout = int(round(len(pairs) * fraction))
-    cut = len(pairs) - num_holdout
+    return int(round(num_pairs * fraction))
+
+
+def split_holdout(pairs: list[PreferencePair], fraction: float) -> tuple[list, list]:
+    """Deterministic tail split: the last holdout_size(n, fraction) pairs are held out."""
+    cut = len(pairs) - holdout_size(len(pairs), fraction)
     return pairs[:cut], pairs[cut:]

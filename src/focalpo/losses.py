@@ -1,7 +1,8 @@
 """The loss zoo: per-pair loss values, modulating factors, gradient weights.
 
-Every function here is a pure function of the implicit-reward margin
-Delta = r_chosen - r_rejected. With p = sigmoid(Delta) the variants are
+Every function here is a pure, elementwise function of the implicit-reward
+margin Delta = r_chosen - r_rejected: it takes one margin as a float or a
+batch of margins as a float64 array. With p = sigmoid(Delta) the variants are
 
     dpo              L = -log p
     focal            L = p**g * (-log p)         down-weights misranked pairs
@@ -16,6 +17,8 @@ beta and the policy-gradient term live in the trainer.
 import math
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from .numerics import log_sigmoid, pow_via_exp, sigmoid
 
@@ -81,20 +84,22 @@ class LossConfig:
 
 @dataclass(frozen=True)
 class LossOutput:
-    """Per-pair quantities at one margin: loss, p, factor, gradient weight."""
+    """Per-pair quantities at the given margins: loss, p, factor, gradient
+    weight. Each is a float for a float margin and an array of the margins'
+    shape for an array."""
 
-    loss: float
-    probability: float
-    factor: float
-    weight: float
+    loss: float | np.ndarray
+    probability: float | np.ndarray
+    factor: float | np.ndarray
+    weight: float | np.ndarray
 
 
-def preference_probability(margin: float) -> float:
+def preference_probability(margin):
     """p = sigmoid(margin): the model's probability that chosen beats rejected."""
     return sigmoid(margin)
 
 
-def modulating_factor(variant: LossVariant, p: float, gamma: float) -> float:
+def modulating_factor(variant: LossVariant, p, gamma: float):
     """The multiplicative factor applied to the base loss -log p.
 
     dpo -> 1; focal -> p**gamma; focal-exact -> (1-p)**(-gamma);
@@ -103,7 +108,7 @@ def modulating_factor(variant: LossVariant, p: float, gamma: float) -> float:
     if not gamma >= 0.0:
         raise ValueError(f"gamma must be >= 0, got {gamma!r}")
     if variant is LossVariant.DPO:
-        return 1.0
+        return np.full(np.shape(p), 1.0)[()]
     if variant is LossVariant.FOCAL:
         return pow_via_exp(p, gamma)
     if variant is LossVariant.FOCAL_EXACT:
@@ -113,24 +118,23 @@ def modulating_factor(variant: LossVariant, p: float, gamma: float) -> float:
     raise ValueError(f"unsupported variant {variant!r}")
 
 
-def pair_loss(config: LossConfig, margin: float) -> LossOutput:
-    """Loss and diagnostics for one pair at the given margin.
+def pair_loss(config: LossConfig, margin) -> LossOutput:
+    """Loss and diagnostics for each pair at the given margins.
 
     The base term -log p goes through log_sigmoid and the factor through
     pow_via_exp; sigmoid(margin) is never logged directly.
     """
-    p = sigmoid(margin)
-    base = -log_sigmoid(margin)
+    p, s, log_p = sigmoid(margin), sigmoid(-margin), log_sigmoid(margin)
     factor = modulating_factor(config.variant, p, config.gamma)
     return LossOutput(
-        loss=factor * base,
+        loss=factor * -log_p,
         probability=p,
         factor=factor,
-        weight=gradient_weight(config, margin),
+        weight=_weight(config, p, s, log_p),
     )
 
 
-def gradient_weight(config: LossConfig, margin: float) -> float:
+def gradient_weight(config: LossConfig, margin):
     """w(Delta) = -d(pair_loss)/dDelta; positive values push the margin up.
 
     Closed forms, with p = sigmoid(Delta), s = sigmoid(-Delta), g = gamma:
@@ -145,9 +149,10 @@ def gradient_weight(config: LossConfig, margin: float) -> float:
     (1-p) is evaluated as sigmoid(-Delta), which stays accurate where the
     subtraction 1 - p would cancel.
     """
-    p = sigmoid(margin)
-    s = sigmoid(-margin)
-    log_p = log_sigmoid(margin)
+    return _weight(config, sigmoid(margin), sigmoid(-margin), log_sigmoid(margin))
+
+
+def _weight(config: LossConfig, p, s, log_p):
     g = config.gamma
     variant = config.variant
     if variant is LossVariant.DPO:

@@ -143,7 +143,8 @@ def encode_sequences(policy: PolicyTable, seqs) -> TokenRows:
 def log_softmax(logits: np.ndarray) -> np.ndarray:
     """Log of the next-token distribution of every context of the table."""
     shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    shifted -= np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    return shifted
 
 
 def log_probs(log_table: np.ndarray, rows: TokenRows) -> np.ndarray:
@@ -164,9 +165,11 @@ def log_prob_grad(log_table: np.ndarray, rows: TokenRows, coeffs: np.ndarray) ->
     counts = np.bincount(
         context_ids * vocab + rows.tokens.ravel(), weights, minlength=log_table.size
     )
-    return counts.reshape(log_table.shape) - visits.reshape(
-        num_classes, num_contexts, 1
-    ) * np.exp(log_table)
+    # Built in place, so the result is the only table-sized allocation.
+    grad = np.exp(log_table)
+    grad *= -visits.reshape(num_classes, num_contexts, 1)
+    grad += counts.reshape(log_table.shape)
+    return grad
 
 
 def _check_same_shape(policy: PolicyTable, reference: PolicyTable) -> None:

@@ -1,13 +1,15 @@
 """Deterministic mini-batch preference-optimization loop.
 
 Each step assembles the parameter gradient from closed-form pieces: the
-scalar gradient weight of the configured loss, times beta, times the
-analytic gradient of the chosen/rejected log-probability difference. The
-dataset is encoded once (see data.encode_pairs), so the frozen reference is
-scored once per dataset and every step, snapshot and evaluation reads its
-log-probabilities and subgroup labels from that encoding. The reference
-table is never modified; all randomness comes from the shuffle seed, so
-identical configurations reproduce identical reports.
+gradient weights of the configured loss (one array call per batch), times
+beta, times the analytic gradient of the chosen/rejected log-probability
+difference. The dataset is encoded once (see data.encode_pairs), so the
+frozen reference is scored once per dataset and every step, snapshot and
+evaluation reads its log-probabilities and subgroup labels from that
+encoding. Each evaluated policy state is scored once (see evaluate), and
+its step record, metrics and orderings all read those margins. The
+reference table is never modified; all randomness comes from the shuffle
+seed, so identical configurations reproduce identical reports.
 """
 
 from __future__ import annotations
@@ -20,27 +22,32 @@ import numpy as np
 
 from .data import EncodedPairs, PreferencePair, Subgroup, encode_pairs
 from .losses import LossConfig, LossVariant, gradient_weight, pair_loss
-from .policy import PolicyTable, _check_same_shape, log_prob_grad, log_probs, log_softmax
+from .policy import (
+    PolicyTable,
+    TokenRows,
+    _check_same_shape,
+    log_prob_grad,
+    log_probs,
+    log_softmax,
+)
 
 OPTIMIZERS = ("sgd", "adam")
+CORRECT, INCORRECT = Subgroup.CORRECT_AT_INIT.value, Subgroup.INCORRECT_AT_INIT.value
 
 __all__ = [
     "OPTIMIZERS",
     "TrainConfig",
     "OptimizerState",
-    "PairDiagnostics",
+    "BatchDiagnostics",
     "StepRecord",
     "TrainReport",
-    "ProfileRow",
+    "Evaluation",
     "init_optimizer_state",
     "assemble_gradient",
     "train_step",
     "train",
     "evaluate",
-    "subgroup_weight_profile",
     "standard_profile_variants",
-    "profile_as_dict",
-    "ordering_summary",
     "write_report_csv",
     "write_report_json",
 ]
@@ -104,13 +111,18 @@ class OptimizerState:
 
 
 @dataclass(frozen=True)
-class PairDiagnostics:
-    pair_id: int
-    margin: float
-    probability: float
-    loss: float
-    weight: float
-    subgroup: Subgroup
+class BatchDiagnostics:
+    """Per-pair quantities of one batch, as arrays in batch order."""
+
+    pair_ids: np.ndarray
+    margins: np.ndarray
+    probabilities: np.ndarray
+    losses: np.ndarray
+    weights: np.ndarray
+    correct_at_init: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.pair_ids)
 
 
 @dataclass(frozen=True)
@@ -145,16 +157,6 @@ class TrainReport:
         }
 
 
-@dataclass(frozen=True)
-class ProfileRow:
-    variant: str
-    gamma: float
-    subgroup: Subgroup
-    count: int
-    mean_weight: float
-    mean_abs_weight: float
-
-
 def _none_for_nan(record: dict) -> dict:
     return {
         k: (None if isinstance(v, float) and math.isnan(v) else v) for k, v in record.items()
@@ -177,11 +179,16 @@ def _margins(log_table: np.ndarray, pairs: EncodedPairs, beta: float):
     return margins, chosen, rejected
 
 
+def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The rows a[0], b[0], a[1], b[1], ... of two arrays of one shape."""
+    return np.stack((a, b), axis=1).reshape(-1, *a.shape[1:])
+
+
 def assemble_gradient(
     policy: PolicyTable,
     batch: EncodedPairs,
     loss_config: LossConfig,
-) -> tuple[np.ndarray, list[PairDiagnostics]]:
+) -> tuple[np.ndarray, BatchDiagnostics]:
     """Mean-loss parameter gradient over a batch, plus per-pair diagnostics.
 
     G = -(1/B) * sum_i weight_i * beta * (grad log pi(chosen_i) - grad log pi(rejected_i))
@@ -192,51 +199,54 @@ def assemble_gradient(
     _check_same_shape(policy, batch.reference)
     log_table = log_softmax(policy.logits)
     margins, _, _ = _margins(log_table, batch, loss_config.beta)
-    diagnostics = []
-    for pair_id, margin, subgroup in zip(
-        batch.pair_ids.tolist(), margins.tolist(), batch.subgroups()
-    ):
-        if not math.isfinite(margin):
-            raise FloatingPointError(f"non-finite margin for pair_id {pair_id}")
-        out = pair_loss(loss_config, margin)
-        if not math.isfinite(out.weight):
-            raise FloatingPointError(f"non-finite gradient weight for pair_id {pair_id}")
-        diagnostics.append(
-            PairDiagnostics(
-                pair_id=pair_id,
-                margin=margin,
-                probability=out.probability,
-                loss=out.loss,
-                weight=out.weight,
-                subgroup=subgroup,
-            )
-        )
-    weights = np.array([diag.weight for diag in diagnostics])
-    coeffs = -weights * loss_config.beta * (1.0 / len(batch))
-    grad = log_prob_grad(log_table, batch.chosen, coeffs) + log_prob_grad(
-        log_table, batch.rejected, -coeffs
-    )
+    finite = np.isfinite(margins)
+    out = pair_loss(loss_config, np.where(finite, margins, 0.0))
+    bad = ~(finite & np.isfinite(out.weight))
+    if bad.any():
+        i = int(np.argmax(bad))
+        what = "gradient weight" if finite[i] else "margin"
+        raise FloatingPointError(f"non-finite {what} for pair_id {batch.pair_ids[i]}")
+    coeffs = -out.weight * loss_config.beta * (1.0 / len(batch))
+    # One pass over every pair's chosen row and then its rejected row, with
+    # opposite signs, so the two add up next to each other in a shared context.
+    rows = TokenRows(*map(_interleave, batch.chosen, batch.rejected))
+    grad = log_prob_grad(log_table, rows, _interleave(coeffs, -coeffs))
     if not np.isfinite(grad).all():
         raise FloatingPointError("non-finite entry in the assembled batch gradient")
+    diagnostics = BatchDiagnostics(
+        batch.pair_ids, margins, out.probability, out.loss, out.weight, batch.correct_at_init
+    )
     return grad, diagnostics
 
 
 def _apply_update(
     policy: PolicyTable, grad: np.ndarray, config: TrainConfig, state: OptimizerState
 ) -> None:
+    """Apply one optimizer step. The step is computed in place in grad,
+    which is overwritten, so no table-sized array is allocated beyond one
+    scratch table for adam."""
     lr = config.learning_rate
     if config.optimizer == "sgd":
-        policy.logits -= lr * grad
+        grad *= lr
+        policy.logits -= grad
         return
     state.step_count += 1
     b1, b2 = config.adam_beta1, config.adam_beta2
-    state.first_moment *= b1
-    state.first_moment += (1.0 - b1) * grad
-    state.second_moment *= b2
-    state.second_moment += (1.0 - b2) * grad * grad
-    m_hat = state.first_moment / (1.0 - b1**state.step_count)
-    v_hat = state.second_moment / (1.0 - b2**state.step_count)
-    policy.logits -= lr * m_hat / (np.sqrt(v_hat) + config.adam_epsilon)
+    m, v = state.first_moment, state.second_moment
+    scratch = np.multiply(grad, 1.0 - b1)
+    m *= b1
+    m += scratch
+    np.multiply(grad, 1.0 - b2, out=scratch)
+    scratch *= grad
+    v *= b2
+    v += scratch
+    np.divide(m, 1.0 - b1**state.step_count, out=grad)  # bias-corrected m
+    np.divide(v, 1.0 - b2**state.step_count, out=scratch)  # bias-corrected v
+    np.sqrt(scratch, out=scratch)
+    scratch += config.adam_epsilon
+    grad *= lr
+    grad /= scratch
+    policy.logits -= grad
 
 
 def train_step(
@@ -244,136 +254,124 @@ def train_step(
     batch: EncodedPairs,
     config: TrainConfig,
     optimizer_state: OptimizerState,
-) -> tuple[PolicyTable, OptimizerState, list[PairDiagnostics]]:
+) -> tuple[PolicyTable, OptimizerState, BatchDiagnostics]:
     """One optimizer update on a batch; the reference is never touched."""
     grad, diagnostics = assemble_gradient(policy, batch, config.loss)
     _apply_update(policy, grad, config, optimizer_state)
     return policy, optimizer_state, diagnostics
 
 
-def _snapshot(
-    step: int,
-    policy: PolicyTable,
-    pairs: EncodedPairs,
-    loss_config: LossConfig,
-) -> StepRecord:
-    margins, _, _ = _margins(log_softmax(policy.logits), pairs, loss_config.beta)
-    margins = margins.tolist()
-    losses, abs_weights = [], []
-    by_group = {Subgroup.CORRECT_AT_INIT: [], Subgroup.INCORRECT_AT_INIT: []}
-    for margin, subgroup in zip(margins, pairs.subgroups()):
-        out = pair_loss(loss_config, margin)
-        losses.append(out.loss)
-        abs_weights.append(abs(out.weight))
-        by_group[subgroup].append((out.weight, margin))
-
-    def group_mean_weight(group):
-        rows = by_group[group]
-        return sum(w for w, _ in rows) / len(rows) if rows else math.nan
-
-    def group_accuracy(group):
-        rows = by_group[group]
-        return sum(1 for _, m in rows if m > 0.0) / len(rows) if rows else math.nan
-
-    return StepRecord(
-        step=step,
-        mean_loss=sum(losses) / len(losses),
-        mean_abs_weight=sum(abs_weights) / len(abs_weights),
-        mean_weight_correct=group_mean_weight(Subgroup.CORRECT_AT_INIT),
-        mean_weight_incorrect=group_mean_weight(Subgroup.INCORRECT_AT_INIT),
-        accuracy_overall=sum(1 for m in margins if m > 0.0) / len(margins),
-        accuracy_correct=group_accuracy(Subgroup.CORRECT_AT_INIT),
-        accuracy_incorrect=group_accuracy(Subgroup.INCORRECT_AT_INIT),
-    )
+def _below(by_group: dict):
+    """Whether the incorrect-at-init value is below the correct-at-init
+    one; None when either is missing."""
+    incorrect = by_group[INCORRECT]
+    correct = by_group[CORRECT]
+    return None if incorrect is None or correct is None else incorrect < correct
 
 
-def evaluate(policy: PolicyTable, pairs: EncodedPairs, beta: float) -> dict:
-    """Ranking accuracy (margin > 0, strict), flip rates, and subgroup margins.
+@dataclass(frozen=True)
+class Evaluation:
+    """One policy state scored on an encoded dataset at one beta. The
+    margins are computed once (see evaluate); the step record, the metrics
+    and the orderings of that state all read them. Subgroups come from the
+    dataset's correct_at_init mask."""
 
-    Flip rates compare the policy's own log-likelihood ranking of each pair
-    against the at-init subgroup label, so a policy equal to the reference
-    has flip rates of exactly zero. Empty-subgroup entries are None.
-    """
+    pairs: EncodedPairs
+    beta: float
+    margins: np.ndarray
+    policy_correct: np.ndarray  # the policy's own log-likelihood ranking
+
+    def groups(self) -> dict[str, np.ndarray]:
+        """Subgroup name -> mask of its pairs."""
+        correct = self.pairs.correct_at_init
+        return {CORRECT: correct, INCORRECT: ~correct}
+
+    def by_group(self, values: np.ndarray, empty=None) -> dict:
+        """Subgroup name -> mean of values over its pairs, `empty` when it
+        has none."""
+        means = {}
+        for name, mask in self.groups().items():
+            count = int(mask.sum())
+            means[name] = float(values[mask].sum() / count) if count else empty
+        return means
+
+    def record(self, step: int, loss: LossConfig) -> StepRecord:
+        """Full-dataset snapshot under the loss's variant and gamma."""
+        out = pair_loss(loss, self.margins)
+        positive = self.margins > 0.0
+        weights = self.by_group(out.weight, math.nan)
+        accuracies = self.by_group(positive, math.nan)
+        return StepRecord(
+            step=step,
+            mean_loss=float(out.loss.mean()),
+            mean_abs_weight=float(np.abs(out.weight).mean()),
+            mean_weight_correct=weights[CORRECT],
+            mean_weight_incorrect=weights[INCORRECT],
+            accuracy_overall=float(positive.mean()),
+            accuracy_correct=accuracies[CORRECT],
+            accuracy_incorrect=accuracies[INCORRECT],
+        )
+
+    def metrics(self) -> dict:
+        """Ranking accuracy (margin > 0, strict), flip rates, and subgroup margins.
+
+        Flip rates compare the policy's own log-likelihood ranking of each
+        pair against the at-init subgroup label, so a policy equal to the
+        reference has flip rates of exactly zero. Empty-subgroup entries are
+        None.
+        """
+        positive = self.margins > 0.0
+        return {
+            "num_pairs": len(self.pairs),
+            "subgroup_counts": {name: int(mask.sum()) for name, mask in self.groups().items()},
+            "overall_accuracy": float(positive.mean()),
+            "accuracy_by_subgroup": self.by_group(positive),
+            "mean_margin_by_subgroup": self.by_group(self.margins),
+            "flip_incorrect_to_correct": self.by_group(self.policy_correct)[INCORRECT],
+            "flip_correct_to_incorrect": self.by_group(~self.policy_correct)[CORRECT],
+        }
+
+    def orderings(self) -> dict:
+        """The orderings that the focal down-weighting mechanism predicts:
+        whether the incorrect-at-init subgroup sits at the lower mean margin
+        and at the lower focal-to-dpo weight ratio, with the subgroup weight
+        profile of the standard trio the ratios come from. Empty subgroups
+        are absent from the profile; an ordering is None when a subgroup is
+        empty."""
+        profile, mean_weights = {}, {}
+        for config in standard_profile_variants(self.beta):
+            weights = gradient_weight(config, self.margins)
+            means = mean_weights[config.variant] = self.by_group(weights)
+            abs_means = self.by_group(np.abs(weights))
+            profile[config.variant.value] = {
+                name: {
+                    "gamma": config.gamma,
+                    "count": int(mask.sum()),
+                    "mean_weight": means[name],
+                    "mean_abs_weight": abs_means[name],
+                }
+                for name, mask in self.groups().items()
+                if mask.any()
+            }
+        focal, dpo = mean_weights[LossVariant.FOCAL], mean_weights[LossVariant.DPO]
+        ratios = {
+            name: None if dpo[name] in (None, 0.0) else focal[name] / dpo[name] for name in dpo
+        }
+        return {
+            "margin_ordering_incorrect_below_correct": _below(self.by_group(self.margins)),
+            "weight_profile": profile,
+            "focal_to_dpo_weight_ratio": ratios,
+            "ratio_ordering_incorrect_below_correct": _below(ratios),
+        }
+
+
+def evaluate(policy: PolicyTable, pairs: EncodedPairs, beta: float) -> Evaluation:
+    """Score the policy on the dataset: its margins at this beta and its own
+    chosen-over-rejected ranking, from one log-softmax of its table. No
+    parameter updates happen here."""
     _check_same_shape(policy, pairs.reference)
     margins, chosen, rejected = _margins(log_softmax(policy.logits), pairs, beta)
-    margins = margins.tolist()
-    groups = pairs.subgroups()
-    policy_correct = (chosen > rejected).tolist()
-
-    def subgroup_indices(group):
-        return [i for i, g in enumerate(groups) if g is group]
-
-    correct_idx = subgroup_indices(Subgroup.CORRECT_AT_INIT)
-    incorrect_idx = subgroup_indices(Subgroup.INCORRECT_AT_INIT)
-
-    def accuracy(indices):
-        return sum(1 for i in indices if margins[i] > 0.0) / len(indices) if indices else None
-
-    def mean_margin(indices):
-        return sum(margins[i] for i in indices) / len(indices) if indices else None
-
-    flip_to_correct = (
-        sum(1 for i in incorrect_idx if policy_correct[i]) / len(incorrect_idx)
-        if incorrect_idx
-        else None
-    )
-    flip_to_incorrect = (
-        sum(1 for i in correct_idx if not policy_correct[i]) / len(correct_idx)
-        if correct_idx
-        else None
-    )
-    return {
-        "num_pairs": len(pairs),
-        "subgroup_counts": {
-            Subgroup.CORRECT_AT_INIT.value: len(correct_idx),
-            Subgroup.INCORRECT_AT_INIT.value: len(incorrect_idx),
-        },
-        "overall_accuracy": sum(1 for m in margins if m > 0.0) / len(margins),
-        "accuracy_by_subgroup": {
-            Subgroup.CORRECT_AT_INIT.value: accuracy(correct_idx),
-            Subgroup.INCORRECT_AT_INIT.value: accuracy(incorrect_idx),
-        },
-        "mean_margin_by_subgroup": {
-            Subgroup.CORRECT_AT_INIT.value: mean_margin(correct_idx),
-            Subgroup.INCORRECT_AT_INIT.value: mean_margin(incorrect_idx),
-        },
-        "flip_incorrect_to_correct": flip_to_correct,
-        "flip_correct_to_incorrect": flip_to_incorrect,
-    }
-
-
-def subgroup_weight_profile(
-    policy: PolicyTable,
-    pairs: EncodedPairs,
-    variants: list[LossConfig],
-) -> list[ProfileRow]:
-    """Mean gradient weight per (variant, subgroup) at the frozen policy state.
-
-    No parameter updates happen here. Empty subgroups are simply absent from
-    the returned rows.
-    """
-    _check_same_shape(policy, pairs.reference)
-    log_table = log_softmax(policy.logits)
-    groups = pairs.subgroups()
-    rows = []
-    for variant_config in variants:
-        margins = _margins(log_table, pairs, variant_config.beta)[0].tolist()
-        weights = [gradient_weight(variant_config, m) for m in margins]
-        for group in (Subgroup.CORRECT_AT_INIT, Subgroup.INCORRECT_AT_INIT):
-            selected = [w for w, g in zip(weights, groups) if g is group]
-            if not selected:
-                continue
-            rows.append(
-                ProfileRow(
-                    variant=variant_config.variant.value,
-                    gamma=variant_config.gamma,
-                    subgroup=group,
-                    count=len(selected),
-                    mean_weight=sum(selected) / len(selected),
-                    mean_abs_weight=sum(abs(w) for w in selected) / len(selected),
-                )
-            )
-    return rows
+    return Evaluation(pairs, beta, margins, chosen > rejected)
 
 
 def standard_profile_variants(beta: float) -> list[LossConfig]:
@@ -385,57 +383,6 @@ def standard_profile_variants(beta: float) -> list[LossConfig]:
     ]
 
 
-def profile_as_dict(rows: list[ProfileRow]) -> dict:
-    out: dict = {}
-    for row in rows:
-        variant_entry = out.setdefault(row.variant, {})
-        variant_entry[row.subgroup.value] = {
-            "gamma": row.gamma,
-            "count": row.count,
-            "mean_weight": row.mean_weight,
-            "mean_abs_weight": row.mean_abs_weight,
-        }
-    return out
-
-
-def ordering_summary(policy: PolicyTable, pairs: EncodedPairs, beta: float, metrics: dict) -> dict:
-    """The orderings that the focal down-weighting mechanism predicts:
-    whether the incorrect-at-init subgroup sits at the lower mean margin
-    (read from `metrics`, evaluate()'s output for the same policy, pairs and
-    beta) and at the lower focal-to-dpo weight ratio, with the subgroup
-    weight profile of the standard trio the ratios come from. An ordering
-    is None when a subgroup is empty."""
-    margins = metrics["mean_margin_by_subgroup"]
-    margin_ordering = None
-    if margins[Subgroup.INCORRECT_AT_INIT.value] is not None and margins[Subgroup.CORRECT_AT_INIT.value] is not None:
-        margin_ordering = (
-            margins[Subgroup.INCORRECT_AT_INIT.value] < margins[Subgroup.CORRECT_AT_INIT.value]
-        )
-    rows = subgroup_weight_profile(policy, pairs, standard_profile_variants(beta))
-    profile = profile_as_dict(rows)
-
-    def mean_weight(variant, group):
-        entry = profile.get(variant, {}).get(group.value)
-        return None if entry is None else entry["mean_weight"]
-
-    ratios = {}
-    for group in (Subgroup.CORRECT_AT_INIT, Subgroup.INCORRECT_AT_INIT):
-        focal = mean_weight(LossVariant.FOCAL.value, group)
-        dpo = mean_weight(LossVariant.DPO.value, group)
-        ratios[group.value] = None if focal is None or dpo is None or dpo == 0.0 else focal / dpo
-    ratio_ordering = None
-    if ratios[Subgroup.INCORRECT_AT_INIT.value] is not None and ratios[Subgroup.CORRECT_AT_INIT.value] is not None:
-        ratio_ordering = (
-            ratios[Subgroup.INCORRECT_AT_INIT.value] < ratios[Subgroup.CORRECT_AT_INIT.value]
-        )
-    return {
-        "margin_ordering_incorrect_below_correct": margin_ordering,
-        "weight_profile": profile,
-        "focal_to_dpo_weight_ratio": ratios,
-        "ratio_ordering_incorrect_below_correct": ratio_ordering,
-    }
-
-
 def train(
     config: TrainConfig,
     dataset: list[PreferencePair],
@@ -445,16 +392,24 @@ def train(
     """Shuffled mini-batch training; deterministic given config seeds.
 
     Records a full-dataset StepRecord at step 0, every eval_every steps, and
-    at the final step. The final block carries evaluate() metrics plus the
-    subgroup weight profile and ordering flags at the trained state.
+    at the final step. The final block carries the metrics of the trained
+    state plus its subgroup weight profile and ordering flags, read from
+    the same evaluation as the last StepRecord.
     """
     _check_same_shape(policy, reference)
     start = time.perf_counter()
     pairs = encode_pairs(reference, dataset)
     optimizer_state = init_optimizer_state(config, policy)
-    records = [_snapshot(0, policy, pairs, config.loss)]
-    rng = np.random.default_rng(config.shuffle_seed)
+    records: list[StepRecord] = []
     step = 0
+
+    def snapshot() -> Evaluation:
+        evaluation = evaluate(policy, pairs, config.loss.beta)
+        records.append(evaluation.record(step, config.loss))
+        return evaluation
+
+    latest = snapshot()
+    rng = np.random.default_rng(config.shuffle_seed)
     for _ in range(config.num_epochs):
         order = rng.permutation(len(pairs))
         for lo in range(0, len(pairs), config.batch_size):
@@ -462,14 +417,14 @@ def train(
             train_step(policy, batch, config, optimizer_state)
             step += 1
             if step % config.eval_every == 0:
-                records.append(_snapshot(step, policy, pairs, config.loss))
-    if step > 0 and records[-1].step != step:
-        records.append(_snapshot(step, policy, pairs, config.loss))
+                latest = snapshot()
+    if records[-1].step != step:
+        latest = snapshot()
 
-    final = evaluate(policy, pairs, config.loss.beta)
+    final = latest.metrics()
     final["initial_mean_loss"] = records[0].mean_loss
     final["final_mean_loss"] = records[-1].mean_loss
-    final.update(ordering_summary(policy, pairs, config.loss.beta, final))
+    final.update(latest.orderings())
     return TrainReport(
         config=config.echo(),
         steps=records,

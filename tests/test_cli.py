@@ -1,10 +1,11 @@
 """CLI tests: file outputs, manifests, notices, exit codes, reproducibility."""
 
+import argparse
 import json
 
 import pytest
 
-from focalpo.cli import main
+from focalpo.cli import MAX_GRID_POINTS, _grid, _grid_points, main
 
 
 def read_csv(path):
@@ -74,6 +75,38 @@ class TestCurves:
         assert excinfo.value.code == 2
         assert "zz" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            # 1e300 points: rejected from the arithmetic, before any is built
+            (["--delta-grid=0:1:1e-300"], "points"),
+            (["--p-grid", "0:1:0.5"], "open interval (0, 1)"),
+            # an infinite step would reach the manifest as a non-JSON value
+            (["--delta-grid=0:1:inf"], "finite"),
+        ],
+    )
+    def test_bad_grid_exits_2_before_any_file(self, tmp_path, capsys, grid, message):
+        out = tmp_path / "c"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["curves", "--out", str(out), *grid])
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_grid_size_cap(self):
+        assert len(_grid_points(_grid(f"0:{MAX_GRID_POINTS - 1}:1"))) == MAX_GRID_POINTS
+        with pytest.raises(argparse.ArgumentTypeError, match="points"):
+            _grid(f"0:{MAX_GRID_POINTS}:1")
+
+    def test_negative_lower_bound_space_separated(self, tmp_path, capsys):
+        out = tmp_path / "c"
+        assert main(["curves", "--out", str(out), "--delta-grid", "-5:5:1"]) == 0
+        capsys.readouterr()
+        _, rows = read_csv(out / "weights.csv")
+        assert [row[0] for row in rows] == [float(d) for d in range(-5, 6)]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["configuration"]["delta_grid"] == [-5.0, 5.0, 1.0]
+
     def test_rerun_is_byte_identical(self, tmp_path, capsys):
         main(["curves", "--out", str(tmp_path / "a"), "--gamma", "0.07"])
         main(["curves", "--out", str(tmp_path / "b"), "--gamma", "0.07"])
@@ -109,6 +142,13 @@ class TestSynth:
         capsys.readouterr()
         for name in ("manifest.json", "reference.txt", "pairs.jsonl"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_empty_training_split_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        assert main(synth_args(out, pairs=1, extra=("--holdout-fraction", "0.6"))) == 2
+        err = capsys.readouterr().err
+        assert "--pairs" in err and "--holdout-fraction" in err
+        assert not out.exists()
 
     def test_holdout_split(self, tmp_path, capsys):
         out = tmp_path / "split"

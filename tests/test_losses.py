@@ -3,7 +3,10 @@ the shape properties of the gradient-weight curves."""
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from focalpo.losses import (
     GAMMA_MAX,
@@ -147,9 +150,13 @@ class TestPairLoss:
             variant = parse_variant(name)
             for gamma in (0.05, 1.0):
                 cfg = config(variant, gamma=gamma)
-                for delta in (-10.0, -2.5, 0.0, 2.5, 10.0):
-                    mirror = float(mirror_pair_loss(name, gamma, delta))
+                deltas = (-10.0, -2.5, 0.0, 2.5, 10.0)
+                mirrors = [float(mirror_pair_loss(name, gamma, delta)) for delta in deltas]
+                for delta, mirror in zip(deltas, mirrors):
                     assert pair_loss(cfg, delta).loss == pytest.approx(mirror, rel=1e-10)
+                # the whole margin array in one call
+                losses = pair_loss(cfg, np.array(deltas)).loss
+                assert losses == pytest.approx(np.array(mirrors), rel=1e-10)
 
 
 class TestGradientWeight:
@@ -184,11 +191,19 @@ class TestGradientWeight:
             variant = parse_variant(name)
             for gamma in (0.05, 0.07, 1.0):
                 cfg = config(variant, gamma=gamma)
-                for delta in GRID_QUARTER:
+                fds = np.array([fd_weight(name, gamma, delta, h=h) for delta in GRID_QUARTER])
+                for delta, fd in zip(GRID_QUARTER, fds):
                     analytic = gradient_weight(cfg, delta)
-                    fd = fd_weight(name, gamma, delta, h=h)
                     assert abs(analytic - fd) <= 1e-6 * abs(fd), (
                         f"{name} gamma={gamma} delta={delta}: {analytic} vs {fd}"
+                    )
+                # the whole margin array in one call, through both entry points
+                for weights in (
+                    gradient_weight(cfg, np.array(GRID_QUARTER)),
+                    pair_loss(cfg, np.array(GRID_QUARTER)).weight,
+                ):
+                    assert (np.abs(weights - fds) <= 1e-6 * np.abs(fds)).all(), (
+                        f"{name} gamma={gamma}"
                     )
 
     def test_focal_dominance_below_dpo(self):
@@ -247,3 +262,57 @@ class TestGradientWeight:
         values = [-(p**gamma) * math.log(p) for p in ps]
         argmax_p = ps[max(range(len(values)), key=values.__getitem__)]
         assert abs(argmax_p - math.exp(-1.0 / gamma)) <= 0.001 + 1e-12
+
+
+class TestArrays:
+    """Every loss-zoo function is elementwise over a margin array."""
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @settings(max_examples=200, deadline=None)
+    @given(
+        margins=st.lists(
+            st.floats(allow_nan=False, allow_infinity=False),
+            min_size=1,
+            max_size=40,
+        ),
+        name=st.sampled_from(VARIANT_NAMES),
+        gamma=st.floats(min_value=0.01, max_value=GAMMA_MAX),
+    )
+    def test_element_alone_matches_element_in_array(self, margins, name, gamma):
+        # An epoch's last batch is smaller than the others: a pair's loss and
+        # weight must not depend on how many other pairs share its call.
+        cfg = config(parse_variant(name), gamma=gamma)
+        batch = pair_loss(cfg, np.array(margins))
+        for i, margin in enumerate(margins):
+            alone = pair_loss(cfg, margin)
+            assert np.float64(alone.loss).tobytes() == batch.loss[i].tobytes()
+            assert np.float64(alone.weight).tobytes() == batch.weight[i].tobytes()
+            assert np.float64(alone.weight).tobytes() == np.float64(
+                gradient_weight(cfg, margin)
+            ).tobytes()
+
+    def test_scalar_in_scalar_out(self):
+        cfg = config(LossVariant.FOCAL)
+        out = pair_loss(cfg, 0.5)
+        for value in (out.loss, out.probability, out.factor, out.weight, gradient_weight(cfg, 0.5)):
+            assert np.ndim(value) == 0
+
+    def test_factor_shapes(self):
+        ps = np.linspace(0.1, 0.9, 9)
+        for variant in LossVariant:
+            assert modulating_factor(variant, ps, 0.5).shape == ps.shape
+        assert (modulating_factor(LossVariant.DPO, ps, 0.5) == 1.0).all()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("position", [0, 5, 10])
+    @pytest.mark.parametrize("name", VARIANT_NAMES)
+    def test_one_non_finite_margin_rejected(self, bad, position, name):
+        margins = np.linspace(-5.0, 5.0, 11)
+        margins[position] = bad
+        cfg = config(parse_variant(name))
+        with pytest.raises(ValueError, match="must be finite"):
+            pair_loss(cfg, margins)
+        with pytest.raises(ValueError, match="must be finite"):
+            gradient_weight(cfg, margins)
+        with pytest.raises(ValueError, match="must be finite"):
+            preference_probability(margins)

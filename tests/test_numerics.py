@@ -1,4 +1,5 @@
-"""Scalar primitive tests: frozen oracle values plus stability properties."""
+"""Primitive tests: frozen oracle values plus stability properties, for
+scalar arguments and for whole arrays."""
 
 import math
 
@@ -19,6 +20,9 @@ class TestSigmoid:
     def test_reference_value(self):
         # high-precision evaluation: 1 / (1 + exp(-2))
         assert sigmoid(2.0) == pytest.approx(0.8807970779778824, abs=1e-12)
+        values = sigmoid(np.array([2.0, 0.0, -2.0]))
+        expected = np.array([0.8807970779778824, 0.5, 1.0 - 0.8807970779778824])
+        assert values == pytest.approx(expected, abs=1e-12)
 
     def test_no_overflow_at_extremes(self):
         assert sigmoid(750.0) == 1.0 - PROB_EPS
@@ -39,6 +43,7 @@ class TestSigmoid:
         xs = np.linspace(-50, 50, 2001)
         for x in xs:
             assert abs(sigmoid(float(x)) + sigmoid(float(-x)) - 1.0) <= 1e-12
+        assert (np.abs(sigmoid(xs) + sigmoid(-xs) - 1.0) <= 1e-12).all()
 
 
 class TestLogSigmoid:
@@ -50,6 +55,10 @@ class TestLogSigmoid:
 
     def test_reference_value(self):
         assert log_sigmoid(2.0) == pytest.approx(-0.1269280110429725, abs=1e-12)
+        values = log_sigmoid(np.array([2.0, 0.0, -50.0]))
+        assert values[0] == pytest.approx(-0.1269280110429725, abs=1e-12)
+        assert values[1] == pytest.approx(-math.log(2.0), abs=1e-15)
+        assert values[2] == pytest.approx(-50.0, abs=1e-9)
 
     def test_never_positive_and_no_overflow(self):
         for x in (-750.0, -100.0, 0.0, 100.0, 750.0):
@@ -57,14 +66,17 @@ class TestLogSigmoid:
 
     def test_consistent_with_sigmoid(self):
         # exp(log_sigmoid) == sigmoid within 1e-10 relative for |x| <= 30
-        for x in np.linspace(-30, 30, 601):
+        xs = np.linspace(-30, 30, 601)
+        for x in xs:
             x = float(x)
             assert math.exp(log_sigmoid(x)) == pytest.approx(sigmoid(x), rel=1e-10)
+        assert np.exp(log_sigmoid(xs)) == pytest.approx(sigmoid(xs), rel=1e-10)
 
     def test_monotone_increasing(self):
         xs = np.linspace(-40, 40, 801)
         values = [log_sigmoid(float(x)) for x in xs]
         assert all(a < b for a, b in zip(values, values[1:]))
+        assert (np.diff(log_sigmoid(xs)) > 0).all()
 
     @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite(self, x):
@@ -115,3 +127,38 @@ class TestClamp:
     def test_endpoints(self):
         assert clamp_probability(0.0) == PROB_EPS
         assert clamp_probability(1.0) == 1.0 - PROB_EPS
+
+
+class TestElementwise:
+    def test_scalar_in_scalar_out(self):
+        values = (sigmoid(0.3), log_sigmoid(0.3), pow_via_exp(0.3, 0.5), clamp_probability(0.3))
+        for value in values:
+            assert np.ndim(value) == 0
+            assert isinstance(value, float)
+
+    def test_shape_preserved(self):
+        xs = np.linspace(-3, 3, 12).reshape(3, 4)
+        assert sigmoid(xs).shape == (3, 4)
+        assert log_sigmoid(xs).shape == (3, 4)
+        assert pow_via_exp(sigmoid(xs), 0.5).shape == (3, 4)
+
+    @pytest.mark.parametrize("fn", [sigmoid, log_sigmoid])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("position", [0, 3, 6])
+    def test_one_non_finite_element_rejected(self, fn, bad, position):
+        xs = np.linspace(-2.0, 2.0, 7)
+        xs[position] = bad
+        with pytest.raises(ValueError, match=repr(bad)):
+            fn(xs)
+
+    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, math.nan])
+    @pytest.mark.parametrize("position", [0, 4])
+    def test_one_out_of_range_base_rejected(self, bad, position):
+        ps = np.linspace(0.1, 0.9, 5)
+        ps[position] = bad
+        with pytest.raises(ValueError, match="open interval"):
+            pow_via_exp(ps, 0.5)
+
+    def test_non_finite_exponent_element_rejected(self):
+        with pytest.raises(ValueError, match="exponent"):
+            pow_via_exp(0.5, np.array([0.5, math.inf]))

@@ -28,8 +28,6 @@ from focalpo.trainer import (
     assemble_gradient,
     evaluate,
     init_optimizer_state,
-    standard_profile_variants,
-    subgroup_weight_profile,
     train,
     train_step,
 )
@@ -83,9 +81,9 @@ class TestTrainStep:
         _, _, diagnostics = train_step(policy, batch, config, state)
         assert np.array_equal(policy.logits, before)
         assert len(diagnostics) == 8
-        for diag in diagnostics:
-            assert diag.margin == 0.0
-            assert diag.probability == 0.5
+        assert np.array_equal(diagnostics.pair_ids, batch.pair_ids)
+        assert (diagnostics.margins == 0.0).all()
+        assert (diagnostics.probabilities == 0.5).all()
 
     def test_single_pair_sgd_closed_form(self):
         dataset, reference = toy_setup(num_pairs=4, noise=0.0)
@@ -153,6 +151,25 @@ class TestTrainStep:
                 config,
                 init_optimizer_state(config, policy),
             )
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_non_finite_weight_names_first_bad_pair(self):
+        # at beta 1e308 the misranked pair's margin is about -1e308: finite,
+        # but gamma * log p overflows, so its focal weight is -inf
+        from focalpo.data import PreferencePair
+
+        reference = uniform_policy(1, 2)
+        policy = uniform_policy(1, 2)
+        policy.logits[0, 2] = [0.0, 1.0]  # the BOS context favours token 1
+        ranked = PreferencePair(
+            7, 0, TokenSequence(0, (1,)), TokenSequence(0, (0,)), 1.0, 0.0, False
+        )
+        misranked = PreferencePair(
+            9, 0, TokenSequence(0, (0,)), TokenSequence(0, (1,)), 1.0, 0.0, False
+        )
+        loss = LossConfig(LossVariant.FOCAL, beta=1e308, gamma=5.0)
+        with pytest.raises(FloatingPointError, match="non-finite gradient weight for pair_id 9"):
+            assemble_gradient(policy, encode_pairs(reference, [ranked, misranked]), loss)
 
 
 class TestGradientCheck:
@@ -224,7 +241,7 @@ class TestTrain:
 class TestEvaluate:
     def test_policy_equal_to_reference(self):
         dataset, reference = toy_setup(num_pairs=40)
-        metrics = evaluate(reference.clone(), encode_pairs(reference, dataset), beta=0.01)
+        metrics = evaluate(reference.clone(), encode_pairs(reference, dataset), beta=0.01).metrics()
         assert metrics["overall_accuracy"] == 0.0
         assert metrics["flip_incorrect_to_correct"] == 0.0
         assert metrics["flip_correct_to_incorrect"] == 0.0
@@ -248,7 +265,7 @@ class TestEvaluate:
                     sequence_log_prob_grad(policy, pair.chosen)
                     - sequence_log_prob_grad(policy, pair.rejected)
                 )
-        metrics = evaluate(policy, encode_pairs(reference, dataset), beta=0.01)
+        metrics = evaluate(policy, encode_pairs(reference, dataset), beta=0.01).metrics()
         assert metrics["overall_accuracy"] == 1.0
 
     def test_accuracy_matches_brute_force_margins(self):
@@ -256,7 +273,7 @@ class TestEvaluate:
 
         dataset, reference = toy_setup(num_pairs=200)
         policy = random_policy(3, 6, seed=13)
-        metrics = evaluate(policy, encode_pairs(reference, dataset), beta=0.02)
+        metrics = evaluate(policy, encode_pairs(reference, dataset), beta=0.02).metrics()
         correct = 0
         for pair in dataset:
             margin = 0.02 * (
@@ -270,21 +287,21 @@ class TestEvaluate:
         assert metrics["overall_accuracy"] == correct / len(dataset)
 
 
+def weight_profile(policy, reference, dataset, beta):
+    """The standard trio's weight profile: variant -> subgroup -> entry."""
+    return evaluate(policy, encode_pairs(reference, dataset), beta).orderings()["weight_profile"]
+
+
 class TestSubgroupWeightProfile:
     def test_constant_weights_at_reference_state(self):
         dataset, reference = toy_setup(num_pairs=50)
-        rows = subgroup_weight_profile(
-            reference.clone(), encode_pairs(reference, dataset), standard_profile_variants(0.01)
-        )
-        by_variant = {}
-        for row in rows:
-            by_variant.setdefault(row.variant, []).append(row)
+        profile = weight_profile(reference.clone(), reference, dataset, 0.01)
         # all margins are exactly zero, so every pair carries the delta=0 weight
-        for row in by_variant["dpo"]:
-            assert row.mean_weight == 0.5
-        for row in by_variant["focal"]:
-            assert row.mean_weight == pytest.approx(0.4662297633875558, abs=1e-12)
-        counts = sum(row.count for row in by_variant["dpo"])
+        for entry in profile["dpo"].values():
+            assert entry["mean_weight"] == 0.5
+        for entry in profile["focal"].values():
+            assert entry["mean_weight"] == pytest.approx(0.4662297633875558, abs=1e-12)
+        counts = sum(entry["count"] for entry in profile["dpo"].values())
         assert counts == len(dataset)
 
     def test_perturbation_toward_correct_subgroup_orders_ratios(self):
@@ -298,15 +315,15 @@ class TestSubgroupWeightProfile:
                     policy, pair.rejected
                 )
                 policy.logits += 0.5 * grad
-        rows = subgroup_weight_profile(
-            policy, encode_pairs(reference, dataset), standard_profile_variants(1.0)
-        )
-        means = {(r.variant, r.subgroup): r.mean_weight for r in rows}
-        ratio_correct = means[("focal", Subgroup.CORRECT_AT_INIT)] / means[
-            ("dpo", Subgroup.CORRECT_AT_INIT)
-        ]
-        ratio_incorrect = means[("focal", Subgroup.INCORRECT_AT_INIT)] / means[
-            ("dpo", Subgroup.INCORRECT_AT_INIT)
+        profile = weight_profile(policy, reference, dataset, 1.0)
+        means = {
+            (variant, group): entry["mean_weight"]
+            for variant, groups in profile.items()
+            for group, entry in groups.items()
+        }
+        ratio_correct = means[("focal", "correct_at_init")] / means[("dpo", "correct_at_init")]
+        ratio_incorrect = means[("focal", "incorrect_at_init")] / means[
+            ("dpo", "incorrect_at_init")
         ]
         assert ratio_incorrect < ratio_correct
 
@@ -324,32 +341,29 @@ class TestSubgroupWeightProfile:
         )
         margin = pair_margin(policy, reference, pair, beta=1.0)
         assert margin == pytest.approx(-10.0, abs=1e-9)
-        variants = [
-            LossConfig(LossVariant.DPO, beta=1.0),
-            LossConfig(LossVariant.FOCUS_INCORRECT, beta=1.0, gamma=1.0),
-        ]
-        rows = subgroup_weight_profile(policy, encode_pairs(reference, [pair]), variants)
-        means = {r.variant: r.mean_weight for r in rows}
+        # the standard trio at beta 1 holds dpo and focus-incorrect at gamma 1
+        profile = weight_profile(policy, reference, [pair], 1.0)
+        assert profile["focus-incorrect"]["incorrect_at_init"]["gamma"] == 1.0
+        means = {
+            variant: entry["mean_weight"]
+            for variant, groups in profile.items()
+            for entry in groups.values()
+        }
         assert means["focus-incorrect"] == pytest.approx(1.0, abs=1e-3)
         assert means["dpo"] == pytest.approx(0.9999546021312976, abs=1e-9)
 
     def test_focal_mean_below_dpo_mean_everywhere(self):
         dataset, reference = toy_setup(num_pairs=80)
         policy = random_policy(3, 6, seed=44)
-        rows = subgroup_weight_profile(
-            policy, encode_pairs(reference, dataset), standard_profile_variants(0.05)
-        )
-        means = {(r.variant, r.subgroup): r.mean_weight for r in rows}
-        for group in (Subgroup.CORRECT_AT_INIT, Subgroup.INCORRECT_AT_INIT):
-            assert means[("focal", group)] < means[("dpo", group)]
+        profile = weight_profile(policy, reference, dataset, 0.05)
+        for group in ("correct_at_init", "incorrect_at_init"):
+            assert profile["focal"][group]["mean_weight"] < profile["dpo"][group]["mean_weight"]
 
     def test_empty_subgroup_absent(self):
         reference = uniform_policy(2, 4)  # ties everywhere: all incorrect-at-init
         dataset, _ = toy_setup(num_pairs=10, num_classes=2, vocab=4, length=3)
-        rows = subgroup_weight_profile(
-            reference.clone(), encode_pairs(reference, dataset), standard_profile_variants(0.01)
-        )
-        assert all(row.subgroup is Subgroup.INCORRECT_AT_INIT for row in rows)
+        profile = weight_profile(reference.clone(), reference, dataset, 0.01)
+        assert all(set(groups) == {"incorrect_at_init"} for groups in profile.values())
 
 
 class TestOptimizers:
