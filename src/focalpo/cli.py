@@ -83,13 +83,31 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
-def _unit_fraction(text: str) -> float:
+def _float(text: str) -> float:
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid number {text!r}")
+
+
+def _unit_fraction(text: str) -> float:
+    value = _float(text)
     if not 0.0 <= value < 1.0:
         raise argparse.ArgumentTypeError(f"must lie in [0, 1), got {value}")
+    return value
+
+
+def _gamma(text: str) -> float:
+    value = _float(text)
+    if not 0.0 < value <= GAMMA_MAX:
+        raise argparse.ArgumentTypeError(f"must lie in (0, {GAMMA_MAX}], got {value}")
+    return value
+
+
+def _positive_finite(text: str) -> float:
+    value = _float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {value}")
     return value
 
 
@@ -190,9 +208,6 @@ def _gamma_columns(gamma: float) -> dict[str, LossVariant]:
 
 def cmd_curves(args) -> int:
     gammas = list(dict.fromkeys(args.gamma or [0.05]))
-    for g in gammas:
-        if not 0.0 < g <= GAMMA_MAX:
-            raise ValueError(f"--gamma must lie in (0, {GAMMA_MAX}], got {g}")
     # The weight/loss files always carry the reference configurations
     # (focal at 0.05, focus-incorrect at 1) alongside whatever was asked for.
     weight_gammas = list(dict.fromkeys(gammas + [0.05, 1.0]))
@@ -406,8 +421,6 @@ def cmd_eval(args) -> int:
         num_prompt_classes=reference.num_prompt_classes,
         vocab_size=reference.vocab_size,
     )
-    if not 0.0 < args.beta < math.inf:
-        raise ValueError(f"--beta must be finite and > 0, got {args.beta}")
 
     evaluation = evaluate(policy, encode_pairs(reference, dataset), args.beta)
     ordering = evaluation.orderings()
@@ -460,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_curves.add_argument("--out", required=True, help="output directory")
     p_curves.add_argument(
         "--gamma",
-        type=float,
+        type=_gamma,
         action="append",
         help="focusing parameter for the factor curves (repeatable; default 0.05)",
     )
@@ -513,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--dataset", required=True)
     p_eval.add_argument("--policy", required=True)
     p_eval.add_argument("--reference", required=True)
-    p_eval.add_argument("--beta", type=float, default=0.01)
+    p_eval.add_argument("--beta", type=_positive_finite, default=0.01)
     p_eval.add_argument("--out", default=None, help="optional output directory")
     p_eval.set_defaults(func=cmd_eval)
 

@@ -21,6 +21,7 @@ from .policy import (
     PolicyTable,
     TokenRows,
     TokenSequence,
+    _next_token_cdf,
     _sample_tokens,
     encode_sequences,
     log_probs,
@@ -176,13 +177,14 @@ def synthesize_dataset(
             f"({config.num_prompt_classes}, {config.vocab_size})"
         )
     rng = np.random.default_rng(config.generator_seed)
+    cdf = _next_token_cdf(sampler.logits)
     pairs = []
     for pair_id in range(config.num_pairs):
         prompt_class = int(rng.integers(config.num_prompt_classes))
-        tokens_a = _sample_tokens(sampler, prompt_class, config.seq_length, rng)
+        tokens_a = _sample_tokens(cdf[prompt_class], config.seq_length, rng)
         tokens_b = tokens_a
         for _ in range(DISTINCT_DRAW_RETRIES):
-            tokens_b = _sample_tokens(sampler, prompt_class, config.seq_length, rng)
+            tokens_b = _sample_tokens(cdf[prompt_class], config.seq_length, rng)
             if tokens_b != tokens_a:
                 break
         else:

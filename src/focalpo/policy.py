@@ -10,12 +10,14 @@ a fixed sequence length.
 All scoring is batched: sequences are encoded once into TokenRows, the
 table's log-softmax is taken once, and the log-probabilities of every row
 come from one gather and a sum over positions. The one-sequence functions
-are wrappers over the same path.
+are wrappers over the same path. Sampling walks a cumulative next-token
+table built once per sampler, with one binary search per token.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -217,25 +219,31 @@ def pair_margin(policy: PolicyTable, reference: PolicyTable, pair, beta: float) 
     )
 
 
-def _sample_tokens(policy: PolicyTable, prompt_class: int, length: int, rng: np.random.Generator) -> tuple[int, ...]:
-    """Ancestral sampling via inverse CDF on one uniform draw per step."""
-    logits = policy.logits
-    prev = policy.bos_index
+def _next_token_cdf(logits: np.ndarray) -> np.ndarray:
+    """Cumulative next-token distribution of every context of a logits
+    array (..., V): softmax, then a running sum along the last axis. Built
+    in place, so the result is the only allocation of the logits' size."""
+    cdf = logits - logits.max(axis=-1, keepdims=True)
+    np.exp(cdf, out=cdf)
+    cdf /= cdf.sum(axis=-1, keepdims=True)
+    np.cumsum(cdf, axis=-1, out=cdf)
+    return cdf
+
+
+def _sample_tokens(cdf: np.ndarray, length: int, rng: np.random.Generator) -> tuple[int, ...]:
+    """Ancestral sampling via inverse CDF on one uniform draw per step.
+
+    `cdf` is _next_token_cdf of one prompt class's (V+1, V) logits, the BOS
+    context last. Each step takes the first token whose cumulative
+    probability exceeds the draw, or the last token when rounding leaves
+    the row's total below it.
+    """
+    last = cdf.shape[1] - 1
+    prev = cdf.shape[0] - 1
     out = []
-    for _ in range(length):
-        row = logits[prompt_class, prev]
-        shifted = np.exp(row - row.max())
-        probs = shifted / shifted.sum()
-        u = rng.random()
-        cum = 0.0
-        tok = policy.vocab_size - 1  # fall through to the last bin on rounding
-        for k in range(policy.vocab_size):
-            cum += probs[k]
-            if u < cum:
-                tok = k
-                break
-        out.append(tok)
-        prev = tok
+    for u in rng.random(length):
+        prev = min(int(cdf[prev].searchsorted(u, side="right")), last)
+        out.append(prev)
     return tuple(out)
 
 
@@ -248,7 +256,8 @@ def sample_sequence(policy: PolicyTable, prompt_class: int, length: int, rng_see
             f"prompt_class {prompt_class} out of range for {policy.num_prompt_classes} classes"
         )
     rng = np.random.default_rng(rng_seed)
-    return TokenSequence(prompt_class, _sample_tokens(policy, prompt_class, length, rng))
+    cdf = _next_token_cdf(policy.logits[prompt_class])
+    return TokenSequence(prompt_class, _sample_tokens(cdf, length, rng))
 
 
 def save_policy(path, policy: PolicyTable) -> None:
@@ -259,40 +268,53 @@ def save_policy(path, policy: PolicyTable) -> None:
     """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{policy.num_prompt_classes} {policy.vocab_size}\n")
-        for c in range(policy.num_prompt_classes):
-            for prev in range(policy.vocab_size + 1):
-                row = policy.logits[c, prev]
-                fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+        line = " ".join(["%.17g"] * policy.vocab_size) + "\n"
+        for row in policy.logits.reshape(-1, policy.vocab_size):
+            fh.write(line % tuple(row.tolist()))
+
+
+def _lines(fh):
+    """The lines of a text file from its start, read one at a time, so no
+    copy of the whole text is held."""
+    fh.seek(0)
+    for raw in fh:
+        yield from raw.splitlines()
+
+
+def _rows(fh):
+    """The non-blank lines after the header line."""
+    return (line for line in itertools.islice(_lines(fh), 1, None) if line.strip())
 
 
 def load_policy(path) -> PolicyTable:
-    """Read the text format written by save_policy."""
+    """Read the text format written by save_policy. The rows are counted in
+    one pass and parsed into the table in a second."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ValueError(f"{path}: empty policy file")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise ValueError(f"{path}: line 1: expected header 'C V', got {lines[0]!r}")
-    try:
-        num_classes, vocab = int(header[0]), int(header[1])
-    except ValueError as exc:
-        raise ValueError(f"{path}: line 1: malformed header {lines[0]!r}") from exc
-    expected_rows = num_classes * (vocab + 1)
-    body = [line for line in lines[1:] if line.strip()]
-    if len(body) != expected_rows:
-        raise ValueError(
-            f"{path}: expected {expected_rows} context rows for C={num_classes} V={vocab}, "
-            f"got {len(body)}"
-        )
-    logits = np.empty((num_classes, vocab + 1, vocab))
-    for i, line in enumerate(body):
-        parts = line.split()
-        if len(parts) != vocab:
-            raise ValueError(f"{path}: line {i + 2}: expected {vocab} values, got {len(parts)}")
+        first = next(_lines(fh), None)
+        if first is None:
+            raise ValueError(f"{path}: empty policy file")
+        header = first.split()
+        if len(header) != 2:
+            raise ValueError(f"{path}: line 1: expected header 'C V', got {first!r}")
         try:
-            values = [float(p) for p in parts]
+            num_classes, vocab = int(header[0]), int(header[1])
         except ValueError as exc:
-            raise ValueError(f"{path}: line {i + 2}: malformed float") from exc
-        logits[i // (vocab + 1), i % (vocab + 1)] = values
+            raise ValueError(f"{path}: line 1: malformed header {first!r}") from exc
+        expected_rows = num_classes * (vocab + 1)
+        got = sum(1 for _ in _rows(fh))
+        if got != expected_rows:
+            raise ValueError(
+                f"{path}: expected {expected_rows} context rows for C={num_classes} V={vocab}, "
+                f"got {got}"
+            )
+        logits = np.empty((num_classes, vocab + 1, vocab))
+        for i, line in enumerate(_rows(fh)):
+            parts = line.split()
+            if len(parts) != vocab:
+                raise ValueError(f"{path}: line {i + 2}: expected {vocab} values, got {len(parts)}")
+            try:
+                values = [float(p) for p in parts]
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {i + 2}: malformed float") from exc
+            logits[i // (vocab + 1), i % (vocab + 1)] = values
     return PolicyTable(num_classes, vocab, logits)

@@ -8,6 +8,10 @@ saturated tails (e.g. the (1-p) factor at margins beyond ~8).
 The sequence oracles walk the log-softmax chain of a policy table one token
 at a time in scalar Python arithmetic, sharing no code with the batched
 numpy path they check.
+
+The sampling and text-format oracles are the one-step-at-a-time forms of
+the sampler and the policy writer: a linear scan per step, and one format
+call per value.
 """
 
 import math
@@ -70,3 +74,39 @@ def scalar_log_prob_grad(logits, prompt_class, tokens) -> np.ndarray:
             grad[prompt_class, context, k] -= p
         grad[prompt_class, context, token] += 1.0
     return grad
+
+
+def scan_sample_tokens(logits, prompt_class, length, rng):
+    """Ancestral sampling by a linear scan of each step's probabilities:
+    the first token whose running sum exceeds the step's uniform draw, or
+    the last token when rounding leaves the sum below it. `logits` is a
+    (C, V+1, V) array; one scalar draw is taken per step."""
+    vocab = logits.shape[-1]
+    prev = vocab  # the BOS context
+    out = []
+    for _ in range(length):
+        row = logits[prompt_class, prev]
+        shifted = np.exp(row - row.max())
+        probs = shifted / shifted.sum()
+        u = rng.random()
+        cum = 0.0
+        tok = vocab - 1
+        for k in range(vocab):
+            cum += probs[k]
+            if u < cum:
+                tok = k
+                break
+        out.append(tok)
+        prev = tok
+    return tuple(out)
+
+
+def legacy_policy_text(logits) -> str:
+    """The policy text format written one value at a time: header "C V",
+    then each context row as space-separated 17-significant-digit values."""
+    num_classes, num_contexts, vocab = logits.shape
+    lines = [f"{num_classes} {vocab}"]
+    for c in range(num_classes):
+        for prev in range(num_contexts):
+            lines.append(" ".join(f"{v:.17g}" for v in logits[c, prev]))
+    return "\n".join(lines) + "\n"

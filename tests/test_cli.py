@@ -93,6 +93,14 @@ class TestCurves:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_bad_gamma_exits_2_before_any_file(self, tmp_path, capsys):
+        out = tmp_path / "c"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["curves", "--out", str(out), "--gamma", "0"])
+        assert excinfo.value.code == 2
+        assert "--gamma" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_grid_size_cap(self):
         assert len(_grid_points(_grid(f"0:{MAX_GRID_POINTS - 1}:1"))) == MAX_GRID_POINTS
         with pytest.raises(argparse.ArgumentTypeError, match="points"):
@@ -322,6 +330,22 @@ class TestEval:
         assert code == 1
         err = capsys.readouterr().err
         assert "(2, 6)" in err and "(2, 5)" in err
+
+    def test_bad_beta_exits_2_before_any_file(self, tmp_path, capsys):
+        # none of the input files exist, so reading any of them would exit 1
+        out = tmp_path / "evalout"
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "eval",
+                "--dataset", str(tmp_path / "pairs.jsonl"),
+                "--policy", str(tmp_path / "policy.txt"),
+                "--reference", str(tmp_path / "reference.txt"),
+                "--beta", "0",
+                "--out", str(out),
+            ])
+        assert excinfo.value.code == 2
+        assert "--beta" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_out_directory(self, synth_dir, tmp_path, capsys):
         out = tmp_path / "evalout"

@@ -3,13 +3,20 @@ finite differences, sampling statistics, and the text round trip."""
 
 import itertools
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from _oracles import legacy_policy_text, scan_sample_tokens
 from focalpo.policy import (
     PolicyTable,
     TokenSequence,
+    _next_token_cdf,
     _sample_tokens,
     implicit_reward,
     load_policy,
@@ -186,17 +193,19 @@ class TestSampling:
 
     def test_uniform_frequencies(self):
         policy = uniform_policy(1, 4)
+        cdf = _next_token_cdf(policy.logits[0])
         rng = np.random.default_rng(7)
         counts = np.zeros(4)
         for _ in range(100_000):
-            counts[_sample_tokens(policy, 0, 1, rng)[0]] += 1
+            counts[_sample_tokens(cdf, 1, rng)[0]] += 1
         np.testing.assert_allclose(counts / 100_000, 0.25, atol=0.01)
 
     def test_degenerate_policy_saturates(self):
         policy = uniform_policy(1, 4)
         policy.logits[0, policy.bos_index, 2] = 50.0
+        cdf = _next_token_cdf(policy.logits[0])
         rng = np.random.default_rng(5)
-        hits = sum(_sample_tokens(policy, 0, 1, rng)[0] == 2 for _ in range(1000))
+        hits = sum(_sample_tokens(cdf, 1, rng)[0] == 2 for _ in range(1000))
         assert hits / 1000 > 0.999
 
     def test_invalid_arguments(self):
@@ -205,6 +214,89 @@ class TestSampling:
             sample_sequence(policy, 0, 0, rng_seed=0)
         with pytest.raises(ValueError):
             sample_sequence(policy, 5, 3, rng_seed=0)
+
+
+class ScriptedDraws:
+    """Stands in for a Generator: hands out the given uniforms in order,
+    one per scalar draw or `size` at a time."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self, size=None):
+        if size is None:
+            return self.values.pop(0)
+        out, self.values = np.array(self.values[:size]), self.values[size:]
+        return out
+
+
+def _edge_table():
+    """A (2, 11, 10) table with a saturated context, where logits near 800
+    leave zero probabilities and a CDF of repeated values, and uniform
+    contexts, whose ten running sums of 0.1 end below 1."""
+    logits = random_policy(2, 10, seed=3, scale=4.0).logits
+    logits[0, 10] = 0.0  # uniform BOS context of class 0
+    logits[0, 10, 4] = 800.0
+    logits[0, 10, 7] = 799.5
+    logits[0, 4] = -800.0
+    logits[0, 4, 1] = 800.0
+    logits[1, :] = 0.0
+    return logits
+
+
+class TestSamplerOracle:
+    """The CDF-table sampler against the per-step scan it replaces: the same
+    tokens and the same generator state afterwards."""
+
+    @pytest.mark.parametrize("classes, vocab, length, scale", [
+        (1, 1, 3, 1.0), (1, 2, 5, 1.0), (3, 6, 8, 1.0), (4, 8, 4, 3.0),
+        (2, 64, 16, 1.0), (2, 17, 9, 40.0),
+    ])
+    def test_matches_scan_sampler(self, classes, vocab, length, scale):
+        logits = random_policy(classes, vocab, seed=vocab, scale=scale).logits
+        cdf = _next_token_cdf(logits)
+        for seed in range(5):
+            new_rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            for c in range(classes):
+                expected = scan_sample_tokens(logits, c, length, old_rng)
+                assert _sample_tokens(cdf[c], length, new_rng) == expected
+            assert new_rng.bit_generator.state == old_rng.bit_generator.state
+
+    def test_saturated_and_short_rows(self):
+        logits = _edge_table()
+        cdf = _next_token_cdf(logits)
+        assert cdf[0, 10, 0] == 0.0 and cdf[0, 4, 1] == cdf[0, 4, -1] == 1.0
+        assert cdf[1, 10, -1] < 1.0
+        for seed in range(20):
+            new_rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            for c in (0, 1):
+                expected = scan_sample_tokens(logits, c, 12, old_rng)
+                assert _sample_tokens(cdf[c], 12, new_rng) == expected
+            assert new_rng.bit_generator.state == old_rng.bit_generator.state
+
+    def test_scripted_draws_on_ties_and_fall_through(self):
+        logits = _edge_table()
+        cdf = _next_token_cdf(logits)
+        largest_draw = float(np.nextafter(1.0, 0.0))
+        assert cdf[1, 10, -1] <= largest_draw  # the scan falls through here
+        # draws equal to CDF entries, zero, and the largest value below 1
+        draws = [0.0, largest_draw, *cdf[1, 10, :4].tolist(), largest_draw, 0.5]
+        for c in (0, 1):
+            expected = scan_sample_tokens(logits, c, len(draws), ScriptedDraws(draws))
+            assert _sample_tokens(cdf[c], len(draws), ScriptedDraws(draws)) == expected
+        assert _sample_tokens(cdf[1], 2, ScriptedDraws([largest_draw] * 2)) == (9, 9)
+
+    def test_class_rows_give_the_same_cdf(self):
+        logits = random_policy(3, 7, seed=11, scale=5.0).logits
+        whole = _next_token_cdf(logits)
+        for c in range(3):
+            assert _next_token_cdf(logits[c]).tobytes() == whole[c].tobytes()
+
+    def test_sample_sequence_matches_scan_sampler(self):
+        policy = random_policy(3, 6, seed=17)
+        for seed in range(5):
+            expected = scan_sample_tokens(policy.logits, 2, 7, np.random.default_rng(seed))
+            assert sample_sequence(policy, 2, 7, rng_seed=seed).tokens == expected
 
 
 class TestSerialization:
@@ -229,6 +321,42 @@ class TestSerialization:
         lines = path.read_text().splitlines()
         assert lines[0] == "2 4"
         assert len(lines) == 1 + 2 * 5
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        arrays(
+            np.float64,
+            st.tuples(
+                st.integers(1, 3), st.integers(1, 5)
+            ).map(lambda cv: (cv[0], cv[1] + 1, cv[1])),
+            elements=st.one_of(
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.sampled_from(
+                    [-0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+                ),
+            ),
+        )
+    )
+    def test_text_matches_per_value_format_and_round_trips(self, logits):
+        policy = PolicyTable(logits.shape[0], logits.shape[2], logits)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "policy.txt"
+            save_policy(path, policy)
+            assert path.read_bytes() == legacy_policy_text(logits).encode("utf-8")
+            loaded = load_policy(path)
+        assert loaded.logits.tobytes() == logits.tobytes()
+
+    def test_blank_lines_are_skipped_and_rows_counted_first(self, tmp_path):
+        path = tmp_path / "policy.txt"
+        path.write_text("1 1\n\n0.5\n  \n-2\n\n")
+        assert load_policy(path).logits.ravel().tolist() == [0.5, -2.0]
+        # a wrong row count is reported before any row is parsed
+        path.write_text("1 1\nzz\n")
+        with pytest.raises(ValueError, match="expected 2 context rows .* got 1"):
+            load_policy(path)
+        path.write_text("1 1\n1\nzz\n")
+        with pytest.raises(ValueError, match="line 3: malformed float"):
+            load_policy(path)
 
     def test_malformed_files_raise(self, tmp_path):
         path = tmp_path / "bad.txt"
