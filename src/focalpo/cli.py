@@ -31,6 +31,7 @@ from .data import (
     synthesize_dataset,
     SynthConfig,
 )
+from .files import atomic_write
 from .losses import (
     GAMMA_MAX,
     TUNED_GAMMA_RANGE,
@@ -51,6 +52,10 @@ from .trainer import (
 
 MANIFEST_NAME = "manifest.json"
 MAX_GRID_POINTS = 1_000_000
+# Values formatted per `%` call when writing a CSV: big enough that the call
+# overhead vanishes, small enough that the block's list, tuple and text stay
+# a fraction of a megabyte.
+CSV_BLOCK_VALUES = 4096
 GRID_OPTIONS = ("--delta-grid", "--p-grid")
 
 
@@ -166,7 +171,7 @@ def _join_grid_values(argv: list[str]) -> list[str]:
 
 def _write_manifest(out_dir: Path, manifest: dict) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / MANIFEST_NAME, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(out_dir / MANIFEST_NAME) as fh:
         json.dump(manifest, fh, indent=2, allow_nan=False)
         fh.write("\n")
 
@@ -182,16 +187,16 @@ def _manifest(command: str, configuration: dict, seeds: dict, outputs: dict) -> 
 
 
 def _write_csv(path: Path, columns: dict[str, np.ndarray]) -> None:
-    """One column per entry, in order, with the entry's name as its header."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        np.savetxt(
-            fh,
-            np.column_stack(list(columns.values())),
-            fmt="%.9g",
-            delimiter=",",
-            header=",".join(columns),
-            comments="",
-        )
+    """One column per entry, in order, with the entry's name as its header;
+    every value as %.9g. The table is formatted a block of rows per call."""
+    table = np.column_stack(list(columns.values()))
+    row = ",".join(["%.9g"] * table.shape[1]) + "\n"
+    block_rows = max(1, CSV_BLOCK_VALUES // table.shape[1])
+    with atomic_write(path) as fh:
+        fh.write(",".join(columns) + "\n")
+        for start in range(0, len(table), block_rows):
+            block = table[start:start + block_rows]
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 # ----------------------------------------------------------------- curves
@@ -254,9 +259,7 @@ def cmd_curves(args) -> int:
     # Empirical gap between the exact factor form and its adopted
     # approximation, reported over the margin grid rather than asserted.
     for g in weight_gammas:
-        exact = pair_loss(LossConfig(LossVariant.FOCAL_EXACT, gamma=g), deltas)
-        approx = pair_loss(LossConfig(LossVariant.FOCAL, gamma=g), deltas)
-        gaps = exact.loss - approx.loss
+        gaps = losses[f"focal_exact_g{g:g}"] - losses[f"focal_g{g:g}"]
         print(
             f"exact-vs-approx loss gap at gamma={g:g}: "
             f"min {_fmt(gaps.min())}, max {_fmt(gaps.max())} over delta grid"
@@ -352,12 +355,6 @@ def cmd_train(args) -> int:
         lo, hi = TUNED_GAMMA_RANGE
         print(f"notice: gamma={gamma:g} is outside the tuned focal range [{lo}, {hi}]")
 
-    reference = load_policy(args.reference)
-    dataset = load_dataset(
-        args.dataset,
-        num_prompt_classes=reference.num_prompt_classes,
-        vocab_size=reference.vocab_size,
-    )
     config = TrainConfig(
         loss=LossConfig(variant, beta=args.beta, gamma=gamma),
         learning_rate=args.lr,
@@ -369,6 +366,12 @@ def cmd_train(args) -> int:
         adam_epsilon=args.adam_eps,
         shuffle_seed=args.shuffle_seed,
         eval_every=args.eval_every,
+    )
+    reference = load_policy(args.reference)
+    dataset = load_dataset(
+        args.dataset,
+        num_prompt_classes=reference.num_prompt_classes,
+        vocab_size=reference.vocab_size,
     )
     out_dir = Path(args.out)
     manifest = _manifest(
@@ -394,7 +397,7 @@ def cmd_train(args) -> int:
     write_report_csv(out_dir / "report.csv", report)
     write_report_json(out_dir / "report.json", report)
     save_policy(out_dir / "policy.txt", policy)
-    with open(out_dir / "timing.json", "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(out_dir / "timing.json") as fh:
         json.dump({"wall_clock_seconds": report.wall_clock_seconds}, fh, indent=2)
         fh.write("\n")
 
@@ -452,7 +455,7 @@ def cmd_eval(args) -> int:
     if args.out:
         out_dir = Path(args.out)
         _write_manifest(out_dir, manifest)
-        with open(out_dir / "metrics.json", "w", encoding="utf-8", newline="\n") as fh:
+        with atomic_write(out_dir / "metrics.json") as fh:
             fh.write(text + "\n")
     print(text)
     return 0

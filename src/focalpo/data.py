@@ -16,6 +16,7 @@ from enum import Enum
 
 import numpy as np
 
+from .files import atomic_write
 from .numerics import sigmoid
 from .policy import (
     PolicyTable,
@@ -285,7 +286,7 @@ def save_dataset(path, pairs: list[PreferencePair]) -> None:
     """Write pure JSONL (UTF-8, LF): one object per pair, fields exactly
     pair_id, prompt_class, chosen, rejected, true_reward_chosen,
     true_reward_rejected, label_flipped."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path) as fh:
         for pair in pairs:
             row = {
                 "pair_id": pair.pair_id,

@@ -23,6 +23,11 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .files import atomic_write
+
+# Table values per block when log_prob_grad subtracts the visit terms.
+GRAD_BLOCK_VALUES = 8192
+
 __all__ = [
     "TokenSequence",
     "PolicyTable",
@@ -164,13 +169,18 @@ def log_prob_grad(log_table: np.ndarray, rows: TokenRows, coeffs: np.ndarray) ->
     context_ids = (rows.classes[:, None] * num_contexts + rows.contexts).ravel()
     weights = np.repeat(coeffs, rows.tokens.shape[1])
     visits = np.bincount(context_ids, weights, minlength=num_classes * num_contexts)
-    counts = np.bincount(
+    grad = np.bincount(
         context_ids * vocab + rows.tokens.ravel(), weights, minlength=log_table.size
-    )
-    # Built in place, so the result is the only table-sized allocation.
-    grad = np.exp(log_table)
-    grad *= -visits.reshape(num_classes, num_contexts, 1)
-    grad += counts.reshape(log_table.shape)
+    ).reshape(log_table.shape)
+    # The token counts become the result and the visit terms are subtracted
+    # a block of classes at a time: a large table allocates no second
+    # table-sized array, and a small one is a single block.
+    visits = visits.reshape(num_classes, num_contexts, 1)
+    classes_per_block = max(1, GRAD_BLOCK_VALUES // (num_contexts * vocab))
+    for lo in range(0, num_classes, classes_per_block):
+        classes = slice(lo, lo + classes_per_block)
+        block = grad[classes]
+        block -= np.exp(log_table[classes]) * visits[classes]
     return grad
 
 
@@ -266,7 +276,7 @@ def save_policy(path, policy: PolicyTable) -> None:
     each class and the BOS context last. Values use 17 significant digits so
     the round trip is value-exact.
     """
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path) as fh:
         fh.write(f"{policy.num_prompt_classes} {policy.vocab_size}\n")
         line = " ".join(["%.17g"] * policy.vocab_size) + "\n"
         for row in policy.logits.reshape(-1, policy.vocab_size):
@@ -282,8 +292,10 @@ def _lines(fh):
 
 
 def _rows(fh):
-    """The non-blank lines after the header line."""
-    return (line for line in itertools.islice(_lines(fh), 1, None) if line.strip())
+    """(line number, line) for the non-blank lines after the header line,
+    numbered as the file's physical lines from 1."""
+    lines = itertools.islice(enumerate(_lines(fh), 1), 1, None)
+    return ((number, line) for number, line in lines if line.strip())
 
 
 def load_policy(path) -> PolicyTable:
@@ -308,13 +320,13 @@ def load_policy(path) -> PolicyTable:
                 f"got {got}"
             )
         logits = np.empty((num_classes, vocab + 1, vocab))
-        for i, line in enumerate(_rows(fh)):
+        for i, (number, line) in enumerate(_rows(fh)):
             parts = line.split()
             if len(parts) != vocab:
-                raise ValueError(f"{path}: line {i + 2}: expected {vocab} values, got {len(parts)}")
+                raise ValueError(f"{path}: line {number}: expected {vocab} values, got {len(parts)}")
             try:
                 values = [float(p) for p in parts]
             except ValueError as exc:
-                raise ValueError(f"{path}: line {i + 2}: malformed float") from exc
+                raise ValueError(f"{path}: line {number}: malformed float") from exc
             logits[i // (vocab + 1), i % (vocab + 1)] = values
     return PolicyTable(num_classes, vocab, logits)

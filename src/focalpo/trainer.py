@@ -21,6 +21,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .data import EncodedPairs, PreferencePair, Subgroup, encode_pairs
+from .files import atomic_write
 from .losses import LossConfig, LossVariant, gradient_weight, pair_loss
 from .policy import (
     PolicyTable,
@@ -442,7 +443,7 @@ _CSV_HEADER = (
 def write_report_csv(path, report: TrainReport) -> None:
     """One row per eval point; 9 significant digits, '.' decimal separator,
     LF endings; empty-subgroup means render as 'nan'."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path) as fh:
         fh.write(_CSV_HEADER + "\n")
         for rec in report.steps:
             fh.write(
@@ -456,6 +457,6 @@ def write_report_csv(path, report: TrainReport) -> None:
 def write_report_json(path, report: TrainReport) -> None:
     import json
 
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path) as fh:
         json.dump(report.to_json_dict(), fh, indent=2, allow_nan=False)
         fh.write("\n")

@@ -11,9 +11,11 @@ numpy path they check.
 
 The sampling and text-format oracles are the one-step-at-a-time forms of
 the sampler and the policy writer: a linear scan per step, and one format
-call per value.
+call per value. The CSV oracle is the curves writer as numpy's savetxt
+gives it, one row at a time.
 """
 
+import io
 import math
 
 import mpmath as mp
@@ -76,6 +78,22 @@ def scalar_log_prob_grad(logits, prompt_class, tokens) -> np.ndarray:
     return grad
 
 
+def whole_table_log_prob_grad(log_table, rows, coeffs) -> np.ndarray:
+    """log_prob_grad as one expression over the whole table: each entry is
+    exp(log_table) * -visits + counts, the same arithmetic per entry."""
+    num_classes, num_contexts, vocab = log_table.shape
+    context_ids = (rows.classes[:, None] * num_contexts + rows.contexts).ravel()
+    weights = np.repeat(coeffs, rows.tokens.shape[1])
+    visits = np.bincount(context_ids, weights, minlength=num_classes * num_contexts)
+    counts = np.bincount(
+        context_ids * vocab + rows.tokens.ravel(), weights, minlength=log_table.size
+    )
+    return (
+        np.exp(log_table) * -visits.reshape(num_classes, num_contexts, 1)
+        + counts.reshape(log_table.shape)
+    )
+
+
 def scan_sample_tokens(logits, prompt_class, length, rng):
     """Ancestral sampling by a linear scan of each step's probabilities:
     the first token whose running sum exceeds the step's uniform draw, or
@@ -110,3 +128,18 @@ def legacy_policy_text(logits) -> str:
         for prev in range(num_contexts):
             lines.append(" ".join(f"{v:.17g}" for v in logits[c, prev]))
     return "\n".join(lines) + "\n"
+
+
+def savetxt_csv_text(columns) -> str:
+    """The curves CSV as np.savetxt writes it: a header of the column names,
+    then one line per row of the stacked columns, every value as %.9g."""
+    fh = io.StringIO()
+    np.savetxt(
+        fh,
+        np.column_stack(list(columns.values())),
+        fmt="%.9g",
+        delimiter=",",
+        header=",".join(columns),
+        comments="",
+    )
+    return fh.getvalue()

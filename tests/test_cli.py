@@ -2,10 +2,17 @@
 
 import argparse
 import json
+import math
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from focalpo.cli import MAX_GRID_POINTS, _grid, _grid_points, main
+from _oracles import savetxt_csv_text
+from focalpo.cli import CSV_BLOCK_VALUES, MAX_GRID_POINTS, _grid, _grid_points, _write_csv, main
 
 
 def read_csv(path):
@@ -121,6 +128,41 @@ class TestCurves:
         capsys.readouterr()
         for name in ("manifest.json", "factors.csv", "weights.csv", "losses.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+EDGE_FLOATS = (
+    -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+    math.nan, math.inf, -math.inf,
+)
+
+
+@st.composite
+def csv_shapes(draw):
+    """(rows, columns), with the row count next to a block boundary or
+    spanning several blocks."""
+    ncols = draw(st.integers(1, 20))
+    block_rows = CSV_BLOCK_VALUES // ncols
+    nrows = draw(st.sampled_from(
+        [1, 2, block_rows - 1, block_rows, block_rows + 1, 3 * block_rows + 1]
+    ))
+    return nrows, ncols
+
+
+class TestCsvWriter:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        csv_shapes(),
+        st.lists(st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS)), min_size=1, max_size=50),
+    )
+    def test_bytes_match_savetxt(self, shape, values):
+        # the drawn values fill the table cyclically, so each one lands in
+        # many rows and columns
+        table = np.resize(np.array(values, dtype=np.float64), shape)
+        columns = {f"c{j}": table[:, j] for j in range(shape[1])}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "table.csv"
+            _write_csv(path, columns)
+            assert path.read_bytes() == savetxt_csv_text(columns).encode("ascii")
 
 
 class TestSynth:
@@ -256,19 +298,24 @@ class TestTrain:
             ("--adam-eps", "inf", "adam_epsilon"),
             ("--lr", "inf", "learning_rate"),
             ("--beta", "inf", "beta"),
+            ("--gamma", "9", "gamma"),
         ],
     )
     def test_out_of_range_value_fails_before_any_file(
         self, synth_dir, tmp_path, capsys, flag, value, field
     ):
+        extra = (flag, value) + (("--loss", "focal") if flag == "--gamma" else ())
         out = tmp_path / "run"
-        code = main(
-            train_args(synth_dir / "pairs.jsonl", synth_dir / "reference.txt", out,
-                       extra=(flag, value))
-        )
-        assert code == 1
-        assert f"{field} must" in capsys.readouterr().err
-        assert not out.exists()
+        # the second run names absent inputs, so reading either before the
+        # configuration is checked would report the file instead of the field
+        for data_dir in (synth_dir, tmp_path / "absent"):
+            code = main(
+                train_args(data_dir / "pairs.jsonl", data_dir / "reference.txt", out,
+                           extra=extra)
+            )
+            assert code == 1
+            assert f"{field} must" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_missing_dataset_is_runtime_error(self, synth_dir, tmp_path, capsys):
         code = main(

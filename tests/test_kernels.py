@@ -1,6 +1,6 @@
 """The batched log-probability and gradient path against the independent
 scalar log-softmax chain in _oracles, on random tables with logit scales up
-to 50."""
+to 50, and the blockwise gradient against its whole-table form."""
 
 import numpy as np
 import pytest
@@ -16,7 +16,7 @@ from focalpo.policy import (
     sequence_log_prob_grad,
 )
 
-from _oracles import scalar_log_prob, scalar_log_prob_grad
+from _oracles import scalar_log_prob, scalar_log_prob_grad, whole_table_log_prob_grad
 
 TOLERANCE = dict(rtol=1e-12, atol=1e-12)
 
@@ -63,6 +63,20 @@ def test_log_prob_grad_matches_scalar_chain():
             scalar_log_prob_grad(table, seqs[0].prompt_class, seqs[0].tokens),
             **TOLERANCE,
         )
+
+
+def test_log_prob_grad_is_bitwise_the_whole_table_expression():
+    # blocks of classes change no arithmetic, so every bit (zero signs
+    # included) matches the whole-table form: one block, blocks of several
+    # classes with a short last block, and one class per block
+    rng = np.random.default_rng(9)
+    for num_classes, vocab in [(1, 1), (3, 7), (10, 31), (16, 64)]:
+        policy, seqs = random_case(rng, num_classes, vocab, length=5, num_rows=40)
+        log_table = log_softmax(policy.logits)
+        rows = encode_sequences(policy, seqs)
+        coeffs = rng.uniform(-2.0, 2.0, size=len(seqs))
+        expected = whole_table_log_prob_grad(log_table, rows, coeffs)
+        assert log_prob_grad(log_table, rows, coeffs).tobytes() == expected.tobytes()
 
 
 def test_encoded_contexts_start_at_bos():

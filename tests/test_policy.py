@@ -357,6 +357,13 @@ class TestSerialization:
         path.write_text("1 1\n1\nzz\n")
         with pytest.raises(ValueError, match="line 3: malformed float"):
             load_policy(path)
+        # messages name the physical line, blank lines included
+        path.write_text("1 1\n\n1\nzz\n")
+        with pytest.raises(ValueError, match="line 4: malformed float"):
+            load_policy(path)
+        path.write_text("1 1\n\n1\n\n1 2\n")
+        with pytest.raises(ValueError, match="line 5: expected 1 values, got 2"):
+            load_policy(path)
 
     def test_malformed_files_raise(self, tmp_path):
         path = tmp_path / "bad.txt"
