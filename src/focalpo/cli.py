@@ -52,9 +52,11 @@ from .trainer import (
 
 MANIFEST_NAME = "manifest.json"
 MAX_GRID_POINTS = 1_000_000
-# Values formatted per `%` call when writing a CSV: big enough that the call
-# overhead vanishes, small enough that the block's list, tuple and text stay
-# a fraction of a megabyte.
+# synth caps on C x (V+1) x V table values and on --pairs x --length tokens
+MAX_TABLE_VALUES = MAX_DATASET_TOKENS = 2**22
+# Values formatted per step when writing a CSV: big enough that the
+# per-call overhead vanishes, small enough that the block's arrays and text
+# stay a fraction of a megabyte.
 CSV_BLOCK_VALUES = 4096
 GRID_OPTIONS = ("--delta-grid", "--p-grid")
 
@@ -113,6 +115,13 @@ def _positive_finite(text: str) -> float:
     value = _float(text)
     if not 0.0 < value < math.inf:
         raise argparse.ArgumentTypeError(f"must be finite and > 0, got {value}")
+    return value
+
+
+def _non_negative_finite(text: str) -> float:
+    value = _float(text)
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {value}")
     return value
 
 
@@ -188,15 +197,21 @@ def _manifest(command: str, configuration: dict, seeds: dict, outputs: dict) -> 
 
 def _write_csv(path: Path, columns: dict[str, np.ndarray]) -> None:
     """One column per entry, in order, with the entry's name as its header;
-    every value as %.9g. The table is formatted a block of rows per call."""
+    every value as %.9g. The table is formatted a block of rows at a time,
+    by csvtext.format_block or, for a block it declines, by one `%` call."""
+    from .csvtext import format_block  # compiled only by a command that writes a CSV
+
     table = np.column_stack(list(columns.values()))
     row = ",".join(["%.9g"] * table.shape[1]) + "\n"
     block_rows = max(1, CSV_BLOCK_VALUES // table.shape[1])
+    seps = np.tile(np.uint64([ord(",")] * (table.shape[1] - 1) + [ord("\n")]) << 40, block_rows)
+    out = np.empty((len(seps), 4), "<u8")
     with atomic_write(path) as fh:
         fh.write(",".join(columns) + "\n")
         for start in range(0, len(table), block_rows):
-            block = table[start:start + block_rows]
-            fh.write(row * len(block) % tuple(block.ravel().tolist()))
+            block = table[start:start + block_rows].ravel()
+            fh.write(format_block(block, seps[:len(block)], out[:len(block)])
+                     or row * (len(block) // table.shape[1]) % tuple(block.tolist()))
 
 
 # ----------------------------------------------------------------- curves
@@ -294,6 +309,10 @@ def cmd_synth(args) -> int:
         noise_rate=args.noise,
         generator_seed=args.seed,
     )
+    if args.classes * (args.vocab + 1) * args.vocab > MAX_TABLE_VALUES:
+        raise UsageError(f"--classes x (--vocab + 1) x --vocab exceeds {MAX_TABLE_VALUES}")
+    if args.pairs * args.length > MAX_DATASET_TOKENS:
+        raise UsageError(f"--pairs x --length exceeds {MAX_DATASET_TOKENS}")
     if holdout_size(args.pairs, args.holdout_fraction) == args.pairs:
         raise UsageError(
             f"--holdout-fraction {args.holdout_fraction:g} holds out all of --pairs "
@@ -344,13 +363,10 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     variant = parse_variant(args.loss)
-    gamma = args.gamma
-    if variant is LossVariant.DPO:
-        if gamma is not None:
-            print(f"notice: gamma={gamma:g} is ignored by the dpo loss")
-        gamma = 0.05  # stored but unused
-    elif gamma is None:
-        gamma = 0.05
+    if variant is LossVariant.DPO and args.gamma is not None:
+        print(f"notice: gamma={args.gamma:g} is ignored by the dpo loss")
+    # dpo stores the default gamma, unused
+    gamma = 0.05 if args.gamma is None or variant is LossVariant.DPO else args.gamma
     if variant is LossVariant.FOCAL and gamma > 1.0:
         lo, hi = TUNED_GAMMA_RANGE
         print(f"notice: gamma={gamma:g} is outside the tuned focal range [{lo}, {hi}]")
@@ -512,15 +528,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument(
         "--loss", choices=[v.value for v in LossVariant], default=LossVariant.DPO.value
     )
-    p_train.add_argument("--beta", type=float, default=0.01)
-    p_train.add_argument("--gamma", type=float, default=None)
-    p_train.add_argument("--lr", type=float, default=3e-3)
+    p_train.add_argument("--beta", type=_positive_finite, default=0.01)
+    p_train.add_argument("--gamma", type=_gamma, default=None)
+    p_train.add_argument("--lr", type=_non_negative_finite, default=3e-3)
     p_train.add_argument("--batch-size", type=_positive_int, default=128)
     p_train.add_argument("--epochs", type=_non_negative_int, default=1)
     p_train.add_argument("--optimizer", choices=("adam", "sgd"), default="adam")
-    p_train.add_argument("--adam-beta1", type=float, default=0.9)
-    p_train.add_argument("--adam-beta2", type=float, default=0.999)
-    p_train.add_argument("--adam-eps", type=float, default=1e-8)
+    p_train.add_argument("--adam-beta1", type=_unit_fraction, default=0.9)
+    p_train.add_argument("--adam-beta2", type=_unit_fraction, default=0.999)
+    p_train.add_argument("--adam-eps", type=_positive_finite, default=1e-8)
     p_train.add_argument("--shuffle-seed", type=_non_negative_int, default=0)
     p_train.add_argument("--eval-every", type=_positive_int, default=10)
     p_train.set_defaults(func=cmd_train)

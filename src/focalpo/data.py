@@ -54,7 +54,6 @@ __all__ = [
     "synthesize_dataset",
     "EncodedPairs",
     "encode_pairs",
-    "classify_pair",
     "save_dataset",
     "load_dataset",
     "holdout_size",
@@ -273,13 +272,6 @@ def encode_pairs(reference: PolicyTable, pairs: list[PreferencePair]) -> Encoded
         ref_rejected,
         ref_chosen > ref_rejected,
     )
-
-
-def classify_pair(reference: PolicyTable, pair: PreferencePair) -> Subgroup:
-    """Subgroup of one pair; see encode_pairs."""
-    if encode_pairs(reference, [pair]).correct_at_init[0]:
-        return Subgroup.CORRECT_AT_INIT
-    return Subgroup.INCORRECT_AT_INIT
 
 
 def save_dataset(path, pairs: list[PreferencePair]) -> None:

@@ -35,7 +35,6 @@ __all__ = [
     "LossConfig",
     "LossOutput",
     "parse_variant",
-    "preference_probability",
     "modulating_factor",
     "pair_loss",
     "gradient_weight",
@@ -92,11 +91,6 @@ class LossOutput:
     probability: float | np.ndarray
     factor: float | np.ndarray
     weight: float | np.ndarray
-
-
-def preference_probability(margin):
-    """p = sigmoid(margin): the model's probability that chosen beats rejected."""
-    return sigmoid(margin)
 
 
 def modulating_factor(variant: LossVariant, p, gamma: float):

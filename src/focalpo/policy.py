@@ -9,14 +9,12 @@ a fixed sequence length.
 
 All scoring is batched: sequences are encoded once into TokenRows, the
 table's log-softmax is taken once, and the log-probabilities of every row
-come from one gather and a sum over positions. The one-sequence functions
-are wrappers over the same path. Sampling walks a cumulative next-token
-table built once per sampler, with one binary search per token.
+come from one gather and a sum over positions. Sampling walks a cumulative
+next-token table built once per sampler, with one binary search per token.
 """
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -37,12 +35,6 @@ __all__ = [
     "log_probs",
     "log_prob_grad",
     "random_policy",
-    "uniform_policy",
-    "sequence_log_prob",
-    "sequence_log_prob_grad",
-    "implicit_reward",
-    "pair_margin",
-    "sample_sequence",
     "save_policy",
     "load_policy",
 ]
@@ -91,21 +83,11 @@ class PolicyTable:
     def clone(self) -> "PolicyTable":
         return PolicyTable(self.num_prompt_classes, self.vocab_size, self.logits.copy())
 
-    def checksum(self) -> str:
-        """SHA-256 of the raw logit bytes; used to assert immutability."""
-        return hashlib.sha256(self.logits.tobytes()).hexdigest()
-
 
 def random_policy(num_prompt_classes: int, vocab_size: int, seed: int, scale: float = 1.0) -> PolicyTable:
     """Table with i.i.d. normal(0, scale) logits from a fixed seed."""
     rng = np.random.default_rng(seed)
     logits = scale * rng.standard_normal((num_prompt_classes, vocab_size + 1, vocab_size))
-    return PolicyTable(num_prompt_classes, vocab_size, logits)
-
-
-def uniform_policy(num_prompt_classes: int, vocab_size: int) -> PolicyTable:
-    """All-zero logits: every next-token distribution is uniform."""
-    logits = np.zeros((num_prompt_classes, vocab_size + 1, vocab_size))
     return PolicyTable(num_prompt_classes, vocab_size, logits)
 
 
@@ -196,39 +178,6 @@ def _check_same_shape(policy: PolicyTable, reference: PolicyTable) -> None:
         )
 
 
-def sequence_log_prob(policy: PolicyTable, seq: TokenSequence) -> float:
-    """log pi(seq | prompt_class): sum of log-softmax chain terms, always <= 0."""
-    return float(log_probs(log_softmax(policy.logits), encode_sequences(policy, [seq]))[0])
-
-
-def sequence_log_prob_grad(policy: PolicyTable, seq: TokenSequence) -> np.ndarray:
-    """d(log pi(seq))/d(logits) as a dense table matching policy.logits.
-
-    Only contexts visited by the sequence are nonzero; entries per context
-    follow the softmax-gradient identity 1{k == token} - p_k.
-    """
-    rows = encode_sequences(policy, [seq])
-    return log_prob_grad(log_softmax(policy.logits), rows, np.ones(1))
-
-
-def implicit_reward(policy: PolicyTable, reference: PolicyTable, seq: TokenSequence, beta: float) -> float:
-    """beta * log(pi_policy(seq) / pi_reference(seq))."""
-    _check_same_shape(policy, reference)
-    if not beta > 0.0:
-        raise ValueError(f"beta must be > 0, got {beta!r}")
-    return beta * (sequence_log_prob(policy, seq) - sequence_log_prob(reference, seq))
-
-
-def pair_margin(policy: PolicyTable, reference: PolicyTable, pair, beta: float) -> float:
-    """Implicit reward of the chosen response minus that of the rejected one.
-
-    `pair` is any object with TokenSequence fields `chosen` and `rejected`.
-    """
-    return implicit_reward(policy, reference, pair.chosen, beta) - implicit_reward(
-        policy, reference, pair.rejected, beta
-    )
-
-
 def _next_token_cdf(logits: np.ndarray) -> np.ndarray:
     """Cumulative next-token distribution of every context of a logits
     array (..., V): softmax, then a running sum along the last axis. Built
@@ -255,19 +204,6 @@ def _sample_tokens(cdf: np.ndarray, length: int, rng: np.random.Generator) -> tu
         prev = min(int(cdf[prev].searchsorted(u, side="right")), last)
         out.append(prev)
     return tuple(out)
-
-
-def sample_sequence(policy: PolicyTable, prompt_class: int, length: int, rng_seed: int) -> TokenSequence:
-    """Draw one sequence from the softmax chain; deterministic given the seed."""
-    if length < 1:
-        raise ValueError(f"length must be >= 1, got {length}")
-    if not 0 <= prompt_class < policy.num_prompt_classes:
-        raise ValueError(
-            f"prompt_class {prompt_class} out of range for {policy.num_prompt_classes} classes"
-        )
-    rng = np.random.default_rng(rng_seed)
-    cdf = _next_token_cdf(policy.logits[prompt_class])
-    return TokenSequence(prompt_class, _sample_tokens(cdf, length, rng))
 
 
 def save_policy(path, policy: PolicyTable) -> None:

@@ -13,13 +13,33 @@ The sampling and text-format oracles are the one-step-at-a-time forms of
 the sampler and the policy writer: a linear scan per step, and one format
 call per value. The CSV oracle is the curves writer as numpy's savetxt
 gives it, one row at a time.
+
+The one-sequence helpers state single-sequence and single-pair quantities
+(log-probability, gradient, implicit reward, margin, subgroup, a sampled
+sequence) through the batched path of focalpo, one row at a time; only the
+tests need them in that form.
 """
 
+import hashlib
 import io
 import math
 
 import mpmath as mp
 import numpy as np
+
+from focalpo.data import Subgroup, encode_pairs
+from focalpo.numerics import sigmoid
+from focalpo.policy import (
+    PolicyTable,
+    TokenSequence,
+    _check_same_shape,
+    _next_token_cdf,
+    _sample_tokens,
+    encode_sequences,
+    log_prob_grad,
+    log_probs,
+    log_softmax,
+)
 
 mp.mp.dps = 30
 
@@ -42,6 +62,15 @@ def mirror_pair_loss(variant: str, gamma: float, delta: float):
     if variant == "focus-incorrect":
         return (1 - p) ** gamma * base
     raise ValueError(variant)
+
+
+def mirror_weight_ratio(gamma: float, delta: float):
+    """The per-pair focal-to-dpo weight ratio p^g (1 + g log p) at a margin,
+    with p = sigmoid(delta). As in the loss zoo, p^g is taken at p clamped
+    into [1e-12, 1 - 1e-12] and log p is not clamped."""
+    p = mirror_sigmoid(delta)
+    clamped = min(max(p, mp.mpf(1e-12)), mp.mpf(1.0 - 1e-12))
+    return clamped**gamma * (1 + gamma * mp.log(p))
 
 
 def fd_weight(variant: str, gamma: float, delta: float, h: float = 1e-5) -> float:
@@ -143,3 +172,68 @@ def savetxt_csv_text(columns) -> str:
         comments="",
     )
     return fh.getvalue()
+
+
+# --------------------------------------------------- one-sequence helpers
+
+
+def uniform_policy(num_prompt_classes: int, vocab_size: int) -> PolicyTable:
+    """All-zero logits: every next-token distribution is uniform."""
+    logits = np.zeros((num_prompt_classes, vocab_size + 1, vocab_size))
+    return PolicyTable(num_prompt_classes, vocab_size, logits)
+
+
+def checksum(policy: PolicyTable) -> str:
+    """SHA-256 of the raw logit bytes; used to assert immutability."""
+    return hashlib.sha256(policy.logits.tobytes()).hexdigest()
+
+
+def sequence_log_prob(policy: PolicyTable, seq: TokenSequence) -> float:
+    """log pi(seq | prompt_class) from the batched path, one row."""
+    return float(log_probs(log_softmax(policy.logits), encode_sequences(policy, [seq]))[0])
+
+
+def sequence_log_prob_grad(policy: PolicyTable, seq: TokenSequence) -> np.ndarray:
+    """d(log pi(seq))/d(logits) from the batched path, one row."""
+    rows = encode_sequences(policy, [seq])
+    return log_prob_grad(log_softmax(policy.logits), rows, np.ones(1))
+
+
+def implicit_reward(policy, reference, seq, beta: float) -> float:
+    """beta * log(pi_policy(seq) / pi_reference(seq))."""
+    _check_same_shape(policy, reference)
+    if not beta > 0.0:
+        raise ValueError(f"beta must be > 0, got {beta!r}")
+    return beta * (sequence_log_prob(policy, seq) - sequence_log_prob(reference, seq))
+
+
+def pair_margin(policy, reference, pair, beta: float) -> float:
+    """Implicit reward of `pair.chosen` minus that of `pair.rejected`."""
+    return implicit_reward(policy, reference, pair.chosen, beta) - implicit_reward(
+        policy, reference, pair.rejected, beta
+    )
+
+
+def sample_sequence(policy, prompt_class: int, length: int, rng_seed: int) -> TokenSequence:
+    """One sequence from the sampler synth uses; deterministic given the seed."""
+    if length < 1:
+        raise ValueError(f"length must be >= 1, got {length}")
+    if not 0 <= prompt_class < policy.num_prompt_classes:
+        raise ValueError(
+            f"prompt_class {prompt_class} out of range for {policy.num_prompt_classes} classes"
+        )
+    rng = np.random.default_rng(rng_seed)
+    cdf = _next_token_cdf(policy.logits[prompt_class])
+    return TokenSequence(prompt_class, _sample_tokens(cdf, length, rng))
+
+
+def preference_probability(margin):
+    """p = sigmoid(margin): the model's probability that chosen beats rejected."""
+    return sigmoid(margin)
+
+
+def classify_pair(reference, pair) -> Subgroup:
+    """Subgroup of one pair, as encode_pairs labels it."""
+    if encode_pairs(reference, [pair]).correct_at_init[0]:
+        return Subgroup.CORRECT_AT_INIT
+    return Subgroup.INCORRECT_AT_INIT

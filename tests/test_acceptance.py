@@ -27,15 +27,16 @@ from focalpo.losses import (
     modulating_factor,
     pair_loss,
 )
-from focalpo.policy import (
-    TokenSequence,
-    random_policy,
+from focalpo.policy import TokenSequence, random_policy
+from focalpo.trainer import TrainConfig, train
+
+from _oracles import (
+    VARIANT_NAMES,
+    checksum,
+    fd_weight,
     sequence_log_prob,
     sequence_log_prob_grad,
 )
-from focalpo.trainer import TrainConfig, train
-
-from _oracles import VARIANT_NAMES, fd_weight
 
 REF_SEED, REWARD_SEED, GEN_SEED = 42, 142, 9
 TOY = dict(num_prompt_classes=4, vocab_size=8, seq_length=4)
@@ -100,12 +101,12 @@ def toy_runs():
         runs[variant.value] = {
             "report": report,
             "seconds": time.perf_counter() - start,
-            "checksum": policy.checksum(),
+            "checksum": checksum(policy),
         }
     # repeat the dpo run for the determinism clause
     policy = reference.clone()
     repeat = train(toy_train_config(*RUN_VARIANTS[0]), dataset, policy, reference)
-    runs["dpo_repeat"] = {"report": repeat, "checksum": policy.checksum()}
+    runs["dpo_repeat"] = {"report": repeat, "checksum": checksum(policy)}
     return runs
 
 

@@ -4,6 +4,7 @@ import argparse
 import json
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import savetxt_csv_text
+from focalpo import cli, csvtext
 from focalpo.cli import CSV_BLOCK_VALUES, MAX_GRID_POINTS, _grid, _grid_points, _write_csv, main
+from focalpo.losses import LossConfig, LossVariant
+from focalpo.trainer import TrainConfig
 
 
 def read_csv(path):
@@ -136,6 +140,44 @@ EDGE_FLOATS = (
 )
 
 
+# Values at the rounding and layout boundaries of the CSV formatter: exact
+# 9th-digit ties (decimal and dyadic), near-ties that the fast arithmetic
+# rounds the wrong way, round-ups to the next power of ten, the
+# fixed/scientific switch at exponents -5/-4 and 8/9, three-digit exponents
+# and the float64 extremes.
+KERNEL_EDGES = (
+    123456789.5, 1234567895.0, 1234567885.0, 12345678.25, 12345678.75,
+    0.1234567895, 1.234567885e-50,
+    9.9999999996e-05, 999999999.6, 9.9999999996e99, 0.99999999951,
+    1.23456789e-05, 1e-05, 1.5e-05, 0.000123456789, 0.0001, 0.00010000000001,
+    123456789.0, 100000000.0, 120.0, 1234567891.0, 1e9, 1.5e9,
+    1e-300, 1e300, 1e-100, 1.23456789e-100, 1e100, 9.87654321e-99,
+    0.0, 5e-324, 1.7976931348623157e308, math.nan, math.inf,
+)
+
+
+@st.composite
+def decimal_floats(draw):
+    """A float parsed from 17 significant digits and a decimal exponent in
+    [-320, 308]. Some draws put digits 10-17 next to a rounding boundary of
+    the 9th digit, which st.floats() rarely reaches."""
+    head = draw(st.integers(10**8, 10**9 - 1))
+    tail = draw(st.one_of(
+        st.integers(0, 10**8 - 1),
+        st.sampled_from([0, 1, 5 * 10**7 - 1, 5 * 10**7, 5 * 10**7 + 1, 10**8 - 1]),
+    ))
+    digits = f"{head}{tail:08d}"
+    sign = draw(st.sampled_from("+-"))
+    return float(f"{sign}{digits[0]}.{digits[1:]}e{draw(st.integers(-320, 308))}")
+
+
+def assert_csv_matches_savetxt(columns):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        _write_csv(path, columns)
+        assert path.read_bytes() == savetxt_csv_text(columns).encode("ascii")
+
+
 @st.composite
 def csv_shapes(draw):
     """(rows, columns), with the row count next to a block boundary or
@@ -163,6 +205,35 @@ class TestCsvWriter:
             path = Path(tmp) / "table.csv"
             _write_csv(path, columns)
             assert path.read_bytes() == savetxt_csv_text(columns).encode("ascii")
+
+    @pytest.mark.parametrize("value", KERNEL_EDGES + tuple(-v for v in KERNEL_EDGES))
+    def test_edge_value_bytes_match_savetxt(self, value):
+        # alone, so the value decides whether its block is formatted fast
+        assert_csv_matches_savetxt({"c": np.array([value])})
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(decimal_floats(), min_size=1, max_size=12))
+    def test_decimal_exponent_bytes_match_savetxt(self, values):
+        for value in values:
+            assert_csv_matches_savetxt({"c": np.array([value])})
+        assert_csv_matches_savetxt({f"c{j}": np.array([v]) for j, v in enumerate(values)})
+
+    def test_fast_and_fallback_blocks(self, monkeypatch):
+        # two 4-column blocks: the first all fast, the second holding one
+        # zero, which sends the whole block to the `%` path
+        rows = CSV_BLOCK_VALUES // 4
+        table = np.random.default_rng(3).standard_normal((2 * rows, 4))
+        table[rows + 5, 2] = 0.0
+        results = []
+        kernel = csvtext.format_block
+
+        def recorded(*args):
+            results.append(kernel(*args))
+            return results[-1]
+
+        monkeypatch.setattr(csvtext, "format_block", recorded)
+        assert_csv_matches_savetxt({f"c{j}": table[:, j] for j in range(4)})
+        assert [text is None for text in results] == [False, True]
 
 
 class TestSynth:
@@ -199,6 +270,29 @@ class TestSynth:
         err = capsys.readouterr().err
         assert "--pairs" in err and "--holdout-fraction" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "extra, flags, cap",
+        [
+            (("--classes", "1", "--vocab", "2048"), ("--classes", "--vocab"), cli.MAX_TABLE_VALUES),
+            (("--pairs", "1048577", "--length", "4"), ("--pairs", "--length"),
+             cli.MAX_DATASET_TOKENS),
+        ],
+    )
+    def test_size_cap_exits_2_before_any_file(self, tmp_path, capsys, extra, flags, cap):
+        # each case sits just above its cap, and nothing is allocated for it
+        out = tmp_path / "data"
+        tracemalloc.start()
+        try:
+            code = main(synth_args(out, extra=extra))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        err = capsys.readouterr().err
+        assert all(flag in err for flag in flags) and str(cap) in err
+        assert not out.exists()
+        assert peak < 1_000_000
 
     def test_holdout_split(self, tmp_path, capsys):
         out = tmp_path / "split"
@@ -307,15 +401,32 @@ class TestTrain:
         extra = (flag, value) + (("--loss", "focal") if flag == "--gamma" else ())
         out = tmp_path / "run"
         # the second run names absent inputs, so reading either before the
-        # configuration is checked would report the file instead of the field
+        # flag is checked would report the file instead of the flag
         for data_dir in (synth_dir, tmp_path / "absent"):
-            code = main(
-                train_args(data_dir / "pairs.jsonl", data_dir / "reference.txt", out,
-                           extra=extra)
-            )
-            assert code == 1
-            assert f"{field} must" in capsys.readouterr().err
+            with pytest.raises(SystemExit) as excinfo:
+                main(
+                    train_args(data_dir / "pairs.jsonl", data_dir / "reference.txt", out,
+                               extra=extra)
+                )
+            assert excinfo.value.code == 2
+            assert f"argument {flag}:" in capsys.readouterr().err
             assert not out.exists()
+        # library callers get the same check from the config classes
+        with pytest.raises(ValueError, match=f"{field} must"):
+            if field in ("beta", "gamma"):
+                LossConfig(LossVariant.FOCAL, **{field: float(value)})
+            else:
+                TrainConfig(LossConfig(LossVariant.DPO), **{field: float(value)})
+
+    @pytest.mark.parametrize("loss", ["dpo", "focal"])
+    def test_zero_gamma_is_usage_error(self, synth_dir, tmp_path, capsys, loss):
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit) as excinfo:
+            main(train_args(synth_dir / "pairs.jsonl", synth_dir / "reference.txt", out,
+                            extra=("--loss", loss, "--gamma", "0")))
+        assert excinfo.value.code == 2
+        assert "argument --gamma:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_dataset_is_runtime_error(self, synth_dir, tmp_path, capsys):
         code = main(

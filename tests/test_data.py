@@ -13,7 +13,6 @@ from focalpo.data import (
     Subgroup,
     SynthConfig,
     TrueRewardModel,
-    classify_pair,
     load_dataset,
     random_reward_model,
     save_dataset,
@@ -21,7 +20,9 @@ from focalpo.data import (
     synthesize_dataset,
     true_reward,
 )
-from focalpo.policy import TokenSequence, random_policy, sequence_log_prob, uniform_policy
+from focalpo.policy import TokenSequence, random_policy
+
+from _oracles import classify_pair, sequence_log_prob, uniform_policy
 
 
 def small_dataset(num_pairs=50, noise=0.0, mode="deterministic", seed=4):

@@ -12,11 +12,15 @@ from focalpo.policy import (
     log_prob_grad,
     log_probs,
     log_softmax,
-    sequence_log_prob,
-    sequence_log_prob_grad,
 )
 
-from _oracles import scalar_log_prob, scalar_log_prob_grad, whole_table_log_prob_grad
+from _oracles import (
+    scalar_log_prob,
+    scalar_log_prob_grad,
+    sequence_log_prob,
+    sequence_log_prob_grad,
+    whole_table_log_prob_grad,
+)
 
 TOLERANCE = dict(rtol=1e-12, atol=1e-12)
 

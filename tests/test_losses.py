@@ -3,6 +3,7 @@ the shape properties of the gradient-weight curves."""
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,10 +17,15 @@ from focalpo.losses import (
     modulating_factor,
     pair_loss,
     parse_variant,
-    preference_probability,
 )
 
-from _oracles import VARIANT_NAMES, fd_weight, mirror_pair_loss
+from _oracles import (
+    VARIANT_NAMES,
+    fd_weight,
+    mirror_pair_loss,
+    mirror_weight_ratio,
+    preference_probability,
+)
 
 GRID_QUARTER = [-10.0 + 0.25 * k for k in range(81)]
 GRID_TENTH = [-10.0 + 0.1 * k for k in range(201)]
@@ -262,6 +268,45 @@ class TestGradientWeight:
         values = [-(p**gamma) * math.log(p) for p in ps]
         argmax_p = ps[max(range(len(values)), key=values.__getitem__)]
         assert abs(argmax_p - math.exp(-1.0 / gamma)) <= 0.001 + 1e-12
+
+
+class TestFocalToDpoRatio:
+    """The per-pair ratio w_focal / w_dpo = p^g (1 + g log p) that the
+    reports average per subgroup. Its derivative in the margin has the sign
+    of 2 + g log p, and p^g is frozen below the clamp (log p < log 1e-12), so
+    it is non-decreasing for g <= 2 / 27.63 and falls between the clamp and
+    log p = -2/g for larger g."""
+
+    COARSE = [-700.0 + 0.5 * k for k in range(2801)]
+
+    @staticmethod
+    def ratio(gamma, deltas):
+        deltas = np.asarray(deltas, dtype=np.float64)
+        focal = gradient_weight(config(LossVariant.FOCAL, gamma), deltas)
+        return focal / gradient_weight(config(LossVariant.DPO), deltas)
+
+    @pytest.mark.parametrize("gamma", [0.05, 0.07])
+    def test_non_decreasing_over_the_margin_range(self, gamma):
+        mirror = [mirror_weight_ratio(gamma, d) for d in self.COARSE]
+        assert all(b >= a for a, b in zip(mirror, mirror[1:]))
+        np.testing.assert_allclose(
+            self.ratio(gamma, self.COARSE), [float(m) for m in mirror], rtol=1e-9, atol=1e-12
+        )
+        ratio = self.ratio(gamma, np.linspace(-700.0, 700.0, 140_001))
+        assert (np.diff(ratio) >= -np.abs(np.spacing(ratio[:-1]))).all()
+
+    def test_falls_between_clamp_and_turning_point_at_large_gamma(self):
+        gamma = 0.5
+        clamp = mp.log(mp.mpf(1e-12) / (1 - mp.mpf(1e-12)))  # sigmoid(clamp) = 1e-12
+        turn = -2 / gamma - mp.log(1 - mp.exp(-2 / gamma))  # 2 + g log p = 0
+        assert (round(float(clamp), 2), round(float(turn), 2)) == (-27.63, -3.98)
+        deltas = [-40.0 + 0.05 * k for k in range(1001)]
+        mirror = [mirror_weight_ratio(gamma, d) for d in deltas]
+        for a, b, ra, rb in zip(deltas, deltas[1:], mirror, mirror[1:]):
+            if clamp <= a and b <= turn:
+                assert rb < ra, (a, b)
+            elif b <= clamp or turn <= a:
+                assert rb >= ra, (a, b)
 
 
 class TestArrays:

