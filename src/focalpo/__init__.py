@@ -9,7 +9,7 @@ per-subgroup diagnostics, and a CLI that emits the factor/weight curve data.
 __version__ = "0.1.0"
 
 from .losses import LossConfig, LossOutput, LossVariant
-from .policy import PolicyTable, TokenSequence
+from .policy import PolicyTable
 
 __all__ = [
     "__version__",
@@ -17,5 +17,4 @@ __all__ = [
     "LossOutput",
     "LossVariant",
     "PolicyTable",
-    "TokenSequence",
 ]

@@ -285,11 +285,11 @@ def cmd_curves(args) -> int:
 # ------------------------------------------------------------------ synth
 
 
-def _census(pairs, reference, label: str) -> None:
-    n = len(pairs)
-    n_correct = int(encode_pairs(reference, pairs).correct_at_init.sum())
-    n_flipped = sum(1 for p in pairs if p.label_flipped)
-    n_disagree = sum(1 for p in pairs if p.true_reward_chosen < p.true_reward_rejected)
+def _census(dataset, reference, label: str) -> None:
+    n = len(dataset)
+    n_correct = int(encode_pairs(reference, dataset).correct_at_init.sum())
+    n_flipped = int(dataset.label_flipped.sum())
+    n_disagree = int((dataset.reward_chosen < dataset.reward_rejected).sum())
     print(f"{label}: {n} pairs")
     print(f"  subgroups vs reference: {n_correct} correct_at_init, {n - n_correct} incorrect_at_init")
     print(f"  label_flipped: {n_flipped} ({n_flipped / n:.3f})")
@@ -320,7 +320,7 @@ def cmd_synth(args) -> int:
         )
     out_dir = Path(args.out)
     outputs = {"reference": "reference.txt", "pairs": "pairs.jsonl"}
-    if args.holdout_fraction > 0.0:
+    if holdout_size(args.pairs, args.holdout_fraction):
         outputs["holdout"] = "holdout.jsonl"
     manifest = _manifest(
         "synth",
@@ -344,16 +344,16 @@ def cmd_synth(args) -> int:
 
     reference = random_policy(args.classes, args.vocab, args.ref_seed)
     reward = random_reward_model(args.classes, args.vocab, args.reward_seed)
-    pairs = synthesize_dataset(config, reward, reference)
-    train_pairs, holdout_pairs = split_holdout(pairs, args.holdout_fraction)
+    dataset = synthesize_dataset(config, reward, reference)
+    train_pairs, holdout_pairs = split_holdout(dataset, args.holdout_fraction)
 
     save_policy(out_dir / "reference.txt", reference)
     save_dataset(out_dir / "pairs.jsonl", train_pairs)
-    if holdout_pairs:
+    if len(holdout_pairs):
         save_dataset(out_dir / "holdout.jsonl", holdout_pairs)
 
     _census(train_pairs, reference, "pairs.jsonl")
-    if holdout_pairs:
+    if len(holdout_pairs):
         _census(holdout_pairs, reference, "holdout.jsonl")
     return 0
 
@@ -389,6 +389,8 @@ def cmd_train(args) -> int:
         num_prompt_classes=reference.num_prompt_classes,
         vocab_size=reference.vocab_size,
     )
+    if not len(dataset):
+        raise ValueError("dataset must be non-empty")
     out_dir = Path(args.out)
     manifest = _manifest(
         "train",

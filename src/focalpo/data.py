@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,12 +21,11 @@ from .numerics import sigmoid
 from .policy import (
     PolicyTable,
     TokenRows,
-    TokenSequence,
     _next_token_cdf,
     _sample_tokens,
-    encode_sequences,
     log_probs,
     log_softmax,
+    token_rows,
 )
 
 LABELING_MODES = ("deterministic", "bradley_terry")
@@ -44,13 +43,11 @@ _DATASET_FIELDS = (
 
 __all__ = [
     "LABELING_MODES",
-    "Subgroup",
     "DatasetFormatError",
-    "PreferencePair",
+    "Dataset",
     "TrueRewardModel",
     "SynthConfig",
     "random_reward_model",
-    "true_reward",
     "synthesize_dataset",
     "EncodedPairs",
     "encode_pairs",
@@ -61,13 +58,6 @@ __all__ = [
 ]
 
 
-class Subgroup(Enum):
-    """Whether the frozen reference ranks the pair correctly at initialization."""
-
-    CORRECT_AT_INIT = "correct_at_init"
-    INCORRECT_AT_INIT = "incorrect_at_init"
-
-
 class DatasetFormatError(ValueError):
     """Malformed or out-of-range dataset content, tagged with the line number."""
 
@@ -76,25 +66,26 @@ class DatasetFormatError(ValueError):
         self.line_number = line_number
 
 
-@dataclass(frozen=True)
-class PreferencePair:
-    pair_id: int
-    prompt_class: int
-    chosen: TokenSequence
-    rejected: TokenSequence
-    true_reward_chosen: float
-    true_reward_rejected: float
-    label_flipped: bool
+class Dataset(NamedTuple):
+    """A preference dataset as columns, one entry per pair: pair ids and
+    prompt classes (N,), chosen and rejected tokens (N, L), the true
+    rewards of both sides (N,) and label flips (N,). len() counts the
+    pairs, so the tuple's _make and _replace do not apply."""
 
-    def __post_init__(self) -> None:
-        if self.pair_id < 0:
-            raise ValueError(f"pair_id must be >= 0, got {self.pair_id}")
-        if not (self.chosen.prompt_class == self.rejected.prompt_class == self.prompt_class):
-            raise ValueError(f"pair {self.pair_id}: prompt_class mismatch across sequences")
-        if len(self.chosen.tokens) != len(self.rejected.tokens):
-            raise ValueError(f"pair {self.pair_id}: chosen/rejected lengths differ")
-        if self.chosen.tokens == self.rejected.tokens:
-            raise ValueError(f"pair {self.pair_id}: chosen and rejected are identical")
+    pair_ids: np.ndarray
+    classes: np.ndarray
+    chosen: np.ndarray
+    rejected: np.ndarray
+    reward_chosen: np.ndarray
+    reward_rejected: np.ndarray
+    label_flipped: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.pair_ids)
+
+    def take(self, idx) -> "Dataset":
+        """The pairs at the given indices or slice, in that order."""
+        return Dataset(*(column[idx] for column in self))
 
 
 @dataclass(frozen=True)
@@ -140,28 +131,17 @@ def random_reward_model(num_prompt_classes: int, vocab_size: int, seed: int) -> 
     return TrueRewardModel(rng.standard_normal((num_prompt_classes, vocab_size)))
 
 
-def true_reward(model: TrueRewardModel, seq: TokenSequence) -> float:
-    """Sum of per-token weights; invariant under token reordering."""
-    num_classes, vocab = model.weights.shape
-    if seq.prompt_class >= num_classes:
-        raise ValueError(f"prompt_class {seq.prompt_class} out of range for reward model")
-    total = 0.0
-    for t in seq.tokens:
-        if t >= vocab:
-            raise ValueError(f"token {t} out of range for reward model vocab {vocab}")
-        total += float(model.weights[seq.prompt_class, t])
-    return total
-
-
 def synthesize_dataset(
     config: SynthConfig, reward: TrueRewardModel, sampler: PolicyTable
-) -> list[PreferencePair]:
+) -> Dataset:
     """Generate preference pairs; a pure function of (config, reward, sampler).
 
     Per pair: draw a prompt class uniformly, two distinct sequences from the
     sampler, label by true reward (deterministic mode) or by a Bernoulli
     draw with probability sigmoid(reward_a - reward_b) (bradley_terry mode),
     then swap the label with probability noise_rate, recording the flip.
+    The true reward of a sequence is the sum of its per-token weights, added
+    left to right (a cumulative sum: .sum() adds pairwise from 8 tokens on).
     """
     if (sampler.num_prompt_classes, sampler.vocab_size) != (
         config.num_prompt_classes,
@@ -178,13 +158,19 @@ def synthesize_dataset(
         )
     rng = np.random.default_rng(config.generator_seed)
     cdf = _next_token_cdf(sampler.logits)
-    pairs = []
-    for pair_id in range(config.num_pairs):
+    num_pairs, length = config.num_pairs, config.seq_length
+    classes = np.empty(num_pairs, dtype=np.int64)
+    tokens = np.empty((2, num_pairs, length), dtype=np.int64)  # sequences a and b
+    # The labeling draws, taken in the loop so that the stream keeps its
+    # per-pair order; a flip draw not taken stays 1.0, which no rate passes.
+    label_draws = np.zeros(num_pairs)
+    flip_draws = np.ones(num_pairs)
+    bradley_terry = config.labeling_mode == "bradley_terry"
+    for pair_id in range(num_pairs):
         prompt_class = int(rng.integers(config.num_prompt_classes))
-        tokens_a = _sample_tokens(cdf[prompt_class], config.seq_length, rng)
-        tokens_b = tokens_a
+        tokens_a = _sample_tokens(cdf[prompt_class], length, rng)
         for _ in range(DISTINCT_DRAW_RETRIES):
-            tokens_b = _sample_tokens(cdf[prompt_class], config.seq_length, rng)
+            tokens_b = _sample_tokens(cdf[prompt_class], length, rng)
             if tokens_b != tokens_a:
                 break
         else:
@@ -192,38 +178,33 @@ def synthesize_dataset(
                 f"pair {pair_id}: failed to draw distinct sequences after "
                 f"{DISTINCT_DRAW_RETRIES} retries (sampler too concentrated)"
             )
-        seq_a = TokenSequence(prompt_class, tokens_a)
-        seq_b = TokenSequence(prompt_class, tokens_b)
-        reward_a = true_reward(reward, seq_a)
-        reward_b = true_reward(reward, seq_b)
-        if config.labeling_mode == "deterministic":
-            a_chosen = reward_a >= reward_b
-        else:
-            a_chosen = rng.random() < sigmoid(reward_a - reward_b)
-        if a_chosen:
-            chosen, rejected, reward_c, reward_r = seq_a, seq_b, reward_a, reward_b
-        else:
-            chosen, rejected, reward_c, reward_r = seq_b, seq_a, reward_b, reward_a
-        label_flipped = bool(config.noise_rate > 0.0 and rng.random() < config.noise_rate)
-        if label_flipped:
-            chosen, rejected, reward_c, reward_r = rejected, chosen, reward_r, reward_c
-        pairs.append(
-            PreferencePair(
-                pair_id=pair_id,
-                prompt_class=prompt_class,
-                chosen=chosen,
-                rejected=rejected,
-                true_reward_chosen=reward_c,
-                true_reward_rejected=reward_r,
-                label_flipped=label_flipped,
-            )
-        )
-    return pairs
+        classes[pair_id] = prompt_class
+        tokens[:, pair_id] = tokens_a, tokens_b
+        if bradley_terry:
+            label_draws[pair_id] = rng.random()
+        if config.noise_rate > 0.0:
+            flip_draws[pair_id] = rng.random()
+    reward_a, reward_b = np.cumsum(reward.weights[classes[:, None], tokens], axis=-1)[..., -1]
+    if bradley_terry:
+        a_chosen = label_draws < sigmoid(reward_a - reward_b)
+    else:
+        a_chosen = reward_a >= reward_b
+    label_flipped = flip_draws < config.noise_rate
+    a_chosen ^= label_flipped
+    return Dataset(
+        np.arange(num_pairs, dtype=np.int64),
+        classes,
+        np.where(a_chosen[:, None], tokens[0], tokens[1]),
+        np.where(a_chosen[:, None], tokens[1], tokens[0]),
+        np.where(a_chosen, reward_a, reward_b),
+        np.where(a_chosen, reward_b, reward_a),
+        label_flipped,
+    )
 
 
 @dataclass(frozen=True)
 class EncodedPairs:
-    """A preference dataset as arrays, scored once against the frozen
+    """A Dataset encoded as token rows and scored once against the frozen
     reference: its log-probabilities of every chosen and rejected row, and
     the subgroup label that follows from them."""
 
@@ -251,134 +232,112 @@ class EncodedPairs:
         )
 
 
-def encode_pairs(reference: PolicyTable, pairs: list[PreferencePair]) -> EncodedPairs:
-    """Encode a non-empty, fixed-length dataset and score it against the
-    reference. Subgroups follow the reference's raw log-likelihood ranking;
-    ties count as incorrect (matching the strict margin rule used for
-    accuracy)."""
-    if not pairs:
+def encode_pairs(reference: PolicyTable, dataset: Dataset) -> EncodedPairs:
+    """Encode a non-empty dataset and score it against the reference. The
+    subgroups follow the reference's raw log-likelihood ranking; ties count
+    as incorrect (matching the strict margin rule used for accuracy)."""
+    if not len(dataset):
         raise ValueError("dataset must be non-empty")
-    chosen = encode_sequences(reference, [pair.chosen for pair in pairs])
-    rejected = encode_sequences(reference, [pair.rejected for pair in pairs])
+    chosen = token_rows(reference, dataset.classes, dataset.chosen)
+    rejected = token_rows(reference, dataset.classes, dataset.rejected)
     log_table = log_softmax(reference.logits)
     ref_chosen = log_probs(log_table, chosen)
     ref_rejected = log_probs(log_table, rejected)
     return EncodedPairs(
-        reference,
-        np.array([pair.pair_id for pair in pairs], dtype=np.int64),
-        chosen,
-        rejected,
-        ref_chosen,
-        ref_rejected,
+        reference, dataset.pair_ids, chosen, rejected, ref_chosen, ref_rejected,
         ref_chosen > ref_rejected,
     )
 
 
-def save_dataset(path, pairs: list[PreferencePair]) -> None:
+def save_dataset(path, dataset: Dataset) -> None:
     """Write pure JSONL (UTF-8, LF): one object per pair, fields exactly
     pair_id, prompt_class, chosen, rejected, true_reward_chosen,
     true_reward_rejected, label_flipped."""
     with atomic_write(path) as fh:
-        for pair in pairs:
-            row = {
-                "pair_id": pair.pair_id,
-                "prompt_class": pair.prompt_class,
-                "chosen": list(pair.chosen.tokens),
-                "rejected": list(pair.rejected.tokens),
-                "true_reward_chosen": pair.true_reward_chosen,
-                "true_reward_rejected": pair.true_reward_rejected,
-                "label_flipped": pair.label_flipped,
-            }
+        for values in zip(*(column.tolist() for column in dataset)):
+            row = dict(zip(_DATASET_FIELDS, values))
             fh.write(json.dumps(row, separators=(",", ":"), allow_nan=False) + "\n")
-
-
-def _parse_tokens(line_number: int, name: str, value, vocab_size) -> tuple[int, ...]:
-    if not isinstance(value, list) or not value:
-        raise DatasetFormatError(line_number, f"{name} must be a non-empty token array")
-    tokens = []
-    for t in value:
-        if isinstance(t, bool) or not isinstance(t, int):
-            raise DatasetFormatError(line_number, f"{name} contains a non-integer token {t!r}")
-        if t < 0:
-            raise DatasetFormatError(line_number, f"{name} contains a negative token {t}")
-        if vocab_size is not None and t >= vocab_size:
-            raise DatasetFormatError(
-                line_number, f"{name} token {t} out of range for vocab size {vocab_size}"
-            )
-        tokens.append(t)
-    return tuple(tokens)
 
 
 def _reject_nan(token: str):
     raise ValueError(f"non-finite literal {token!r}")
 
 
-def load_dataset(path, num_prompt_classes=None, vocab_size=None) -> list[PreferencePair]:
+def _parse_row(line: str, num_prompt_classes, vocab_size, length) -> list:
+    """The field values of one dataset line, in file order; ValueError
+    names the first thing wrong with it. `length` is the sequence length of
+    the lines before it, None for the first line."""
+    if not line:
+        raise ValueError("blank line in JSONL dataset")
+    try:
+        row = json.loads(line, parse_constant=_reject_nan)
+    except ValueError as exc:
+        raise ValueError(f"invalid JSON: {exc}") from exc
+    if not isinstance(row, dict):
+        raise ValueError("expected a JSON object")
+    if set(row) != set(_DATASET_FIELDS):
+        raise ValueError(f"fields must be exactly {list(_DATASET_FIELDS)}, got {sorted(row)}")
+    pair_id, prompt_class, chosen, rejected = (row[name] for name in _DATASET_FIELDS[:4])
+    if type(pair_id) is not int or pair_id < 0:
+        raise ValueError("pair_id must be a non-negative integer")
+    if type(prompt_class) is not int:
+        raise ValueError("prompt_class must be an integer")
+    if prompt_class < 0 or (num_prompt_classes is not None and prompt_class >= num_prompt_classes):
+        raise ValueError(f"prompt_class {prompt_class} out of range")
+    for name, tokens in (("chosen", chosen), ("rejected", rejected)):
+        if not isinstance(tokens, list) or not tokens:
+            raise ValueError(f"{name} must be a non-empty token array")
+        for t in tokens:
+            if type(t) is not int:
+                raise ValueError(f"{name} contains a non-integer token {t!r}")
+            if t < 0:
+                raise ValueError(f"{name} contains a negative token {t}")
+            if vocab_size is not None and t >= vocab_size:
+                raise ValueError(f"{name} token {t} out of range for vocab size {vocab_size}")
+    for name in ("true_reward_chosen", "true_reward_rejected"):
+        if type(row[name]) not in (int, float):
+            raise ValueError(f"{name} must be a number")
+        if not math.isfinite(row[name]):
+            raise ValueError(f"{name} must be finite")
+    if type(row["label_flipped"]) is not bool:
+        raise ValueError("label_flipped must be a boolean")
+    if len(chosen) != len(rejected):
+        raise ValueError(f"pair {pair_id}: chosen/rejected lengths differ")
+    if chosen == rejected:
+        raise ValueError(f"pair {pair_id}: chosen and rejected are identical")
+    if length is not None and len(chosen) != length:
+        raise ValueError(f"sequence length {len(chosen)} differs from dataset length {length}")
+    return [row[name] for name in _DATASET_FIELDS]
+
+
+def load_dataset(path, num_prompt_classes=None, vocab_size=None) -> Dataset:
     """Read and validate a JSONL dataset written by save_dataset.
 
     When num_prompt_classes / vocab_size are given (e.g. from a loaded policy
     table), class and token indices are range-checked against them. All
     errors carry 1-based line numbers.
     """
-    pairs = []
-    seq_length = None
+    rows, length = [], None
     with open(path, "r", encoding="utf-8") as fh:
         for line_number, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                raise DatasetFormatError(line_number, "blank line in JSONL dataset")
             try:
-                row = json.loads(line, parse_constant=_reject_nan)
+                rows.append(_parse_row(line.rstrip("\n"), num_prompt_classes, vocab_size, length))
             except ValueError as exc:
-                raise DatasetFormatError(line_number, f"invalid JSON: {exc}") from exc
-            if not isinstance(row, dict):
-                raise DatasetFormatError(line_number, "expected a JSON object")
-            if set(row) != set(_DATASET_FIELDS):
-                raise DatasetFormatError(
-                    line_number,
-                    f"fields must be exactly {list(_DATASET_FIELDS)}, got {sorted(row)}",
-                )
-            if isinstance(row["pair_id"], bool) or not isinstance(row["pair_id"], int) or row["pair_id"] < 0:
-                raise DatasetFormatError(line_number, f"pair_id must be a non-negative integer")
-            if isinstance(row["prompt_class"], bool) or not isinstance(row["prompt_class"], int):
-                raise DatasetFormatError(line_number, "prompt_class must be an integer")
-            prompt_class = row["prompt_class"]
-            if prompt_class < 0 or (
-                num_prompt_classes is not None and prompt_class >= num_prompt_classes
-            ):
-                raise DatasetFormatError(
-                    line_number, f"prompt_class {prompt_class} out of range"
-                )
-            chosen = _parse_tokens(line_number, "chosen", row["chosen"], vocab_size)
-            rejected = _parse_tokens(line_number, "rejected", row["rejected"], vocab_size)
-            for name in ("true_reward_chosen", "true_reward_rejected"):
-                if isinstance(row[name], bool) or not isinstance(row[name], (int, float)):
-                    raise DatasetFormatError(line_number, f"{name} must be a number")
-                if not math.isfinite(row[name]):
-                    raise DatasetFormatError(line_number, f"{name} must be finite")
-            if not isinstance(row["label_flipped"], bool):
-                raise DatasetFormatError(line_number, "label_flipped must be a boolean")
-            try:
-                pair = PreferencePair(
-                    pair_id=row["pair_id"],
-                    prompt_class=prompt_class,
-                    chosen=TokenSequence(prompt_class, chosen),
-                    rejected=TokenSequence(prompt_class, rejected),
-                    true_reward_chosen=float(row["true_reward_chosen"]),
-                    true_reward_rejected=float(row["true_reward_rejected"]),
-                    label_flipped=row["label_flipped"],
-                )
-            except (ValueError, IndexError) as exc:
                 raise DatasetFormatError(line_number, str(exc)) from exc
-            if seq_length is None:
-                seq_length = len(chosen)
-            elif len(chosen) != seq_length:
-                raise DatasetFormatError(
-                    line_number,
-                    f"sequence length {len(chosen)} differs from dataset length {seq_length}",
-                )
-            pairs.append(pair)
-    return pairs
+            length = len(rows[0][2])
+    pair_ids, classes, chosen, rejected, reward_chosen, reward_rejected, flipped = (
+        zip(*rows) if rows else [()] * len(_DATASET_FIELDS)
+    )
+    shape = (len(rows), length or 0)
+    return Dataset(
+        np.array(pair_ids, dtype=np.int64),
+        np.array(classes, dtype=np.int64),
+        np.array(chosen, dtype=np.int64).reshape(shape),
+        np.array(rejected, dtype=np.int64).reshape(shape),
+        np.array(reward_chosen, dtype=np.float64),
+        np.array(reward_rejected, dtype=np.float64),
+        np.array(flipped, dtype=bool),
+    )
 
 
 def holdout_size(num_pairs: int, fraction: float) -> int:
@@ -388,7 +347,7 @@ def holdout_size(num_pairs: int, fraction: float) -> int:
     return int(round(num_pairs * fraction))
 
 
-def split_holdout(pairs: list[PreferencePair], fraction: float) -> tuple[list, list]:
+def split_holdout(dataset: Dataset, fraction: float) -> tuple[Dataset, Dataset]:
     """Deterministic tail split: the last holdout_size(n, fraction) pairs are held out."""
-    cut = len(pairs) - holdout_size(len(pairs), fraction)
-    return pairs[:cut], pairs[cut:]
+    cut = len(dataset) - holdout_size(len(dataset), fraction)
+    return dataset.take(slice(None, cut)), dataset.take(slice(cut, None))

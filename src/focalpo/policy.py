@@ -27,10 +27,9 @@ from .files import atomic_write
 GRAD_BLOCK_VALUES = 8192
 
 __all__ = [
-    "TokenSequence",
     "PolicyTable",
     "TokenRows",
-    "encode_sequences",
+    "token_rows",
     "log_softmax",
     "log_probs",
     "log_prob_grad",
@@ -38,23 +37,6 @@ __all__ = [
     "save_policy",
     "load_policy",
 ]
-
-
-@dataclass(frozen=True)
-class TokenSequence:
-    """A response: prompt class plus a fixed-length token list."""
-
-    prompt_class: int
-    tokens: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.tokens) < 1:
-            raise ValueError("a token sequence must contain at least one token")
-        if self.prompt_class < 0:
-            raise IndexError(f"prompt_class must be >= 0, got {self.prompt_class}")
-        for t in self.tokens:
-            if t < 0:
-                raise IndexError(f"token indices must be >= 0, got {t}")
 
 
 @dataclass
@@ -104,23 +86,19 @@ class TokenRows(NamedTuple):
         return TokenRows(self.classes[idx], self.tokens[idx], self.contexts[idx])
 
 
-def encode_sequences(policy: PolicyTable, seqs) -> TokenRows:
-    """Encode TokenSequences for a table of this shape; indices out of range
-    raise IndexError and sequences of differing lengths raise ValueError."""
-    if not seqs:
-        raise ValueError("no sequences to encode")
-    length = len(seqs[0].tokens)
-    for i, seq in enumerate(seqs):
-        if len(seq.tokens) != length:
-            raise ValueError(
-                f"row {i}: sequence length {len(seq.tokens)} differs from dataset length {length}"
-            )
-    classes = np.array([seq.prompt_class for seq in seqs], dtype=np.int64)
-    tokens = np.array([seq.tokens for seq in seqs], dtype=np.int64)
+def token_rows(policy: PolicyTable, classes, tokens) -> TokenRows:
+    """Encode equal-length sequences, tokens (N, L) drawn in prompt classes
+    (N,), for a table of this shape; indices out of range raise IndexError."""
+    classes = np.asarray(classes, dtype=np.int64)
+    tokens = np.asarray(tokens, dtype=np.int64)
+    if classes.min() < 0:
+        raise IndexError(f"prompt_class must be >= 0, got {classes.min()}")
     if classes.max() >= policy.num_prompt_classes:
         raise IndexError(
             f"prompt_class {classes.max()} out of range for {policy.num_prompt_classes} classes"
         )
+    if tokens.min() < 0:
+        raise IndexError(f"token indices must be >= 0, got {tokens.min()}")
     if tokens.max() >= policy.vocab_size:
         raise IndexError(f"token {tokens.max()} out of range for vocab size {policy.vocab_size}")
     contexts = np.empty_like(tokens)

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import EncodedPairs, PreferencePair, Subgroup, encode_pairs
+from .data import Dataset, EncodedPairs, encode_pairs
 from .files import atomic_write
 from .losses import LossConfig, LossVariant, gradient_weight, pair_loss
 from .policy import (
@@ -33,7 +33,8 @@ from .policy import (
 )
 
 OPTIMIZERS = ("sgd", "adam")
-CORRECT, INCORRECT = Subgroup.CORRECT_AT_INIT.value, Subgroup.INCORRECT_AT_INIT.value
+# Whether the frozen reference ranks a pair correctly at initialization.
+CORRECT, INCORRECT = "correct_at_init", "incorrect_at_init"
 
 __all__ = [
     "OPTIMIZERS",
@@ -274,8 +275,8 @@ def _below(by_group: dict):
 class Evaluation:
     """One policy state scored on an encoded dataset at one beta. The
     margins are computed once (see evaluate); the step record, the metrics
-    and the orderings of that state all read them. Subgroups come from the
-    dataset's correct_at_init mask."""
+    and the orderings of that state all read them. The subgroups come from
+    the dataset's correct_at_init mask."""
 
     pairs: EncodedPairs
     beta: float
@@ -283,13 +284,13 @@ class Evaluation:
     policy_correct: np.ndarray  # the policy's own log-likelihood ranking
 
     def groups(self) -> dict[str, np.ndarray]:
-        """Subgroup name -> mask of its pairs."""
+        """Maps each subgroup name to the mask of its pairs."""
         correct = self.pairs.correct_at_init
         return {CORRECT: correct, INCORRECT: ~correct}
 
     def by_group(self, values: np.ndarray, empty=None) -> dict:
-        """Subgroup name -> mean of values over its pairs, `empty` when it
-        has none."""
+        """Maps each subgroup name to the mean of values over its pairs,
+        `empty` when it has none."""
         means = {}
         for name, mask in self.groups().items():
             count = int(mask.sum())
@@ -386,7 +387,7 @@ def standard_profile_variants(beta: float) -> list[LossConfig]:
 
 def train(
     config: TrainConfig,
-    dataset: list[PreferencePair],
+    dataset: Dataset,
     policy: PolicyTable,
     reference: PolicyTable,
 ) -> TrainReport:

@@ -17,7 +17,9 @@ gives it, one row at a time.
 The one-sequence helpers state single-sequence and single-pair quantities
 (log-probability, gradient, implicit reward, margin, subgroup, a sampled
 sequence) through the batched path of focalpo, one row at a time; only the
-tests need them in that form.
+tests need them in that form. A sequence is a prompt class and its tokens.
+The reward oracle sums a sequence's token weights one at a time, and the
+dataset helpers move between a Dataset's columns and one tuple per pair.
 """
 
 import hashlib
@@ -27,19 +29,19 @@ import math
 import mpmath as mp
 import numpy as np
 
-from focalpo.data import Subgroup, encode_pairs
+from focalpo.data import Dataset, encode_pairs
 from focalpo.numerics import sigmoid
 from focalpo.policy import (
     PolicyTable,
-    TokenSequence,
     _check_same_shape,
     _next_token_cdf,
     _sample_tokens,
-    encode_sequences,
     log_prob_grad,
     log_probs,
     log_softmax,
+    token_rows,
 )
+from focalpo.trainer import CORRECT, INCORRECT
 
 mp.mp.dps = 30
 
@@ -188,34 +190,73 @@ def checksum(policy: PolicyTable) -> str:
     return hashlib.sha256(policy.logits.tobytes()).hexdigest()
 
 
-def sequence_log_prob(policy: PolicyTable, seq: TokenSequence) -> float:
-    """log pi(seq | prompt_class) from the batched path, one row."""
-    return float(log_probs(log_softmax(policy.logits), encode_sequences(policy, [seq]))[0])
+def make_dataset(rows) -> Dataset:
+    """A Dataset from (pair_id, prompt_class, chosen, rejected,
+    reward_chosen, reward_rejected, label_flipped) tuples, one per pair."""
+    dtypes = (np.int64,) * 4 + (np.float64,) * 2 + (bool,)
+    return Dataset(*(np.array(column, dtype) for column, dtype in zip(zip(*rows), dtypes)))
 
 
-def sequence_log_prob_grad(policy: PolicyTable, seq: TokenSequence) -> np.ndarray:
-    """d(log pi(seq))/d(logits) from the batched path, one row."""
-    rows = encode_sequences(policy, [seq])
+def dataset_rows(dataset: Dataset) -> list:
+    """The pairs of a Dataset as the tuples make_dataset takes, in Python
+    values with token tuples."""
+    columns = [column.tolist() for column in dataset]
+    columns[2:4] = [list(map(tuple, tokens)) for tokens in columns[2:4]]
+    return list(zip(*columns))
+
+
+def pairs_of(dataset: Dataset) -> list:
+    """(prompt_class, chosen tokens, rejected tokens) of every pair."""
+    return [(c, chosen, rejected) for _, c, chosen, rejected, *_ in dataset_rows(dataset)]
+
+
+def true_reward(weights, prompt_class: int, tokens) -> float:
+    """Sum of the per-token weights weights[prompt_class, t], one token at
+    a time from the left; indices out of range raise ValueError."""
+    num_classes, vocab = weights.shape
+    if prompt_class >= num_classes:
+        raise ValueError(f"prompt_class {prompt_class} out of range for reward model")
+    total = 0.0
+    for t in tokens:
+        if t >= vocab:
+            raise ValueError(f"token {t} out of range for reward model vocab {vocab}")
+        total += float(weights[prompt_class, t])
+    return total
+
+
+def sequence_log_prob(policy: PolicyTable, prompt_class: int, tokens) -> float:
+    """log pi(tokens | prompt_class) from the batched path, one row."""
+    rows = token_rows(policy, [prompt_class], [tokens])
+    return float(log_probs(log_softmax(policy.logits), rows)[0])
+
+
+def sequence_log_prob_grad(policy: PolicyTable, prompt_class: int, tokens) -> np.ndarray:
+    """d(log pi(tokens | prompt_class))/d(logits) from the batched path, one row."""
+    rows = token_rows(policy, [prompt_class], [tokens])
     return log_prob_grad(log_softmax(policy.logits), rows, np.ones(1))
 
 
-def implicit_reward(policy, reference, seq, beta: float) -> float:
-    """beta * log(pi_policy(seq) / pi_reference(seq))."""
+def implicit_reward(policy, reference, prompt_class: int, tokens, beta: float) -> float:
+    """beta * log(pi_policy(tokens) / pi_reference(tokens))."""
     _check_same_shape(policy, reference)
     if not beta > 0.0:
         raise ValueError(f"beta must be > 0, got {beta!r}")
-    return beta * (sequence_log_prob(policy, seq) - sequence_log_prob(reference, seq))
-
-
-def pair_margin(policy, reference, pair, beta: float) -> float:
-    """Implicit reward of `pair.chosen` minus that of `pair.rejected`."""
-    return implicit_reward(policy, reference, pair.chosen, beta) - implicit_reward(
-        policy, reference, pair.rejected, beta
+    return beta * (
+        sequence_log_prob(policy, prompt_class, tokens)
+        - sequence_log_prob(reference, prompt_class, tokens)
     )
 
 
-def sample_sequence(policy, prompt_class: int, length: int, rng_seed: int) -> TokenSequence:
-    """One sequence from the sampler synth uses; deterministic given the seed."""
+def pair_margin(policy, reference, prompt_class: int, chosen, rejected, beta: float) -> float:
+    """Implicit reward of the chosen tokens minus that of the rejected ones."""
+    return implicit_reward(policy, reference, prompt_class, chosen, beta) - implicit_reward(
+        policy, reference, prompt_class, rejected, beta
+    )
+
+
+def sample_sequence(policy, prompt_class: int, length: int, rng_seed: int) -> tuple:
+    """The tokens of one sequence from the sampler synth uses; deterministic
+    given the seed."""
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
     if not 0 <= prompt_class < policy.num_prompt_classes:
@@ -224,7 +265,7 @@ def sample_sequence(policy, prompt_class: int, length: int, rng_seed: int) -> To
         )
     rng = np.random.default_rng(rng_seed)
     cdf = _next_token_cdf(policy.logits[prompt_class])
-    return TokenSequence(prompt_class, _sample_tokens(cdf, length, rng))
+    return _sample_tokens(cdf, length, rng)
 
 
 def preference_probability(margin):
@@ -232,8 +273,7 @@ def preference_probability(margin):
     return sigmoid(margin)
 
 
-def classify_pair(reference, pair) -> Subgroup:
-    """Subgroup of one pair, as encode_pairs labels it."""
-    if encode_pairs(reference, [pair]).correct_at_init[0]:
-        return Subgroup.CORRECT_AT_INIT
-    return Subgroup.INCORRECT_AT_INIT
+def classify_pair(reference, prompt_class: int, chosen, rejected) -> str:
+    """The subgroup name of one pair, as encode_pairs labels it."""
+    pair = make_dataset([(0, prompt_class, chosen, rejected, 0.0, 0.0, False)])
+    return CORRECT if encode_pairs(reference, pair).correct_at_init[0] else INCORRECT

@@ -27,7 +27,7 @@ from focalpo.losses import (
     modulating_factor,
     pair_loss,
 )
-from focalpo.policy import TokenSequence, random_policy
+from focalpo.policy import random_policy
 from focalpo.trainer import TrainConfig, train
 
 from _oracles import (
@@ -223,13 +223,13 @@ def test_criterion_5_policy_checks():
     h = 1e-5
     for _ in range(20):
         policy = random_policy(2, 5, seed=int(rng.integers(1 << 30)), scale=1.5)
-        seq = TokenSequence(int(rng.integers(2)), tuple(int(t) for t in rng.integers(0, 5, 4)))
-        grad = sequence_log_prob_grad(policy, seq)
+        seq = int(rng.integers(2)), tuple(int(t) for t in rng.integers(0, 5, 4))
+        grad = sequence_log_prob_grad(policy, *seq)
         for idx in np.ndindex(*grad.shape):
             policy.logits[idx] += h
-            up = sequence_log_prob(policy, seq)
+            up = sequence_log_prob(policy, *seq)
             policy.logits[idx] -= 2 * h
-            down = sequence_log_prob(policy, seq)
+            down = sequence_log_prob(policy, *seq)
             policy.logits[idx] += h
             fd = (up - down) / (2 * h)
             assert abs(grad[idx] - fd) <= 1e-6 * max(abs(fd), 1.0)
@@ -237,7 +237,7 @@ def test_criterion_5_policy_checks():
     policy = random_policy(2, 4, seed=99, scale=2.0)
     for prompt_class in range(2):
         total = sum(
-            math.exp(sequence_log_prob(policy, TokenSequence(prompt_class, tokens)))
+            math.exp(sequence_log_prob(policy, prompt_class, tokens))
             for tokens in itertools.product(range(4), repeat=3)
         )
         assert abs(total - 1.0) <= 1e-10

@@ -1,6 +1,7 @@
 """CLI tests: file outputs, manifests, notices, exit codes, reproducibility."""
 
 import argparse
+import hashlib
 import json
 import math
 import tempfile
@@ -254,7 +255,7 @@ class TestSynth:
 
         pairs = load_dataset(out / "pairs.jsonl", num_prompt_classes=2, vocab_size=5)
         assert len(pairs) == 1000
-        flipped = sum(1 for p in pairs if p.label_flipped)
+        flipped = int(pairs.label_flipped.sum())
         assert abs(flipped / 1000 - 0.1) <= 3 * (0.1 * 0.9 / 1000) ** 0.5
 
     def test_identical_seeds_identical_files(self, tmp_path, capsys):
@@ -293,6 +294,52 @@ class TestSynth:
         assert all(flag in err for flag in flags) and str(cap) in err
         assert not out.exists()
         assert peak < 1_000_000
+
+    @pytest.mark.parametrize("pairs, fraction, holdout", [(10, "0.05", False), (10, "0.1", True)])
+    def test_manifest_lists_exactly_the_files_written(
+        self, tmp_path, capsys, pairs, fraction, holdout
+    ):
+        # 10 x 0.05 rounds to no held-out pair, so no holdout.jsonl is written
+        out = tmp_path / "data"
+        assert main(synth_args(out, pairs=pairs, extra=("--holdout-fraction", fraction))) == 0
+        capsys.readouterr()
+        outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+        assert ("holdout" in outputs) is holdout
+        assert sorted(p.name for p in out.iterdir()) == sorted(["manifest.json", *outputs.values()])
+
+    # SHA-256 of pairs.jsonl, holdout.jsonl, reference.txt and stdout, as
+    # written by the object-per-pair synthesizer these bytes were first
+    # recorded from. The README config takes distinct-draw retries (first at
+    # pair 243), the bradley_terry config one at pair 172.
+    GOLDEN = {
+        "readme": (
+            ["--pairs", "500", "--noise", "0.1", "--holdout-fraction", "0.2",
+             "--seed", "9", "--ref-seed", "42", "--reward-seed", "142"],
+            "5537006223495ad4ba6bd772ac909086e7a46a1990ed421786916bede65d7277",
+            "66c25608c24f7d3836793b7082a0c74dc13f72647fb561fbfb69f5e95184e29d",
+            "3d0f051d567845d68e161cc707c7548fc32b8f528331fa6a581886a9b094b1a0",
+            "02e9dfcebce8a96f0e0ac318717c0811997bd0908c0d9f77850ac63ba168bb33",
+        ),
+        "bradley_terry": (
+            ["--pairs", "300", "--mode", "bradley_terry", "--noise", "0.2",
+             "--holdout-fraction", "0.2", "--seed", "3", "--ref-seed", "5", "--reward-seed", "7"],
+            "04cee79f4386640105c681d97d6fb0377247421f062c2870d079cd926e7f0f99",
+            "7c4b4dac3e13ed8186fb9cce87c020d1c9dd5313f746e58e36073e5b3f7f0061",
+            "aa080a15cdc6e5bab1ef605c44ab3f945952a70866221d0a6385f9dae39b9e2d",
+            "c1c1999339551f672f7cb8105fddd677195e847be4acdbab01fbd0427ca8f0fa",
+        ),
+    }
+
+    @pytest.mark.parametrize("config", sorted(GOLDEN))
+    def test_golden_bytes(self, tmp_path, capsys, config):
+        flags, *expected = self.GOLDEN[config]
+        out = tmp_path / "data"
+        assert main(["synth", "--out", str(out), *flags]) == 0
+        stdout = capsys.readouterr().out.encode()
+        names = ("pairs.jsonl", "holdout.jsonl", "reference.txt")
+        outputs = [(out / name).read_bytes() for name in names] + [stdout]
+        digests = [hashlib.sha256(data).hexdigest() for data in outputs]
+        assert digests == expected
 
     def test_holdout_split(self, tmp_path, capsys):
         out = tmp_path / "split"
@@ -426,6 +473,14 @@ class TestTrain:
                             extra=("--loss", loss, "--gamma", "0")))
         assert excinfo.value.code == 2
         assert "argument --gamma:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_dataset_fails_before_any_file(self, synth_dir, tmp_path, capsys):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_bytes(b"")
+        out = tmp_path / "run"
+        assert main(train_args(empty, synth_dir / "reference.txt", out)) == 1
+        assert "dataset must be non-empty" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_dataset_is_runtime_error(self, synth_dir, tmp_path, capsys):

@@ -1,16 +1,19 @@
-"""Synthetic dataset tests: labeling statistics, determinism, subgroup
-classification, and the JSONL round trip."""
+"""Synthetic dataset tests: rewards against the left-to-right reward
+oracle, labeling statistics, determinism, subgroup classification, and the
+JSONL round trip and its per-line errors."""
 
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from focalpo.data import (
     DatasetFormatError,
-    PreferencePair,
-    Subgroup,
     SynthConfig,
     TrueRewardModel,
     load_dataset,
@@ -18,11 +21,18 @@ from focalpo.data import (
     save_dataset,
     split_holdout,
     synthesize_dataset,
-    true_reward,
 )
-from focalpo.policy import TokenSequence, random_policy
+from focalpo.policy import random_policy
+from focalpo.trainer import CORRECT, INCORRECT
 
-from _oracles import classify_pair, sequence_log_prob, uniform_policy
+from _oracles import (
+    classify_pair,
+    dataset_rows,
+    make_dataset,
+    pairs_of,
+    true_reward,
+    uniform_policy,
+)
 
 
 def small_dataset(num_pairs=50, noise=0.0, mode="deterministic", seed=4):
@@ -40,51 +50,99 @@ def small_dataset(num_pairs=50, noise=0.0, mode="deterministic", seed=4):
     return synthesize_dataset(config, reward, sampler), sampler, reward
 
 
+def synthesized(reward, num_classes, vocab, length, num_pairs=40, seed=5):
+    config = SynthConfig(
+        num_pairs=num_pairs,
+        num_prompt_classes=num_classes,
+        vocab_size=vocab,
+        seq_length=length,
+        generator_seed=seed,
+    )
+    return synthesize_dataset(config, reward, random_policy(num_classes, vocab, seed=1))
+
+
+def stored_and_oracle_rewards(dataset, weights):
+    """Each pair's stored (chosen, rejected) rewards and the reward oracle's."""
+    stored = list(zip(dataset.reward_chosen.tolist(), dataset.reward_rejected.tolist()))
+    oracle = [
+        (true_reward(weights, c, chosen), true_reward(weights, c, rejected))
+        for c, chosen, rejected in pairs_of(dataset)
+    ]
+    return stored, oracle
+
+
 class TestTrueReward:
     def test_zero_model(self):
         model = TrueRewardModel(np.zeros((2, 4)))
-        assert true_reward(model, TokenSequence(1, (0, 3, 3))) == 0.0
+        dataset = synthesized(model, 2, 4, 3)
+        assert (dataset.reward_chosen == 0.0).all() and (dataset.reward_rejected == 0.0).all()
+        assert true_reward(model.weights, 1, (0, 3, 3)) == 0.0
 
     def test_permutation_invariance(self):
         model = random_reward_model(2, 5, seed=3)
-        a = true_reward(model, TokenSequence(0, (1, 4, 2)))
-        b = true_reward(model, TokenSequence(0, (2, 1, 4)))
-        assert a == pytest.approx(b, rel=1e-15)
+        dataset = synthesized(model, 2, 5, 3)
+        for c, chosen, rejected in pairs_of(dataset):
+            for tokens in (chosen, rejected):
+                assert true_reward(model.weights, c, tokens) == pytest.approx(
+                    true_reward(model.weights, c, tokens[::-1]), rel=1e-15
+                )
+        stored, oracle = stored_and_oracle_rewards(dataset, model.weights)
+        assert stored == oracle
 
     def test_hand_sum(self):
         weights = np.arange(1.0, 5.0)[None, :]  # [1, 2, 3, 4]
         model = TrueRewardModel(weights)
-        assert true_reward(model, TokenSequence(0, (0, 0, 3))) == 6.0
+        assert true_reward(model.weights, 0, (0, 0, 3)) == 6.0
+        dataset = synthesized(model, 1, 4, 3)
+        for (reward_c, reward_r), (_, chosen, rejected) in zip(
+            zip(dataset.reward_chosen, dataset.reward_rejected), pairs_of(dataset)
+        ):
+            assert reward_c == sum(t + 1 for t in chosen)
+            assert reward_r == sum(t + 1 for t in rejected)
 
     def test_out_of_range(self):
         model = TrueRewardModel(np.zeros((1, 3)))
         with pytest.raises(ValueError):
-            true_reward(model, TokenSequence(0, (3,)))
+            true_reward(model.weights, 0, (3,))
+        with pytest.raises(ValueError):
+            true_reward(model.weights, 1, (0,))
+        # a reward model narrower than the sampler's vocabulary is refused
+        config = SynthConfig(num_pairs=1, num_prompt_classes=1, vocab_size=4)
+        with pytest.raises(ValueError, match="reward model shape"):
+            synthesize_dataset(config, model, uniform_policy(1, 4))
+
+    def test_synthesized_rewards_are_the_left_to_right_sums(self):
+        # at 12 tokens a pairwise sum would group the additions differently;
+        # the stored rewards are the oracle's left-to-right sums, bit for bit
+        model = TrueRewardModel(1e3 * random_reward_model(3, 7, seed=8).weights)
+        dataset = synthesized(model, 3, 7, 12, num_pairs=300)
+        stored, oracle = stored_and_oracle_rewards(dataset, model.weights)
+        assert stored == oracle
 
 
 class TestSynthesize:
     def test_deterministic_labels_respect_reward(self):
         pairs, _, _ = small_dataset(num_pairs=200, noise=0.0)
-        for pair in pairs:
-            assert pair.true_reward_chosen >= pair.true_reward_rejected
-            assert not pair.label_flipped
+        assert (pairs.reward_chosen >= pairs.reward_rejected).all()
+        assert not pairs.label_flipped.any()
 
     def test_same_seed_identical(self):
         pairs_a, _, _ = small_dataset(num_pairs=100, noise=0.2, seed=9)
         pairs_b, _, _ = small_dataset(num_pairs=100, noise=0.2, seed=9)
-        assert pairs_a == pairs_b
+        assert dataset_rows(pairs_a) == dataset_rows(pairs_b)
 
     def test_different_seed_differs(self):
         pairs_a, _, _ = small_dataset(num_pairs=100, seed=9)
         pairs_b, _, _ = small_dataset(num_pairs=100, seed=10)
-        assert pairs_a != pairs_b
+        assert dataset_rows(pairs_a) != dataset_rows(pairs_b)
 
     def test_pairs_are_distinct_and_consistent(self):
         pairs, _, _ = small_dataset(num_pairs=200, noise=0.3)
-        for pair in pairs:
-            assert pair.chosen.tokens != pair.rejected.tokens
-            assert pair.chosen.prompt_class == pair.rejected.prompt_class == pair.prompt_class
-            assert len(pair.chosen.tokens) == 3
+        assert pairs.pair_ids.tolist() == list(range(200))
+        assert pairs.classes.shape == (200,)
+        assert pairs.chosen.shape == pairs.rejected.shape == (200, 3)
+        for _, chosen, rejected in pairs_of(pairs):
+            assert chosen != rejected
 
     def test_noise_rate_statistics(self):
         # flipped-and-strictly-ordered pairs are exactly those whose stored
@@ -102,15 +160,11 @@ class TestSynthesize:
         sampler = random_policy(2, 4, seed=1)
         reward = random_reward_model(2, 4, seed=2)
         pairs = synthesize_dataset(config, reward, sampler)
-        inverted = sum(1 for p in pairs if p.true_reward_chosen < p.true_reward_rejected)
-        flipped_strict = sum(
-            1
-            for p in pairs
-            if p.label_flipped and p.true_reward_chosen < p.true_reward_rejected
-        )
-        assert inverted == flipped_strict
+        inverted = pairs.reward_chosen < pairs.reward_rejected
+        flipped_strict = int((pairs.label_flipped & inverted).sum())
+        assert int(inverted.sum()) == flipped_strict
         three_sigma = 3 * math.sqrt(noise * (1 - noise) / config.num_pairs)
-        flipped = sum(1 for p in pairs if p.label_flipped)
+        flipped = int(pairs.label_flipped.sum())
         assert abs(flipped / config.num_pairs - noise) <= three_sigma
 
     def test_bradley_terry_labeling_statistics(self):
@@ -128,9 +182,7 @@ class TestSynthesize:
         sampler = uniform_policy(1, 2)
         reward = TrueRewardModel(np.array([[0.0, 1.0]]))
         pairs = synthesize_dataset(config, reward, sampler)
-        consistent = sum(
-            1 for p in pairs if p.true_reward_chosen > p.true_reward_rejected
-        )
+        consistent = int((pairs.reward_chosen > pairs.reward_rejected).sum())
         assert consistent / config.num_pairs == pytest.approx(0.7310585786, abs=0.01)
 
     def test_degenerate_sampler_fails_distinctness(self):
@@ -155,60 +207,200 @@ class TestClassifyPair:
     def test_uniform_reference_ties_are_incorrect(self):
         reference = uniform_policy(2, 4)
         pairs, _, _ = small_dataset(num_pairs=20)
-        for pair in pairs:
-            assert classify_pair(reference, pair) is Subgroup.INCORRECT_AT_INIT
+        for pair in pairs_of(pairs):
+            assert classify_pair(reference, *pair) == INCORRECT
 
     def test_reference_favoring_chosen(self):
         reference = uniform_policy(1, 3)
         reference.logits[0, :, 1] = 10.0  # token 1 strongly preferred everywhere
-        pair = PreferencePair(
-            0, 0, TokenSequence(0, (1, 1)), TokenSequence(0, (0, 2)), 1.0, 0.0, False
-        )
-        assert classify_pair(reference, pair) is Subgroup.CORRECT_AT_INIT
+        assert classify_pair(reference, 0, (1, 1), (0, 2)) == CORRECT
 
     def test_matches_brute_force_product(self):
         reference = random_policy(2, 4, seed=33, scale=2.0)
         pairs, _, _ = small_dataset(num_pairs=1000, noise=0.5, seed=2)
 
-        def brute_force_prob(seq):
+        def brute_force_prob(prompt_class, tokens):
             logits = reference.logits
             prob = 1.0
             prev = reference.bos_index
-            for token in seq.tokens:
-                row = np.exp(logits[seq.prompt_class, prev] - logits[seq.prompt_class, prev].max())
+            for token in tokens:
+                row = np.exp(logits[prompt_class, prev] - logits[prompt_class, prev].max())
                 prob *= row[token] / row.sum()
                 prev = token
             return prob
 
-        for pair in pairs:
+        for c, chosen, rejected in pairs_of(pairs):
             expected = (
-                Subgroup.CORRECT_AT_INIT
-                if brute_force_prob(pair.chosen) > brute_force_prob(pair.rejected)
-                else Subgroup.INCORRECT_AT_INIT
+                CORRECT
+                if brute_force_prob(c, chosen) > brute_force_prob(c, rejected)
+                else INCORRECT
             )
-            assert classify_pair(reference, pair) is expected
+            assert classify_pair(reference, c, chosen, rejected) == expected
 
     def test_independent_of_beta(self):
         # classification never sees beta or the trainable policy
         reference = random_policy(2, 4, seed=8)
         pairs, _, _ = small_dataset(num_pairs=50)
-        groups = [classify_pair(reference, p) for p in pairs]
-        assert groups == [classify_pair(reference, p) for p in pairs]
+        groups = [classify_pair(reference, *p) for p in pairs_of(pairs)]
+        assert groups == [classify_pair(reference, *p) for p in pairs_of(pairs)]
+
+
+def assert_same_dataset(loaded, expected):
+    """Same columns, dtypes and values, bit for bit; the token columns of
+    an empty dataset load with shape (0, 0)."""
+    assert len(loaded) == len(expected)
+    for got, want in zip(loaded, expected):
+        assert got.dtype == want.dtype
+        assert got.shape == (want.shape if len(expected) else (0,) * want.ndim)
+        assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def valid_datasets(draw):
+    """(dataset, classes, vocab): any valid dataset, the empty one included."""
+    num_classes = draw(st.integers(1, 4))
+    vocab = draw(st.integers(2, 6))
+    length = draw(st.integers(1, 5))
+    tokens = st.lists(st.integers(0, vocab - 1), min_size=length, max_size=length)
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        chosen = draw(tokens)
+        rows.append((
+            draw(st.integers(0, 2**63 - 1)),
+            draw(st.integers(0, num_classes - 1)),
+            chosen,
+            draw(tokens.filter(lambda rejected: rejected != chosen)),
+            draw(st.floats(allow_nan=False, allow_infinity=False)),
+            draw(st.floats(allow_nan=False, allow_infinity=False)),
+            draw(st.booleans()),
+        ))
+    if not rows:
+        dataset = make_dataset([(0, 0, [0] * length, [1] * length, 0.0, 0.0, False)])
+        return dataset.take(slice(0, 0)), num_classes, vocab
+    return make_dataset(rows), num_classes, vocab
+
+
+FIELDS = [
+    "pair_id",
+    "prompt_class",
+    "chosen",
+    "rejected",
+    "true_reward_chosen",
+    "true_reward_rejected",
+    "label_flipped",
+]
+VOCAB = 4
+
+
+def _malformed(kind: str, row: dict, data) -> str:
+    """Make a valid row malformed in the given way; the error message of it."""
+    pos = data.draw(st.integers(0, len(row["chosen"]) - 1))
+    if kind == "bool token":
+        row["chosen"][pos] = data.draw(st.booleans())
+        return f"chosen contains a non-integer token {row['chosen'][pos]!r}"
+    if kind == "negative token":
+        row["rejected"][pos] = data.draw(st.integers(max_value=-1))
+        return f"rejected contains a negative token {row['rejected'][pos]}"
+    if kind == "out-of-vocab token":
+        row["chosen"][pos] = data.draw(st.integers(min_value=VOCAB))
+        return f"chosen token {row['chosen'][pos]} out of range for vocab size {VOCAB}"
+    if kind == "non-finite reward":
+        name = data.draw(st.sampled_from(FIELDS[4:6]))
+        row[name] = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        literal = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}[repr(row[name])]
+        return f"invalid JSON: non-finite literal {literal!r}"
+    if kind == "missing field":
+        del row[data.draw(st.sampled_from(FIELDS))]
+        return f"fields must be exactly {FIELDS}, got {sorted(row)}"
+    if kind == "extra field":
+        row[data.draw(st.text(min_size=1).filter(lambda name: name not in FIELDS))] = 0
+        return f"fields must be exactly {FIELDS}, got {sorted(row)}"
+    if kind == "mixed lengths":
+        extra = data.draw(st.integers(1, 3))
+        row["chosen"] += [0] * extra
+        row["rejected"] += [1] * extra
+        return f"sequence length {len(row['chosen'])} differs from dataset length 2"
+    if kind == "identical":
+        row["rejected"] = list(row["chosen"])
+        return f"pair {row['pair_id']}: chosen and rejected are identical"
+    assert kind == "lengths differ"
+    del row["rejected"][pos]
+    return f"pair {row['pair_id']}: chosen/rejected lengths differ"
+
+
+MALFORMED_KINDS = (
+    "bool token",
+    "negative token",
+    "out-of-vocab token",
+    "non-finite reward",
+    "missing field",
+    "extra field",
+    "mixed lengths",
+    "identical",
+    "lengths differ",
+)
 
 
 class TestJsonl:
+    @settings(max_examples=150, deadline=None)
+    @given(case=valid_datasets())
+    def test_round_trip_of_any_valid_dataset(self, case):
+        dataset, num_classes, vocab = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "pairs.jsonl"
+            save_dataset(path, dataset)
+            loaded = load_dataset(path, num_prompt_classes=num_classes, vocab_size=vocab)
+            assert_same_dataset(loaded, dataset)
+            text = path.read_bytes()
+            save_dataset(path, loaded)
+            assert path.read_bytes() == text
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kind=st.sampled_from(MALFORMED_KINDS),
+        num_valid=st.integers(2, 6),
+        data=st.data(),
+    )
+    def test_malformed_row_names_its_line(self, kind, num_valid, data):
+        rows = [
+            {
+                "pair_id": pair_id,
+                "prompt_class": pair_id % 2,
+                "chosen": [0, 1],
+                "rejected": [1, 0] if pair_id % 3 else [3, 3],
+                "true_reward_chosen": 1.0,
+                "true_reward_rejected": -0.5,
+                "label_flipped": bool(pair_id % 2),
+            }
+            for pair_id in range(num_valid)
+        ]
+        # a length mismatch is reported on the later line, so that row
+        # follows at least one valid row
+        at = data.draw(st.integers(1 if kind == "mixed lengths" else 0, num_valid - 1))
+        message = _malformed(kind, rows[at], data)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "bad.jsonl"
+            path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+            with pytest.raises(DatasetFormatError) as info:
+                load_dataset(path, num_prompt_classes=2, vocab_size=VOCAB)
+        assert str(info.value) == f"line {at + 1}: {message}"
+        assert info.value.line_number == at + 1
+
     def test_round_trip(self, tmp_path):
         pairs, _, _ = small_dataset(num_pairs=60, noise=0.25, seed=6)
         path = tmp_path / "pairs.jsonl"
         save_dataset(path, pairs)
         loaded = load_dataset(path, num_prompt_classes=2, vocab_size=4)
-        assert loaded == pairs
+        assert_same_dataset(loaded, pairs)
 
     def test_empty_dataset(self, tmp_path):
         path = tmp_path / "empty.jsonl"
-        save_dataset(path, [])
+        pairs, _, _ = small_dataset(num_pairs=3)
+        save_dataset(path, pairs.take(slice(0, 0)))
         assert path.read_bytes() == b""
-        assert load_dataset(path) == []
+        loaded = load_dataset(path)
+        assert len(loaded) == 0 and dataset_rows(loaded) == []
+        assert loaded.chosen.shape == loaded.rejected.shape == (0, 0)
 
     def test_field_schema(self, tmp_path):
         pairs, _, _ = small_dataset(num_pairs=2)
@@ -288,12 +480,12 @@ class TestSplitHoldout:
         pairs, _, _ = small_dataset(num_pairs=50)
         train, holdout = split_holdout(pairs, 0.2)
         assert len(train) == 40 and len(holdout) == 10
-        assert train + holdout == pairs
+        assert dataset_rows(train) + dataset_rows(holdout) == dataset_rows(pairs)
 
     def test_zero_fraction(self):
         pairs, _, _ = small_dataset(num_pairs=10)
         train, holdout = split_holdout(pairs, 0.0)
-        assert train == pairs and holdout == []
+        assert dataset_rows(train) == dataset_rows(pairs) and dataset_rows(holdout) == []
 
     def test_rejects_bad_fraction(self):
         with pytest.raises(ValueError):

@@ -6,14 +6,16 @@ import math
 import pytest
 
 from focalpo.cli import _write_manifest
-from focalpo.data import PreferencePair, load_dataset, save_dataset
+from focalpo.data import load_dataset, save_dataset
 from focalpo.files import atomic_write
-from focalpo.policy import TokenSequence
+
+from _oracles import make_dataset
 
 
-def pair(pair_id, reward):
-    return PreferencePair(
-        pair_id, 0, TokenSequence(0, (1, 0)), TokenSequence(0, (0, 1)), reward, 0.0, False
+def pairs(*rewards):
+    """One pair per chosen-side reward, with pair ids from 0."""
+    return make_dataset(
+        [(pair_id, 0, (1, 0), (0, 1), reward, 0.0, False) for pair_id, reward in enumerate(rewards)]
     )
 
 
@@ -54,12 +56,12 @@ class TestWriters:
         path = tmp_path / "pairs.jsonl"
         # the first row is written before the second fails to encode
         with pytest.raises(ValueError):
-            save_dataset(path, [pair(0, 1.0), pair(1, math.nan)])
+            save_dataset(path, pairs(1.0, math.nan))
         assert leftovers(tmp_path) == []
-        save_dataset(path, [pair(0, 1.0)])
+        save_dataset(path, pairs(1.0))
         with pytest.raises(ValueError):
-            save_dataset(path, [pair(0, 2.0), pair(1, math.inf)])
-        assert [p.true_reward_chosen for p in load_dataset(path)] == [1.0]
+            save_dataset(path, pairs(2.0, math.inf))
+        assert load_dataset(path).reward_chosen.tolist() == [1.0]
         assert leftovers(tmp_path) == ["pairs.jsonl"]
 
     def test_manifest_with_non_json_value_leaves_no_file(self, tmp_path):

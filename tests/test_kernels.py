@@ -7,11 +7,10 @@ import pytest
 
 from focalpo.policy import (
     PolicyTable,
-    TokenSequence,
-    encode_sequences,
     log_prob_grad,
     log_probs,
     log_softmax,
+    token_rows,
 )
 
 from _oracles import (
@@ -29,13 +28,16 @@ def random_case(rng, num_classes=3, vocab=7, length=6, num_rows=5):
     scale = rng.uniform(0.5, 50.0)
     logits = scale * rng.standard_normal((num_classes, vocab + 1, vocab))
     seqs = [
-        TokenSequence(
-            int(rng.integers(num_classes)),
-            tuple(int(t) for t in rng.integers(0, vocab, size=length)),
-        )
+        (int(rng.integers(num_classes)), tuple(int(t) for t in rng.integers(0, vocab, size=length)))
         for _ in range(num_rows)
     ]
     return PolicyTable(num_classes, vocab, logits), seqs
+
+
+def encode(policy, seqs):
+    """token_rows of (prompt_class, tokens) pairs."""
+    classes, tokens = zip(*seqs)
+    return token_rows(policy, classes, tokens)
 
 
 def test_log_probs_match_scalar_chain():
@@ -43,10 +45,10 @@ def test_log_probs_match_scalar_chain():
     for _ in range(300):
         policy, seqs = random_case(rng)
         table = policy.logits.tolist()
-        expected = [scalar_log_prob(table, seq.prompt_class, seq.tokens) for seq in seqs]
-        batched = log_probs(log_softmax(policy.logits), encode_sequences(policy, seqs))
+        expected = [scalar_log_prob(table, c, tokens) for c, tokens in seqs]
+        batched = log_probs(log_softmax(policy.logits), encode(policy, seqs))
         np.testing.assert_allclose(batched, expected, **TOLERANCE)
-        one_row = [sequence_log_prob(policy, seq) for seq in seqs]
+        one_row = [sequence_log_prob(policy, c, tokens) for c, tokens in seqs]
         np.testing.assert_allclose(one_row, expected, **TOLERANCE)
 
 
@@ -57,14 +59,14 @@ def test_log_prob_grad_matches_scalar_chain():
         table = policy.logits.tolist()
         coeffs = rng.uniform(-2.0, 2.0, size=len(seqs))
         expected = sum(
-            c * scalar_log_prob_grad(table, seq.prompt_class, seq.tokens)
-            for c, seq in zip(coeffs, seqs)
+            coeff * scalar_log_prob_grad(table, c, tokens)
+            for coeff, (c, tokens) in zip(coeffs, seqs)
         )
-        batched = log_prob_grad(log_softmax(policy.logits), encode_sequences(policy, seqs), coeffs)
+        batched = log_prob_grad(log_softmax(policy.logits), encode(policy, seqs), coeffs)
         np.testing.assert_allclose(batched, expected, **TOLERANCE)
         np.testing.assert_allclose(
-            sequence_log_prob_grad(policy, seqs[0]),
-            scalar_log_prob_grad(table, seqs[0].prompt_class, seqs[0].tokens),
+            sequence_log_prob_grad(policy, *seqs[0]),
+            scalar_log_prob_grad(table, *seqs[0]),
             **TOLERANCE,
         )
 
@@ -77,7 +79,7 @@ def test_log_prob_grad_is_bitwise_the_whole_table_expression():
     for num_classes, vocab in [(1, 1), (3, 7), (10, 31), (16, 64)]:
         policy, seqs = random_case(rng, num_classes, vocab, length=5, num_rows=40)
         log_table = log_softmax(policy.logits)
-        rows = encode_sequences(policy, seqs)
+        rows = encode(policy, seqs)
         coeffs = rng.uniform(-2.0, 2.0, size=len(seqs))
         expected = whole_table_log_prob_grad(log_table, rows, coeffs)
         assert log_prob_grad(log_table, rows, coeffs).tobytes() == expected.tobytes()
@@ -85,12 +87,21 @@ def test_log_prob_grad_is_bitwise_the_whole_table_expression():
 
 def test_encoded_contexts_start_at_bos():
     policy = PolicyTable(2, 3, np.zeros((2, 4, 3)))
-    rows = encode_sequences(policy, [TokenSequence(1, (2, 0, 1)), TokenSequence(0, (0, 0, 2))])
+    rows = token_rows(policy, [1, 0], [(2, 0, 1), (0, 0, 2)])
     assert rows.classes.tolist() == [1, 0]
     assert rows.contexts.tolist() == [[3, 2, 0], [3, 0, 0]]
 
 
-def test_encoder_rejects_mixed_lengths():
-    policy = PolicyTable(1, 3, np.zeros((1, 4, 3)))
-    with pytest.raises(ValueError, match="differs from dataset length"):
-        encode_sequences(policy, [TokenSequence(0, (0, 1)), TokenSequence(0, (0, 1, 2))])
+@pytest.mark.parametrize(
+    "classes, tokens, message",
+    [
+        ([0, 2], [(0, 1), (1, 0)], "prompt_class 2 out of range for 2 classes"),
+        ([0, -1], [(0, 1), (1, 0)], "prompt_class must be >= 0, got -1"),
+        ([1, 0], [(0, 3), (1, 0)], "token 3 out of range for vocab size 3"),
+        ([1, 0], [(0, 1), (-2, 0)], "token indices must be >= 0, got -2"),
+    ],
+)
+def test_encoder_rejects_indices_out_of_range(classes, tokens, message):
+    policy = PolicyTable(2, 3, np.zeros((2, 4, 3)))
+    with pytest.raises(IndexError, match=f"^{message}$"):
+        token_rows(policy, classes, tokens)

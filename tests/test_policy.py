@@ -25,7 +25,6 @@ from _oracles import (
 )
 from focalpo.policy import (
     PolicyTable,
-    TokenSequence,
     _next_token_cdf,
     _sample_tokens,
     load_policy,
@@ -34,17 +33,11 @@ from focalpo.policy import (
 )
 
 
-class FakePair:
-    def __init__(self, chosen, rejected):
-        self.chosen = chosen
-        self.rejected = rejected
-
-
 class TestSequenceLogProb:
     def test_uniform_policy(self):
         policy = uniform_policy(1, 4)
-        seq = TokenSequence(0, (0, 1, 2))
-        assert sequence_log_prob(policy, seq) == pytest.approx(
+        seq = 0, (0, 1, 2)
+        assert sequence_log_prob(policy, *seq) == pytest.approx(
             -4.1588830833596715, abs=1e-12
         )  # 3 * ln(1/4)
 
@@ -53,7 +46,7 @@ class TestSequenceLogProb:
         for _ in range(20):
             policy = random_policy(3, 5, seed=int(rng.integers(1 << 30)), scale=4.0)
             tokens = tuple(int(t) for t in rng.integers(0, 5, size=6))
-            assert sequence_log_prob(policy, TokenSequence(1, tokens)) <= 0.0
+            assert sequence_log_prob(policy, 1, tokens) <= 0.0
 
     def test_two_token_chain(self):
         # BOS row [1, 0] then context-0 row [0, 0]:
@@ -61,10 +54,10 @@ class TestSequenceLogProb:
         logits = np.zeros((1, 3, 2))
         logits[0, 2] = [1.0, 0.0]  # BOS context
         policy = PolicyTable(1, 2, logits)
-        lp = sequence_log_prob(policy, TokenSequence(0, (0, 1)))
+        lp = sequence_log_prob(policy, 0, (0, 1))
         assert lp == pytest.approx(-1.0064088680781682, abs=1e-12)
         total = sum(
-            math.exp(sequence_log_prob(policy, TokenSequence(0, tokens)))
+            math.exp(sequence_log_prob(policy, 0, tokens))
             for tokens in itertools.product(range(2), repeat=2)
         )
         assert total == pytest.approx(1.0, abs=1e-12)
@@ -73,7 +66,7 @@ class TestSequenceLogProb:
         policy = random_policy(2, 4, seed=11, scale=2.0)
         for prompt_class in range(2):
             total = sum(
-                math.exp(sequence_log_prob(policy, TokenSequence(prompt_class, tokens)))
+                math.exp(sequence_log_prob(policy, prompt_class, tokens))
                 for tokens in itertools.product(range(4), repeat=3)
             )
             assert total == pytest.approx(1.0, abs=1e-10)
@@ -88,21 +81,21 @@ class TestSequenceLogProb:
     def test_out_of_range_errors(self):
         policy = uniform_policy(2, 4)
         with pytest.raises(IndexError):
-            sequence_log_prob(policy, TokenSequence(2, (0,)))
+            sequence_log_prob(policy, 2, (0,))
         with pytest.raises(IndexError):
-            sequence_log_prob(policy, TokenSequence(0, (4,)))
+            sequence_log_prob(policy, 0, (4,))
 
 
 class TestSequenceLogProbGrad:
     def test_entries_sum_to_zero_per_context(self):
         policy = random_policy(2, 5, seed=9, scale=2.0)
-        seq = TokenSequence(1, (3, 3, 0, 2))
-        grad = sequence_log_prob_grad(policy, seq)
+        seq = 1, (3, 3, 0, 2)
+        grad = sequence_log_prob_grad(policy, *seq)
         np.testing.assert_allclose(grad.sum(axis=-1), 0.0, atol=1e-12)
 
     def test_uniform_policy_entry(self):
         policy = uniform_policy(1, 4)
-        grad = sequence_log_prob_grad(policy, TokenSequence(0, (2,)))
+        grad = sequence_log_prob_grad(policy, 0, (2,))
         assert grad[0, policy.bos_index, 2] == pytest.approx(0.75, abs=1e-15)
 
     def test_matches_finite_differences(self):
@@ -111,79 +104,79 @@ class TestSequenceLogProbGrad:
         for _ in range(20):
             policy = random_policy(2, 5, seed=int(rng.integers(1 << 30)), scale=1.5)
             tokens = tuple(int(t) for t in rng.integers(0, 5, size=4))
-            seq = TokenSequence(int(rng.integers(0, 2)), tokens)
-            grad = sequence_log_prob_grad(policy, seq)
+            seq = int(rng.integers(0, 2)), tokens
+            grad = sequence_log_prob_grad(policy, *seq)
             fd = np.zeros_like(grad)
             for idx in np.ndindex(*grad.shape):
                 policy.logits[idx] += h
-                up = sequence_log_prob(policy, seq)
+                up = sequence_log_prob(policy, *seq)
                 policy.logits[idx] -= 2 * h
-                down = sequence_log_prob(policy, seq)
+                down = sequence_log_prob(policy, *seq)
                 policy.logits[idx] += h
                 fd[idx] = (up - down) / (2 * h)
             np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-9)
 
     def test_bounded_by_sequence_length(self):
         policy = random_policy(2, 5, seed=1, scale=5.0)
-        seq = TokenSequence(0, (1, 1, 1, 1, 1, 1))
-        grad = sequence_log_prob_grad(policy, seq)
-        assert np.abs(grad).max() <= len(seq.tokens)
+        seq = 0, (1, 1, 1, 1, 1, 1)
+        grad = sequence_log_prob_grad(policy, *seq)
+        assert np.abs(grad).max() <= len(seq[1])
 
 
 class TestImplicitRewardAndMargin:
     def test_zero_against_itself(self):
         policy = random_policy(2, 4, seed=3)
-        seq = TokenSequence(0, (1, 2))
-        assert implicit_reward(policy, policy.clone(), seq, beta=0.01) == 0.0
+        seq = 0, (1, 2)
+        assert implicit_reward(policy, policy.clone(), *seq, beta=0.01) == 0.0
 
     def test_linear_in_beta(self):
         policy = random_policy(2, 4, seed=3)
         reference = random_policy(2, 4, seed=4)
-        seq = TokenSequence(1, (0, 3, 2))
+        seq = 1, (0, 3, 2)
         beta = 0.01
-        assert implicit_reward(policy, reference, seq, 2 * beta) == pytest.approx(
-            2 * implicit_reward(policy, reference, seq, beta), rel=1e-15
+        assert implicit_reward(policy, reference, *seq, 2 * beta) == pytest.approx(
+            2 * implicit_reward(policy, reference, *seq, beta), rel=1e-15
         )
 
     def test_direct_product(self):
         policy = random_policy(1, 3, seed=8)
         reference = random_policy(1, 3, seed=9)
-        seq = TokenSequence(0, (1, 0))
-        delta_log = sequence_log_prob(policy, seq) - sequence_log_prob(reference, seq)
-        assert implicit_reward(policy, reference, seq, 0.01) == pytest.approx(
+        seq = 0, (1, 0)
+        delta_log = sequence_log_prob(policy, *seq) - sequence_log_prob(reference, *seq)
+        assert implicit_reward(policy, reference, *seq, 0.01) == pytest.approx(
             0.01 * delta_log, rel=1e-15
         )
 
     def test_shape_mismatch_is_an_error(self):
         with pytest.raises(ValueError):
             implicit_reward(
-                random_policy(2, 4, seed=0), random_policy(2, 5, seed=0), TokenSequence(0, (1,)), 0.01
+                random_policy(2, 4, seed=0), random_policy(2, 5, seed=0), 0, (1,), 0.01
             )
 
     def test_margin_zero_at_reference(self):
         reference = random_policy(2, 4, seed=21)
-        pair = FakePair(TokenSequence(0, (1, 2)), TokenSequence(0, (2, 1)))
-        assert pair_margin(reference.clone(), reference, pair, beta=0.01) == 0.0
+        pair = 0, (1, 2), (2, 1)
+        assert pair_margin(reference.clone(), reference, *pair, beta=0.01) == 0.0
 
     def test_margin_antisymmetry(self):
         policy = random_policy(2, 4, seed=22)
         reference = random_policy(2, 4, seed=23)
-        pair = FakePair(TokenSequence(1, (0, 3)), TokenSequence(1, (3, 0)))
-        swapped = FakePair(pair.rejected, pair.chosen)
-        assert pair_margin(policy, reference, pair, 0.01) == -pair_margin(
-            policy, reference, swapped, 0.01
+        pair = 1, (0, 3), (3, 0)
+        swapped = 1, (3, 0), (0, 3)
+        assert pair_margin(policy, reference, *pair, 0.01) == -pair_margin(
+            policy, reference, *swapped, 0.01
         )
 
     def test_margin_recomputation(self):
         policy = random_policy(1, 2, seed=30)
         reference = random_policy(1, 2, seed=31)
-        chosen, rejected = TokenSequence(0, (0, 1)), TokenSequence(0, (1, 0))
+        chosen, rejected = (0, 1), (1, 0)
         beta = 0.25
         expected = beta * (
-            (sequence_log_prob(policy, chosen) - sequence_log_prob(reference, chosen))
-            - (sequence_log_prob(policy, rejected) - sequence_log_prob(reference, rejected))
+            (sequence_log_prob(policy, 0, chosen) - sequence_log_prob(reference, 0, chosen))
+            - (sequence_log_prob(policy, 0, rejected) - sequence_log_prob(reference, 0, rejected))
         )
-        assert pair_margin(policy, reference, FakePair(chosen, rejected), beta) == pytest.approx(
+        assert pair_margin(policy, reference, 0, chosen, rejected, beta) == pytest.approx(
             expected, rel=1e-15
         )
 
@@ -300,7 +293,7 @@ class TestSamplerOracle:
         policy = random_policy(3, 6, seed=17)
         for seed in range(5):
             expected = scan_sample_tokens(policy.logits, 2, 7, np.random.default_rng(seed))
-            assert sample_sequence(policy, 2, 7, rng_seed=seed).tokens == expected
+            assert sample_sequence(policy, 2, 7, rng_seed=seed) == expected
 
 
 class TestSerialization:

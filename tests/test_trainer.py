@@ -8,14 +8,14 @@ import pytest
 
 from focalpo.data import (
     SynthConfig,
-    Subgroup,
     encode_pairs,
     random_reward_model,
     synthesize_dataset,
 )
 from focalpo.losses import LossConfig, LossVariant, gradient_weight
-from focalpo.policy import PolicyTable, TokenSequence, random_policy
+from focalpo.policy import PolicyTable, random_policy
 from focalpo.trainer import (
+    CORRECT,
     OptimizerState,
     TrainConfig,
     assemble_gradient,
@@ -29,7 +29,9 @@ from focalpo.losses import pair_loss
 from _oracles import (
     checksum,
     classify_pair,
+    make_dataset,
     pair_margin,
+    pairs_of,
     sequence_log_prob,
     sequence_log_prob_grad,
     uniform_policy,
@@ -66,10 +68,17 @@ def train_config(variant=LossVariant.DPO, gamma=0.05, beta=5.0, **kwargs):
 
 def mean_batch_loss(policy, reference, batch, loss_config):
     total = 0.0
-    for pair in batch:
-        margin = pair_margin(policy, reference, pair, loss_config.beta)
+    for pair in pairs_of(batch):
+        margin = pair_margin(policy, reference, *pair, loss_config.beta)
         total += pair_loss(loss_config, margin).loss
     return total / len(batch)
+
+
+def pair_grad(policy, prompt_class, chosen, rejected):
+    """d(log pi(chosen) - log pi(rejected))/d(logits) for one pair."""
+    return sequence_log_prob_grad(policy, prompt_class, chosen) - sequence_log_prob_grad(
+        policy, prompt_class, rejected
+    )
 
 
 class TestTrainStep:
@@ -90,19 +99,17 @@ class TestTrainStep:
     def test_single_pair_sgd_closed_form(self):
         dataset, reference = toy_setup(num_pairs=4, noise=0.0)
         policy = random_policy(3, 6, seed=55)
-        pair = dataset[0]
+        pair = pairs_of(dataset)[0]
         beta, lr = 0.7, 0.5
         config = train_config(
             LossVariant.DPO, beta=beta, learning_rate=lr, optimizer="sgd", batch_size=1
         )
-        margin = pair_margin(policy, reference, pair, beta)
+        margin = pair_margin(policy, reference, *pair, beta)
         weight = gradient_weight(config.loss, margin)  # sigma(-margin) for dpo
-        grad_diff = sequence_log_prob_grad(policy, pair.chosen) - sequence_log_prob_grad(
-            policy, pair.rejected
-        )
+        grad_diff = pair_grad(policy, *pair)
         expected = policy.logits + lr * weight * beta * grad_diff
         state = init_optimizer_state(config, policy)
-        train_step(policy, encode_pairs(reference, [pair]), config, state)
+        train_step(policy, encode_pairs(reference, dataset.take([0])), config, state)
         np.testing.assert_allclose(policy.logits, expected, atol=1e-12)
 
     def test_full_batch_sgd_descends(self):
@@ -149,7 +156,7 @@ class TestTrainStep:
         with pytest.raises(FloatingPointError, match="pair_id"):
             train_step(
                 policy,
-                encode_pairs(reference, dataset[:1]),
+                encode_pairs(reference, dataset.take([0])),
                 config,
                 init_optimizer_state(config, policy),
             )
@@ -158,20 +165,15 @@ class TestTrainStep:
     def test_non_finite_weight_names_first_bad_pair(self):
         # at beta 1e308 the misranked pair's margin is about -1e308: finite,
         # but gamma * log p overflows, so its focal weight is -inf
-        from focalpo.data import PreferencePair
-
         reference = uniform_policy(1, 2)
         policy = uniform_policy(1, 2)
         policy.logits[0, 2] = [0.0, 1.0]  # the BOS context favours token 1
-        ranked = PreferencePair(
-            7, 0, TokenSequence(0, (1,)), TokenSequence(0, (0,)), 1.0, 0.0, False
-        )
-        misranked = PreferencePair(
-            9, 0, TokenSequence(0, (0,)), TokenSequence(0, (1,)), 1.0, 0.0, False
-        )
+        ranked = (7, 0, (1,), (0,), 1.0, 0.0, False)
+        misranked = (9, 0, (0,), (1,), 1.0, 0.0, False)
         loss = LossConfig(LossVariant.FOCAL, beta=1e308, gamma=5.0)
+        pairs = make_dataset([ranked, misranked])
         with pytest.raises(FloatingPointError, match="non-finite gradient weight for pair_id 9"):
-            assemble_gradient(policy, encode_pairs(reference, [ranked, misranked]), loss)
+            assemble_gradient(policy, encode_pairs(reference, pairs), loss)
 
 
 class TestGradientCheck:
@@ -227,9 +229,9 @@ class TestTrain:
         assert report.steps[-1].step == 20 * math.ceil(150 / 64)
 
     def test_empty_dataset_rejected(self):
-        _, reference = toy_setup(num_pairs=4)
-        with pytest.raises(ValueError):
-            train(train_config(), [], reference.clone(), reference)
+        dataset, reference = toy_setup(num_pairs=4)
+        with pytest.raises(ValueError, match="dataset must be non-empty"):
+            train(train_config(), dataset.take([]), reference.clone(), reference)
 
     def test_report_records_orderings(self):
         dataset, reference = toy_setup(num_pairs=80)
@@ -258,15 +260,14 @@ class TestEvaluate:
         policy = reference.clone()
         for _ in range(200):
             violated = [
-                pair for pair in dataset if pair_margin(policy, reference, pair, 0.01) <= 0.0
+                pair
+                for pair in pairs_of(dataset)
+                if pair_margin(policy, reference, *pair, 0.01) <= 0.0
             ]
             if not violated:
                 break
             for pair in violated:
-                policy.logits += 0.5 * (
-                    sequence_log_prob_grad(policy, pair.chosen)
-                    - sequence_log_prob_grad(policy, pair.rejected)
-                )
+                policy.logits += 0.5 * pair_grad(policy, *pair)
         metrics = evaluate(policy, encode_pairs(reference, dataset), beta=0.01).metrics()
         assert metrics["overall_accuracy"] == 1.0
 
@@ -276,12 +277,12 @@ class TestEvaluate:
         policy = random_policy(3, 6, seed=13)
         metrics = evaluate(policy, encode_pairs(reference, dataset), beta=0.02).metrics()
         correct = 0
-        for pair in dataset:
+        for c, chosen, rejected in pairs_of(dataset):
             margin = 0.02 * (
-                (sequence_log_prob(policy, pair.chosen) - sequence_log_prob(reference, pair.chosen))
+                (sequence_log_prob(policy, c, chosen) - sequence_log_prob(reference, c, chosen))
                 - (
-                    sequence_log_prob(policy, pair.rejected)
-                    - sequence_log_prob(reference, pair.rejected)
+                    sequence_log_prob(policy, c, rejected)
+                    - sequence_log_prob(reference, c, rejected)
                 )
             )
             correct += margin > 0
@@ -308,13 +309,9 @@ class TestSubgroupWeightProfile:
     def test_perturbation_toward_correct_subgroup_orders_ratios(self):
         dataset, reference = toy_setup(num_pairs=100)
         policy = reference.clone()
-        for pair in dataset:
-
-            if classify_pair(reference, pair) is Subgroup.CORRECT_AT_INIT:
-                grad = sequence_log_prob_grad(policy, pair.chosen) - sequence_log_prob_grad(
-                    policy, pair.rejected
-                )
-                policy.logits += 0.5 * grad
+        for pair in pairs_of(dataset):
+            if classify_pair(reference, *pair) == CORRECT:
+                policy.logits += 0.5 * pair_grad(policy, *pair)
         profile = weight_profile(policy, reference, dataset, 1.0)
         means = {
             (variant, group): entry["mean_weight"]
@@ -330,19 +327,15 @@ class TestSubgroupWeightProfile:
     def test_tail_weights_at_margin_minus_ten(self):
         # one pair driven to margin -10: the focus-incorrect weight sits at
         # ~1.0 while dpo saturates at sigma(10)
-        from focalpo.data import PreferencePair
-
         reference = uniform_policy(1, 2)
         policy = uniform_policy(1, 2)
         policy.logits[0, :, 0] = -5.0
         policy.logits[0, :, 1] = 5.0
-        pair = PreferencePair(
-            0, 0, TokenSequence(0, (0,)), TokenSequence(0, (1,)), 1.0, 0.0, False
-        )
-        margin = pair_margin(policy, reference, pair, beta=1.0)
+        margin = pair_margin(policy, reference, 0, (0,), (1,), beta=1.0)
         assert margin == pytest.approx(-10.0, abs=1e-9)
         # the standard trio at beta 1 holds dpo and focus-incorrect at gamma 1
-        profile = weight_profile(policy, reference, [pair], 1.0)
+        pair = make_dataset([(0, 0, (0,), (1,), 1.0, 0.0, False)])
+        profile = weight_profile(policy, reference, pair, 1.0)
         assert profile["focus-incorrect"]["incorrect_at_init"]["gamma"] == 1.0
         means = {
             variant: entry["mean_weight"]
