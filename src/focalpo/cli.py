@@ -70,59 +70,29 @@ def _fmt(x: float) -> str:
     return f"{x:.9g}"
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid integer {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _flag(convert, ok, requirement: str):
+    """A parser type that reads an int or float (per convert) and checks
+    ok(value); either failure is a usage error naming the flag's value."""
+    noun = "integer" if convert is int else "number"
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {noun} {text!r}")
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must {requirement}, got {value}")
+        return value
+
+    return parse
 
 
-def _non_negative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid integer {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
-
-
-def _float(text: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid number {text!r}")
-
-
-def _unit_fraction(text: str) -> float:
-    value = _float(text)
-    if not 0.0 <= value < 1.0:
-        raise argparse.ArgumentTypeError(f"must lie in [0, 1), got {value}")
-    return value
-
-
-def _gamma(text: str) -> float:
-    value = _float(text)
-    if not 0.0 < value <= GAMMA_MAX:
-        raise argparse.ArgumentTypeError(f"must lie in (0, {GAMMA_MAX}], got {value}")
-    return value
-
-
-def _positive_finite(text: str) -> float:
-    value = _float(text)
-    if not 0.0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {value}")
-    return value
-
-
-def _non_negative_finite(text: str) -> float:
-    value = _float(text)
-    if not 0.0 <= value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {value}")
-    return value
+_positive_int = _flag(int, lambda v: v >= 1, "be >= 1")
+_non_negative_int = _flag(int, lambda v: v >= 0, "be >= 0")
+_unit_fraction = _flag(float, lambda v: 0.0 <= v < 1.0, "lie in [0, 1)")
+_gamma = _flag(float, lambda v: 0.0 < v <= GAMMA_MAX, f"lie in (0, {GAMMA_MAX}]")
+_positive_finite = _flag(float, lambda v: 0.0 < v < math.inf, "be finite and > 0")
+_non_negative_finite = _flag(float, lambda v: 0.0 <= v < math.inf, "be finite and >= 0")
 
 
 def _grid(text: str) -> tuple[float, float, float]:
@@ -513,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--out", required=True)
     p_synth.add_argument("--pairs", type=_positive_int, required=True)
     p_synth.add_argument("--classes", type=_positive_int, default=4)
-    p_synth.add_argument("--vocab", type=_positive_int, default=8)
+    p_synth.add_argument("--vocab", type=_flag(int, lambda v: v >= 2, "be >= 2"), default=8)
     p_synth.add_argument("--length", type=_positive_int, default=4)
     p_synth.add_argument("--mode", choices=LABELING_MODES, default="deterministic")
     p_synth.add_argument("--noise", type=_unit_fraction, default=0.0)

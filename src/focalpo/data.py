@@ -10,7 +10,7 @@ random subset of labels, with the flip recorded per pair.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -30,6 +30,10 @@ from .policy import (
 
 LABELING_MODES = ("deterministic", "bradley_terry")
 DISTINCT_DRAW_RETRIES = 100
+INT64_MAX = 2**63 - 1
+# Pairs turned into Python values and JSON per step when writing a dataset,
+# so the writer's memory stays bounded whatever the dataset's size.
+SAVE_BLOCK_ROWS = 1024
 
 _DATASET_FIELDS = (
     "pair_id",
@@ -254,9 +258,11 @@ def save_dataset(path, dataset: Dataset) -> None:
     pair_id, prompt_class, chosen, rejected, true_reward_chosen,
     true_reward_rejected, label_flipped."""
     with atomic_write(path) as fh:
-        for values in zip(*(column.tolist() for column in dataset)):
-            row = dict(zip(_DATASET_FIELDS, values))
-            fh.write(json.dumps(row, separators=(",", ":"), allow_nan=False) + "\n")
+        for start in range(0, len(dataset), SAVE_BLOCK_ROWS):
+            block = dataset.take(slice(start, start + SAVE_BLOCK_ROWS))
+            for values in zip(*(column.tolist() for column in block)):
+                row = dict(zip(_DATASET_FIELDS, values))
+                fh.write(json.dumps(row, separators=(",", ":"), allow_nan=False) + "\n")
 
 
 def _reject_nan(token: str):
@@ -280,9 +286,12 @@ def _parse_row(line: str, num_prompt_classes, vocab_size, length) -> list:
     pair_id, prompt_class, chosen, rejected = (row[name] for name in _DATASET_FIELDS[:4])
     if type(pair_id) is not int or pair_id < 0:
         raise ValueError("pair_id must be a non-negative integer")
+    if pair_id > INT64_MAX:
+        raise ValueError(f"pair_id {pair_id} does not fit in int64")
     if type(prompt_class) is not int:
         raise ValueError("prompt_class must be an integer")
-    if prompt_class < 0 or (num_prompt_classes is not None and prompt_class >= num_prompt_classes):
+    class_limit = INT64_MAX + 1 if num_prompt_classes is None else num_prompt_classes
+    if not 0 <= prompt_class < class_limit:
         raise ValueError(f"prompt_class {prompt_class} out of range")
     for name, tokens in (("chosen", chosen), ("rejected", rejected)):
         if not isinstance(tokens, list) or not tokens:
@@ -294,10 +303,12 @@ def _parse_row(line: str, num_prompt_classes, vocab_size, length) -> list:
                 raise ValueError(f"{name} contains a negative token {t}")
             if vocab_size is not None and t >= vocab_size:
                 raise ValueError(f"{name} token {t} out of range for vocab size {vocab_size}")
+            if t > INT64_MAX:
+                raise ValueError(f"{name} token {t} does not fit in int64")
     for name in ("true_reward_chosen", "true_reward_rejected"):
         if type(row[name]) not in (int, float):
             raise ValueError(f"{name} must be a number")
-        if not math.isfinite(row[name]):
+        if not abs(row[name]) <= sys.float_info.max:  # an int past it overflows float64
             raise ValueError(f"{name} must be finite")
     if type(row["label_flipped"]) is not bool:
         raise ValueError("label_flipped must be a boolean")

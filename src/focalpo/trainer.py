@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
 
@@ -40,7 +40,6 @@ __all__ = [
     "OPTIMIZERS",
     "TrainConfig",
     "OptimizerState",
-    "BatchDiagnostics",
     "StepRecord",
     "TrainReport",
     "Evaluation",
@@ -88,21 +87,11 @@ class TrainConfig:
             raise ValueError(f"adam_epsilon must be finite and > 0, got {self.adam_epsilon!r}")
 
     def echo(self) -> dict:
-        """JSON-ready configuration record for reports and manifests."""
-        return {
-            "loss": self.loss.variant.value,
-            "beta": self.loss.beta,
-            "gamma": self.loss.gamma,
-            "learning_rate": self.learning_rate,
-            "batch_size": self.batch_size,
-            "num_epochs": self.num_epochs,
-            "optimizer": self.optimizer,
-            "adam_beta1": self.adam_beta1,
-            "adam_beta2": self.adam_beta2,
-            "adam_epsilon": self.adam_epsilon,
-            "shuffle_seed": self.shuffle_seed,
-            "eval_every": self.eval_every,
-        }
+        """JSON-ready configuration record for reports and manifests: the
+        loss's variant, beta and gamma, then the other fields in order."""
+        record = {"loss": self.loss.variant.value, "beta": self.loss.beta, "gamma": self.loss.gamma}
+        record.update((f.name, getattr(self, f.name)) for f in fields(self) if f.name != "loss")
+        return record
 
 
 @dataclass
@@ -110,21 +99,6 @@ class OptimizerState:
     step_count: int = 0
     first_moment: np.ndarray | None = None
     second_moment: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
-class BatchDiagnostics:
-    """Per-pair quantities of one batch, as arrays in batch order."""
-
-    pair_ids: np.ndarray
-    margins: np.ndarray
-    probabilities: np.ndarray
-    losses: np.ndarray
-    weights: np.ndarray
-    correct_at_init: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.pair_ids)
 
 
 @dataclass(frozen=True)
@@ -190,8 +164,8 @@ def assemble_gradient(
     policy: PolicyTable,
     batch: EncodedPairs,
     loss_config: LossConfig,
-) -> tuple[np.ndarray, BatchDiagnostics]:
-    """Mean-loss parameter gradient over a batch, plus per-pair diagnostics.
+) -> np.ndarray:
+    """Mean-loss parameter gradient over a batch, as a new table-shaped array.
 
     G = -(1/B) * sum_i weight_i * beta * (grad log pi(chosen_i) - grad log pi(rejected_i))
     which equals d(mean pair_loss)/d(logits) by the chain rule.
@@ -202,23 +176,20 @@ def assemble_gradient(
     log_table = log_softmax(policy.logits)
     margins, _, _ = _margins(log_table, batch, loss_config.beta)
     finite = np.isfinite(margins)
-    out = pair_loss(loss_config, np.where(finite, margins, 0.0))
-    bad = ~(finite & np.isfinite(out.weight))
+    weights = gradient_weight(loss_config, np.where(finite, margins, 0.0))
+    bad = ~(finite & np.isfinite(weights))
     if bad.any():
         i = int(np.argmax(bad))
         what = "gradient weight" if finite[i] else "margin"
         raise FloatingPointError(f"non-finite {what} for pair_id {batch.pair_ids[i]}")
-    coeffs = -out.weight * loss_config.beta * (1.0 / len(batch))
+    coeffs = -weights * loss_config.beta * (1.0 / len(batch))
     # One pass over every pair's chosen row and then its rejected row, with
     # opposite signs, so the two add up next to each other in a shared context.
     rows = TokenRows(*map(_interleave, batch.chosen, batch.rejected))
     grad = log_prob_grad(log_table, rows, _interleave(coeffs, -coeffs))
     if not np.isfinite(grad).all():
         raise FloatingPointError("non-finite entry in the assembled batch gradient")
-    diagnostics = BatchDiagnostics(
-        batch.pair_ids, margins, out.probability, out.loss, out.weight, batch.correct_at_init
-    )
-    return grad, diagnostics
+    return grad
 
 
 def _apply_update(
@@ -256,11 +227,10 @@ def train_step(
     batch: EncodedPairs,
     config: TrainConfig,
     optimizer_state: OptimizerState,
-) -> tuple[PolicyTable, OptimizerState, BatchDiagnostics]:
-    """One optimizer update on a batch; the reference is never touched."""
-    grad, diagnostics = assemble_gradient(policy, batch, config.loss)
-    _apply_update(policy, grad, config, optimizer_state)
-    return policy, optimizer_state, diagnostics
+) -> None:
+    """One optimizer update on a batch, in place: the policy's logits and
+    the optimizer state change; the reference is never touched."""
+    _apply_update(policy, assemble_gradient(policy, batch, config.loss), config, optimizer_state)
 
 
 def _below(by_group: dict):
@@ -435,24 +405,15 @@ def train(
     )
 
 
-_CSV_HEADER = (
-    "step,mean_loss,mean_abs_weight,mean_weight_correct,mean_weight_incorrect,"
-    "accuracy_overall,accuracy_correct,accuracy_incorrect"
-)
-
-
 def write_report_csv(path, report: TrainReport) -> None:
-    """One row per eval point; 9 significant digits, '.' decimal separator,
-    LF endings; empty-subgroup means render as 'nan'."""
+    """One row per eval point and one column per StepRecord field, in
+    declaration order; floats with 9 significant digits, '.' decimal
+    separator, LF endings; empty-subgroup means render as 'nan'."""
     with atomic_write(path) as fh:
-        fh.write(_CSV_HEADER + "\n")
+        fh.write(",".join(f.name for f in fields(StepRecord)) + "\n")
         for rec in report.steps:
-            fh.write(
-                f"{rec.step},{rec.mean_loss:.9g},{rec.mean_abs_weight:.9g},"
-                f"{rec.mean_weight_correct:.9g},{rec.mean_weight_incorrect:.9g},"
-                f"{rec.accuracy_overall:.9g},{rec.accuracy_correct:.9g},"
-                f"{rec.accuracy_incorrect:.9g}\n"
-            )
+            values = (f"{v:.9g}" if isinstance(v, float) else str(v) for v in astuple(rec))
+            fh.write(",".join(values) + "\n")
 
 
 def write_report_json(path, report: TrainReport) -> None:

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from _oracles import savetxt_csv_text
 from focalpo import cli, csvtext
 from focalpo.cli import CSV_BLOCK_VALUES, MAX_GRID_POINTS, _grid, _grid_points, _write_csv, main
+from focalpo.data import SynthConfig
 from focalpo.losses import LossConfig, LossVariant
 from focalpo.trainer import TrainConfig
 
@@ -237,12 +238,63 @@ class TestCsvWriter:
         assert [text is None for text in results] == [False, True]
 
 
+class TestFlagTypes:
+    @pytest.mark.parametrize(
+        "flag_type, text, message",
+        [
+            (cli._positive_int, "x", "invalid integer 'x'"),
+            (cli._positive_int, "1.5", "invalid integer '1.5'"),
+            (cli._positive_int, "0", "must be >= 1, got 0"),
+            (cli._non_negative_int, "-1", "must be >= 0, got -1"),
+            (cli._unit_fraction, "abc", "invalid number 'abc'"),
+            (cli._unit_fraction, "1", "must lie in [0, 1), got 1.0"),
+            (cli._unit_fraction, "nan", "must lie in [0, 1), got nan"),
+            (cli._gamma, "0", "must lie in (0, 5.0], got 0.0"),
+            (cli._gamma, "9", "must lie in (0, 5.0], got 9.0"),
+            (cli._positive_finite, "inf", "must be finite and > 0, got inf"),
+            (cli._positive_finite, "-0", "must be finite and > 0, got -0.0"),
+            (cli._non_negative_finite, "-1e-3", "must be finite and >= 0, got -0.001"),
+            (cli._non_negative_finite, "nan", "must be finite and >= 0, got nan"),
+        ],
+    )
+    def test_error_text(self, flag_type, text, message):
+        with pytest.raises(argparse.ArgumentTypeError) as info:
+            flag_type(text)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "flag_type, text, value",
+        [
+            (cli._positive_int, "7", 7),
+            (cli._non_negative_int, "0", 0),
+            (cli._unit_fraction, "0", 0.0),
+            (cli._gamma, "5", 5.0),
+            (cli._positive_finite, "1e-8", 1e-8),
+            (cli._non_negative_finite, "0", 0.0),
+        ],
+    )
+    def test_accepted_value(self, flag_type, text, value):
+        result = flag_type(text)
+        assert result == value and type(result) is type(value)
+
+
 class TestSynth:
     def test_zero_pairs_is_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(synth_args(tmp_path, pairs=0))
         assert excinfo.value.code == 2
         capsys.readouterr()
+
+    def test_vocab_below_two_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        with pytest.raises(SystemExit) as excinfo:
+            main(synth_args(out, extra=("--vocab", "1")))
+        assert excinfo.value.code == 2
+        assert "argument --vocab: must be >= 2, got 1" in capsys.readouterr().err
+        assert not out.exists()
+        # library callers get the same bound from SynthConfig
+        with pytest.raises(ValueError, match="vocab_size >= 2"):
+            SynthConfig(num_pairs=1, vocab_size=1)
 
     def test_outputs_and_census(self, tmp_path, capsys):
         out = tmp_path / "data"
@@ -393,6 +445,31 @@ class TestTrain:
         capsys.readouterr()
         report = json.loads((out / "report.json").read_text())
         assert report["final"]["final_mean_loss"] < report["final"]["initial_mean_loss"]
+
+    def test_report_and_configuration_schemas(self, synth_dir, tmp_path, capsys):
+        # Literal layouts, so that renaming or reordering a StepRecord or
+        # TrainConfig field, which the report and manifest follow, fails here.
+        echo_keys = [
+            "loss", "beta", "gamma", "learning_rate", "batch_size", "num_epochs", "optimizer",
+            "adam_beta1", "adam_beta2", "adam_epsilon", "shuffle_seed", "eval_every",
+        ]
+        header = (
+            "step,mean_loss,mean_abs_weight,mean_weight_correct,mean_weight_incorrect,"
+            "accuracy_overall,accuracy_correct,accuracy_incorrect"
+        )
+        assert list(TrainConfig(LossConfig(LossVariant.DPO)).echo()) == echo_keys
+        out = tmp_path / "run"
+        assert main(train_args(synth_dir / "pairs.jsonl", synth_dir / "reference.txt", out)) == 0
+        capsys.readouterr()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert list(manifest["configuration"]) == ["dataset", "reference", *echo_keys]
+        report = json.loads((out / "report.json").read_text())
+        assert list(report["config"]) == echo_keys
+        steps = report["steps"]
+        assert [list(step) for step in steps] == [header.split(",")] * len(steps)
+        lines = (out / "report.csv").read_text().splitlines()
+        assert lines[0] == header
+        assert [line.split(",")[0] for line in lines[1:]] == [str(s["step"]) for s in steps]
 
     def test_gamma_notice_for_dpo(self, synth_dir, tmp_path, capsys):
         out = tmp_path / "run"

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from focalpo.data import (
+    SAVE_BLOCK_ROWS,
     DatasetFormatError,
     SynthConfig,
     TrueRewardModel,
@@ -309,6 +310,20 @@ def _malformed(kind: str, row: dict, data) -> str:
         row[name] = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
         literal = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}[repr(row[name])]
         return f"invalid JSON: non-finite literal {literal!r}"
+    if kind == "int64 pair_id":
+        row["pair_id"] = data.draw(st.integers(min_value=2**63))
+        return f"pair_id {row['pair_id']} does not fit in int64"
+    if kind == "int64 prompt_class":
+        row["prompt_class"] = data.draw(st.integers(min_value=2**63))
+        return f"prompt_class {row['prompt_class']} out of range"
+    if kind == "int64 token":
+        row["rejected"][pos] = data.draw(st.integers(min_value=2**63))
+        return f"rejected token {row['rejected'][pos]} does not fit in int64"
+    if kind == "float64-overflowing reward":
+        name = data.draw(st.sampled_from(FIELDS[4:6]))
+        sign = data.draw(st.sampled_from([1, -1]))
+        row[name] = sign * data.draw(st.integers(min_value=2**1024))
+        return f"{name} must be finite"
     if kind == "missing field":
         del row[data.draw(st.sampled_from(FIELDS))]
         return f"fields must be exactly {FIELDS}, got {sorted(row)}"
@@ -333,6 +348,10 @@ MALFORMED_KINDS = (
     "negative token",
     "out-of-vocab token",
     "non-finite reward",
+    "int64 pair_id",
+    "int64 prompt_class",
+    "int64 token",
+    "float64-overflowing reward",
     "missing field",
     "extra field",
     "mixed lengths",
@@ -378,11 +397,13 @@ class TestJsonl:
         # follows at least one valid row
         at = data.draw(st.integers(1 if kind == "mixed lengths" else 0, num_valid - 1))
         message = _malformed(kind, rows[at], data)
+        # the int64 bounds matter when no class count or vocab size bounds the indices
+        limits = {} if kind.startswith("int64") else {"num_prompt_classes": 2, "vocab_size": VOCAB}
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "bad.jsonl"
             path.write_text("".join(json.dumps(row) + "\n" for row in rows))
             with pytest.raises(DatasetFormatError) as info:
-                load_dataset(path, num_prompt_classes=2, vocab_size=VOCAB)
+                load_dataset(path, **limits)
         assert str(info.value) == f"line {at + 1}: {message}"
         assert info.value.line_number == at + 1
 
@@ -392,6 +413,17 @@ class TestJsonl:
         save_dataset(path, pairs)
         loaded = load_dataset(path, num_prompt_classes=2, vocab_size=4)
         assert_same_dataset(loaded, pairs)
+
+    def test_blocks_write_the_one_row_bytes(self, tmp_path):
+        # two full blocks and a partial one
+        pairs, _, _ = small_dataset(num_pairs=2 * SAVE_BLOCK_ROWS + 5, noise=0.25)
+        path = tmp_path / "pairs.jsonl"
+        save_dataset(path, pairs)
+        expected = "".join(
+            json.dumps(dict(zip(FIELDS, row)), separators=(",", ":")) + "\n"
+            for row in dataset_rows(pairs)
+        )
+        assert path.read_text() == expected
 
     def test_empty_dataset(self, tmp_path):
         path = tmp_path / "empty.jsonl"

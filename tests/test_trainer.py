@@ -89,12 +89,8 @@ class TestTrainStep:
         state = init_optimizer_state(config, policy)
         before = policy.logits.copy()
         batch = encode_pairs(reference, dataset).take(np.arange(8))
-        _, _, diagnostics = train_step(policy, batch, config, state)
+        assert train_step(policy, batch, config, state) is None
         assert np.array_equal(policy.logits, before)
-        assert len(diagnostics) == 8
-        assert np.array_equal(diagnostics.pair_ids, batch.pair_ids)
-        assert (diagnostics.margins == 0.0).all()
-        assert (diagnostics.probabilities == 0.5).all()
 
     def test_single_pair_sgd_closed_form(self):
         dataset, reference = toy_setup(num_pairs=4, noise=0.0)
@@ -188,7 +184,7 @@ class TestGradientCheck:
             (LossVariant.FOCUS_INCORRECT, 1.0),
         ]:
             loss_config = LossConfig(variant, beta=0.7, gamma=gamma)
-            grad, _ = assemble_gradient(policy, encode_pairs(reference, dataset), loss_config)
+            grad = assemble_gradient(policy, encode_pairs(reference, dataset), loss_config)
             fd = np.zeros_like(grad)
             for idx in np.ndindex(*grad.shape):
                 policy.logits[idx] += h
