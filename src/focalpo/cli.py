@@ -11,6 +11,7 @@ is excluded from that guarantee.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -452,6 +453,7 @@ def cmd_eval(args) -> int:
 # ------------------------------------------------------------------- main
 
 
+@functools.cache  # parsing leaves the parser unchanged, so one serves every main()
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="focalpo",

@@ -4,7 +4,9 @@ Sequences are drawn from a sampler policy (by default the frozen reference
 itself), scored by a bag-of-tokens true-reward model, and labeled either
 deterministically (higher reward wins) or stochastically via the
 Bradley-Terry probability sigmoid(reward gap). A noise rate then swaps a
-random subset of labels, with the flip recorded per pair.
+random subset of labels, with the flip recorded per pair. encode_pairs
+turns a dataset into one (N, 2, L) array of token rows, each pair's chosen
+side then its rejected side, scored once against the frozen reference.
 """
 
 from __future__ import annotations
@@ -206,18 +208,17 @@ def synthesize_dataset(
     )
 
 
-@dataclass(frozen=True)
-class EncodedPairs:
-    """A Dataset encoded as token rows and scored once against the frozen
-    reference: its log-probabilities of every chosen and rejected row, and
-    the subgroup label that follows from them."""
+class EncodedPairs(NamedTuple):
+    """A Dataset encoded and scored once against the frozen reference: the
+    (N, 2, L) token rows of every pair's chosen and rejected sequence, in
+    that order, their (N, 2) reference log-probabilities, and the subgroup
+    label that follows from them. len() counts the pairs, so the tuple's
+    _make and _replace do not apply."""
 
     reference: PolicyTable
     pair_ids: np.ndarray
-    chosen: TokenRows
-    rejected: TokenRows
-    ref_chosen: np.ndarray
-    ref_rejected: np.ndarray
+    rows: TokenRows
+    ref_log_probs: np.ndarray
     correct_at_init: np.ndarray
 
     def __len__(self) -> int:
@@ -226,13 +227,8 @@ class EncodedPairs:
     def take(self, idx) -> "EncodedPairs":
         """The pairs at the given indices, in that order."""
         return EncodedPairs(
-            self.reference,
-            self.pair_ids[idx],
-            self.chosen.take(idx),
-            self.rejected.take(idx),
-            self.ref_chosen[idx],
-            self.ref_rejected[idx],
-            self.correct_at_init[idx],
+            self.reference, self.pair_ids[idx], TokenRows(*(a[idx] for a in self.rows)),
+            self.ref_log_probs[idx], self.correct_at_init[idx],
         )
 
 
@@ -242,15 +238,10 @@ def encode_pairs(reference: PolicyTable, dataset: Dataset) -> EncodedPairs:
     as incorrect (matching the strict margin rule used for accuracy)."""
     if not len(dataset):
         raise ValueError("dataset must be non-empty")
-    chosen = token_rows(reference, dataset.classes, dataset.chosen)
-    rejected = token_rows(reference, dataset.classes, dataset.rejected)
-    log_table = log_softmax(reference.logits)
-    ref_chosen = log_probs(log_table, chosen)
-    ref_rejected = log_probs(log_table, rejected)
-    return EncodedPairs(
-        reference, dataset.pair_ids, chosen, rejected, ref_chosen, ref_rejected,
-        ref_chosen > ref_rejected,
-    )
+    rows = token_rows(reference, dataset.classes, np.stack((dataset.chosen, dataset.rejected), 1))
+    ref_log_probs = log_probs(log_softmax(reference.logits), rows)
+    correct_at_init = ref_log_probs[:, 0] > ref_log_probs[:, 1]
+    return EncodedPairs(reference, dataset.pair_ids, rows, ref_log_probs, correct_at_init)
 
 
 def save_dataset(path, dataset: Dataset) -> None:
@@ -269,6 +260,10 @@ def _reject_nan(token: str):
     raise ValueError(f"non-finite literal {token!r}")
 
 
+# One decoder for every line; json.loads with parse_constant builds a new one per call.
+_DECODER = json.JSONDecoder(parse_constant=_reject_nan)
+
+
 def _parse_row(line: str, num_prompt_classes, vocab_size, length) -> list:
     """The field values of one dataset line, in file order; ValueError
     names the first thing wrong with it. `length` is the sequence length of
@@ -276,7 +271,9 @@ def _parse_row(line: str, num_prompt_classes, vocab_size, length) -> list:
     if not line:
         raise ValueError("blank line in JSONL dataset")
     try:
-        row = json.loads(line, parse_constant=_reject_nan)
+        if line.startswith("\ufeff"):  # json.loads checks this; decode alone would not
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0)
+        row = _DECODER.decode(line)
     except ValueError as exc:
         raise ValueError(f"invalid JSON: {exc}") from exc
     if not isinstance(row, dict):

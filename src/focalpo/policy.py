@@ -7,10 +7,11 @@ log-probabilities are exact log-softmax chains, and their parameter
 gradients have the closed softmax form. There is no EOS token; datasets use
 a fixed sequence length.
 
-All scoring is batched: sequences are encoded once into TokenRows, the
-table's log-softmax is taken once, and the log-probabilities of every row
-come from one gather and a sum over positions. Sampling walks a cumulative
-next-token table built once per sampler, with one binary search per token.
+All scoring is batched: token_rows encodes sequences once, each token with
+its flat context row; the table's log-softmax is taken once, and the
+log-probabilities of every row come from one gather and a sum over
+positions. Sampling walks a cumulative next-token table built once per
+sampler, with one binary search per token.
 """
 
 from __future__ import annotations
@@ -74,20 +75,16 @@ def random_policy(num_prompt_classes: int, vocab_size: int, seed: int, scale: fl
 
 
 class TokenRows(NamedTuple):
-    """Equal-length sequences as arrays: prompt classes (N,), tokens (N, L)
-    and the context each token is drawn in (N, L), which is the previous
-    token, or the BOS index V before the first token."""
+    """Equal-length sequences as two index arrays of one shape (N, ..., L):
+    the flat context row, prompt_class * (V+1) + previous token (the BOS
+    index V before the first token), and the token drawn in it."""
 
-    classes: np.ndarray
-    tokens: np.ndarray
     contexts: np.ndarray
-
-    def take(self, idx) -> "TokenRows":
-        return TokenRows(self.classes[idx], self.tokens[idx], self.contexts[idx])
+    tokens: np.ndarray
 
 
 def token_rows(policy: PolicyTable, classes, tokens) -> TokenRows:
-    """Encode equal-length sequences, tokens (N, L) drawn in prompt classes
+    """Encode equal-length sequences, tokens (N, ..., L) drawn in prompt classes
     (N,), for a table of this shape; indices out of range raise IndexError."""
     classes = np.asarray(classes, dtype=np.int64)
     tokens = np.asarray(tokens, dtype=np.int64)
@@ -102,9 +99,10 @@ def token_rows(policy: PolicyTable, classes, tokens) -> TokenRows:
     if tokens.max() >= policy.vocab_size:
         raise IndexError(f"token {tokens.max()} out of range for vocab size {policy.vocab_size}")
     contexts = np.empty_like(tokens)
-    contexts[:, :1] = policy.bos_index
-    contexts[:, 1:] = tokens[:, :-1]
-    return TokenRows(classes, tokens, contexts)
+    contexts[..., :1] = policy.bos_index
+    contexts[..., 1:] = tokens[..., :-1]
+    contexts += (classes * (policy.vocab_size + 1)).reshape(-1, *[1] * (tokens.ndim - 1))
+    return TokenRows(contexts, tokens)
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -116,21 +114,22 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
 
 def log_probs(log_table: np.ndarray, rows: TokenRows) -> np.ndarray:
     """log pi(row | prompt class) for every row, given log_softmax(logits)."""
-    return log_table[rows.classes[:, None], rows.contexts, rows.tokens].sum(axis=1)
+    return log_table.reshape(-1, log_table.shape[-1])[rows.contexts, rows.tokens].sum(axis=-1)
 
 
 def log_prob_grad(log_table: np.ndarray, rows: TokenRows, coeffs: np.ndarray) -> np.ndarray:
-    """sum_i coeffs[i] * d(log pi(row_i))/d(logits), as a dense table.
+    """sum_i coeffs[i] * d(log pi(row_i))/d(logits), as a dense table; the
+    rows add up in their flattened order.
 
     Per context the softmax-gradient identity applies: token counts minus
     visits times the next-token distribution, both weighted by coeffs.
     """
     num_classes, num_contexts, vocab = log_table.shape
-    context_ids = (rows.classes[:, None] * num_contexts + rows.contexts).ravel()
-    weights = np.repeat(coeffs, rows.tokens.shape[1])
-    visits = np.bincount(context_ids, weights, minlength=num_classes * num_contexts)
+    contexts = rows.contexts.ravel()
+    weights = np.repeat(coeffs.ravel(), rows.tokens.shape[-1])
+    visits = np.bincount(contexts, weights, minlength=num_classes * num_contexts)
     grad = np.bincount(
-        context_ids * vocab + rows.tokens.ravel(), weights, minlength=log_table.size
+        contexts * vocab + rows.tokens.ravel(), weights, minlength=log_table.size
     ).reshape(log_table.shape)
     # The token counts become the result and the visit terms are subtracted
     # a block of classes at a time: a large table allocates no second
@@ -226,6 +225,8 @@ def load_policy(path) -> PolicyTable:
             num_classes, vocab = int(header[0]), int(header[1])
         except ValueError as exc:
             raise ValueError(f"{path}: line 1: malformed header {first!r}") from exc
+        if num_classes < 1 or vocab < 1:
+            raise ValueError(f"{path}: line 1: C and V must be >= 1, got {first!r}")
         expected_rows = num_classes * (vocab + 1)
         got = sum(1 for _ in _rows(fh))
         if got != expected_rows:

@@ -3,8 +3,9 @@
 Each step assembles the parameter gradient from closed-form pieces: the
 gradient weights of the configured loss (one array call per batch), times
 beta, times the analytic gradient of the chosen/rejected log-probability
-difference. The dataset is encoded once (see data.encode_pairs), so the
-frozen reference is scored once per dataset and every step, snapshot and
+difference. The dataset is encoded once (see data.encode_pairs), both
+sides of every pair in one array, so one gather scores both and the
+frozen reference is scored once per dataset; every step, snapshot and
 evaluation reads its log-probabilities and subgroup labels from that
 encoding. Each evaluated policy state is scored once (see evaluate), and
 its step record, metrics and orderings all read those margins. The
@@ -23,14 +24,7 @@ import numpy as np
 from .data import Dataset, EncodedPairs, encode_pairs
 from .files import atomic_write
 from .losses import LossConfig, LossVariant, gradient_weight, pair_loss
-from .policy import (
-    PolicyTable,
-    TokenRows,
-    _check_same_shape,
-    log_prob_grad,
-    log_probs,
-    log_softmax,
-)
+from .policy import PolicyTable, _check_same_shape, log_prob_grad, log_probs, log_softmax
 
 OPTIMIZERS = ("sgd", "adam")
 # Whether the frozen reference ranks a pair correctly at initialization.
@@ -149,15 +143,10 @@ def init_optimizer_state(config: TrainConfig, policy: PolicyTable) -> OptimizerS
 def _margins(log_table: np.ndarray, pairs: EncodedPairs, beta: float):
     """Per-pair margins, plus the policy's log-probabilities of the chosen
     and rejected rows, for the policy whose log_softmax is log_table."""
-    chosen = log_probs(log_table, pairs.chosen)
-    rejected = log_probs(log_table, pairs.rejected)
-    margins = beta * (chosen - pairs.ref_chosen) - beta * (rejected - pairs.ref_rejected)
+    chosen, rejected = log_probs(log_table, pairs.rows).T
+    ref_chosen, ref_rejected = pairs.ref_log_probs.T
+    margins = beta * (chosen - ref_chosen) - beta * (rejected - ref_rejected)
     return margins, chosen, rejected
-
-
-def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The rows a[0], b[0], a[1], b[1], ... of two arrays of one shape."""
-    return np.stack((a, b), axis=1).reshape(-1, *a.shape[1:])
 
 
 def assemble_gradient(
@@ -183,10 +172,10 @@ def assemble_gradient(
         what = "gradient weight" if finite[i] else "margin"
         raise FloatingPointError(f"non-finite {what} for pair_id {batch.pair_ids[i]}")
     coeffs = -weights * loss_config.beta * (1.0 / len(batch))
-    # One pass over every pair's chosen row and then its rejected row, with
-    # opposite signs, so the two add up next to each other in a shared context.
-    rows = TokenRows(*map(_interleave, batch.chosen, batch.rejected))
-    grad = log_prob_grad(log_table, rows, _interleave(coeffs, -coeffs))
+    # The (B, 2, L) rows flatten to every pair's chosen row and then its
+    # rejected row, which take opposite signs, so the two add up next to
+    # each other in a shared context.
+    grad = log_prob_grad(log_table, batch.rows, np.stack((coeffs, -coeffs), 1))
     if not np.isfinite(grad).all():
         raise FloatingPointError("non-finite entry in the assembled batch gradient")
     return grad

@@ -113,12 +113,10 @@ def whole_table_log_prob_grad(log_table, rows, coeffs) -> np.ndarray:
     """log_prob_grad as one expression over the whole table: each entry is
     exp(log_table) * -visits + counts, the same arithmetic per entry."""
     num_classes, num_contexts, vocab = log_table.shape
-    context_ids = (rows.classes[:, None] * num_contexts + rows.contexts).ravel()
-    weights = np.repeat(coeffs, rows.tokens.shape[1])
-    visits = np.bincount(context_ids, weights, minlength=num_classes * num_contexts)
-    counts = np.bincount(
-        context_ids * vocab + rows.tokens.ravel(), weights, minlength=log_table.size
-    )
+    contexts = rows.contexts.ravel()
+    weights = np.repeat(coeffs.ravel(), rows.tokens.shape[-1])
+    visits = np.bincount(contexts, weights, minlength=num_classes * num_contexts)
+    counts = np.bincount(contexts * vocab + rows.tokens.ravel(), weights, minlength=log_table.size)
     return (
         np.exp(log_table) * -visits.reshape(num_classes, num_contexts, 1)
         + counts.reshape(log_table.shape)

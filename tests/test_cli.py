@@ -649,3 +649,54 @@ class TestEval:
         capsys.readouterr()
         assert (out / "manifest.json").exists()
         assert (out / "metrics.json").exists()
+
+
+class TestGoldenRuns:
+    # SHA-256 of train's report.csv, report.json, policy.txt and stdout, and
+    # of eval's metrics.json on the held-out split, run from the synth
+    # directory with relative paths (the eval manifest records them). The
+    # README config is focal at 200 adam steps; the wide config's L=16 rows
+    # are summed by numpy's pairwise summation, so a change in how the
+    # log-probabilities are gathered or summed shows here.
+    SIZES = {
+        "readme": (["--classes", "4", "--vocab", "8", "--length", "4"], ["--epochs", "50"]),
+        "wide": (["--classes", "16", "--vocab", "64", "--length", "16"],
+                 ["--epochs", "1", "--eval-every", "2"]),
+    }
+    GOLDEN = {
+        "readme": (
+            "761f92c5d2466b142c45e99a68f7383e4616d0377a4f8f16310e540d1cfdd36b",
+            "a4bc2480272d00e82234e7345fc05cbea4d9f5c689d8f04bb3b3496b35b80889",
+            "73b5752888a539174b80ddfc12dd03f3863888a911e0bd91a589d3f110eae4ee",
+            "47d063b292a6d9335490d877813cbb121a77a13d51eac30edbc5564ae8613d90",
+            "c8741fe6f0cb3869b2710bfdf1ed7f278b3eff8067eb5d035fe8f70388fb04d6",
+        ),
+        "wide": (
+            "0f138a8ee00c106f1b57d2bf3ceba7766771445b8fd87dd70ee1f6cc383b804c",
+            "37f1be2e083780bc06c3a89abbb3d73356ad857caa4b22bec484f4af505c27aa",
+            "cd49ed29eadfa9c57cba561f59b03129808dc82d99bfbfbfab41848eabfca30e",
+            "48a364bc70fb14d7fe0cfce348c5b38c76d463c5a3736c2ee79cf3f681fcda58",
+            "db94cceb2137d57ebecde897db134a6da1c1fc74338af9f7e610fe38a64d7ecb",
+        ),
+    }
+
+    @pytest.mark.parametrize("config", sorted(GOLDEN))
+    def test_golden_bytes(self, tmp_path, capsys, monkeypatch, config):
+        size, schedule = self.SIZES[config]
+        monkeypatch.chdir(tmp_path)
+        assert main(["synth", "--out", "data", "--pairs", "500", *size, "--noise", "0.1",
+                     "--holdout-fraction", "0.2", "--seed", "9", "--ref-seed", "42",
+                     "--reward-seed", "142"]) == 0
+        capsys.readouterr()
+        assert main(["train", "--dataset", "data/pairs.jsonl", "--reference",
+                     "data/reference.txt", "--out", "run", "--loss", "focal", "--gamma", "0.05",
+                     "--beta", "5", "--lr", "3e-3", "--batch-size", "128", *schedule]) == 0
+        stdout = capsys.readouterr().out.encode()
+        assert main(["eval", "--dataset", "data/holdout.jsonl", "--policy", "run/policy.txt",
+                     "--reference", "data/reference.txt", "--beta", "5", "--out", "eval"]) == 0
+        capsys.readouterr()
+        names = ("run/report.csv", "run/report.json", "run/policy.txt")
+        outputs = [Path(name).read_bytes() for name in names]
+        outputs += [stdout, Path("eval/metrics.json").read_bytes()]
+        digests = [hashlib.sha256(data).hexdigest() for data in outputs]
+        assert digests == list(self.GOLDEN[config])

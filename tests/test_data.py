@@ -468,6 +468,18 @@ class TestJsonl:
         with pytest.raises(DatasetFormatError, match="line 1"):
             load_dataset(path)
 
+    def test_byte_order_mark_names_line(self, tmp_path):
+        pairs, _, _ = small_dataset(num_pairs=2)
+        path = tmp_path / "pairs.jsonl"
+        save_dataset(path, pairs)
+        path.write_text("\ufeff" + path.read_text(), encoding="utf-8")
+        with pytest.raises(DatasetFormatError) as info:
+            load_dataset(path)
+        assert str(info.value) == (
+            "line 1: invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): "
+            "line 1 column 1 (char 0)"
+        )
+
     def test_missing_field_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"pair_id": 0, "prompt_class": 0}\n')

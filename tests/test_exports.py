@@ -1,16 +1,19 @@
-"""Every name that a focalpo module lists in __all__ is defined in it."""
+"""Every name that a focalpo module lists in __all__ is defined in it, and
+the package runs as `python -m focalpo`."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import focalpo
 
-# __main__ runs the CLI when imported and exports nothing.
 MODULES = ["focalpo"] + [
     f"focalpo.{info.name}" for info in pkgutil.iter_modules(focalpo.__path__)
-    if info.name != "__main__"
 ]
 
 
@@ -19,3 +22,14 @@ def test_every_exported_name_exists(module_name):
     module = importlib.import_module(module_name)
     missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert missing == []
+
+
+def test_runs_as_a_module():
+    # importing focalpo.__main__ above ran nothing; running it runs the CLI
+    path = [str(Path(focalpo.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    done = subprocess.run(
+        [sys.executable, "-m", "focalpo", "--version"],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "focalpo 0.1.0\n", "")

@@ -86,10 +86,30 @@ def test_log_prob_grad_is_bitwise_the_whole_table_expression():
 
 
 def test_encoded_contexts_start_at_bos():
+    # the flat context row is prompt_class * (V + 1) + previous token, BOS = V
     policy = PolicyTable(2, 3, np.zeros((2, 4, 3)))
     rows = token_rows(policy, [1, 0], [(2, 0, 1), (0, 0, 2)])
-    assert rows.classes.tolist() == [1, 0]
-    assert rows.contexts.tolist() == [[3, 2, 0], [3, 0, 0]]
+    assert rows.contexts.tolist() == [[7, 6, 4], [3, 0, 0]]
+    assert rows.tokens.tolist() == [[2, 0, 1], [0, 0, 2]]
+
+
+def test_stacked_sides_match_separately_encoded_rows():
+    # (N, 2, L) rows score each side as its own (N, L) rows do, and their
+    # gradient adds up in the order of the two sides interleaved row by row
+    rng = np.random.default_rng(10)
+    for num_classes, vocab, length in [(1, 2, 1), (4, 8, 4), (16, 64, 16)]:
+        policy, _ = random_case(rng, num_classes, vocab)
+        log_table = log_softmax(policy.logits)
+        classes = rng.integers(num_classes, size=30)
+        sides = rng.integers(vocab, size=(30, 2, length))
+        stacked = token_rows(policy, classes, sides)
+        chosen, rejected = (token_rows(policy, classes, sides[:, k]) for k in (0, 1))
+        expected = np.stack([log_probs(log_table, chosen), log_probs(log_table, rejected)], 1)
+        assert log_probs(log_table, stacked).tobytes() == expected.tobytes()
+        coeffs = rng.uniform(-2.0, 2.0, size=(30, 2))
+        interleaved = token_rows(policy, np.repeat(classes, 2), sides.reshape(60, length))
+        expected = log_prob_grad(log_table, interleaved, coeffs.ravel())
+        assert log_prob_grad(log_table, stacked, coeffs).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize(

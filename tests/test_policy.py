@@ -3,6 +3,7 @@ finite differences, sampling statistics, and the text round trip."""
 
 import itertools
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -369,6 +370,14 @@ class TestSerialization:
             load_policy(path)
         path.write_text("2 4\n1 2 3\n")
         with pytest.raises(ValueError):
+            load_policy(path)
+
+    @pytest.mark.parametrize("header", ["0 8", "-1 8", "2 0"])
+    def test_header_sizes_below_one_name_the_line(self, tmp_path, header):
+        path = tmp_path / "policy.txt"
+        path.write_text(f"{header}\n")
+        message = f"{path}: line 1: C and V must be >= 1, got {header!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             load_policy(path)
 
 
