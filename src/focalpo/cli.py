@@ -202,6 +202,11 @@ def cmd_curves(args) -> int:
     # The weight/loss files always carry the reference configurations
     # (focal at 0.05, focus-incorrect at 1) alongside whatever was asked for.
     weight_gammas = list(dict.fromkeys(gammas + [0.05, 1.0]))
+    tags = {}
+    for g in weight_gammas:
+        other = tags.setdefault(f"{g:g}", g)
+        if other != g:
+            raise UsageError(f"gamma {other!r} and gamma {g!r} would both write columns g{g:g}")
 
     out_dir = Path(args.out)
     manifest = _manifest(
@@ -273,8 +278,6 @@ def _census(dataset, reference, label: str) -> None:
 def cmd_synth(args) -> int:
     config = SynthConfig(
         num_pairs=args.pairs,
-        num_prompt_classes=args.classes,
-        vocab_size=args.vocab,
         seq_length=args.length,
         labeling_mode=args.mode,
         noise_rate=args.noise,

@@ -1,12 +1,13 @@
 """Synthetic Bradley-Terry preference datasets with controllable label noise.
 
 Sequences are drawn from a sampler policy (by default the frozen reference
-itself), scored by a bag-of-tokens true-reward model, and labeled either
-deterministically (higher reward wins) or stochastically via the
-Bradley-Terry probability sigmoid(reward gap). A noise rate then swaps a
-random subset of labels, with the flip recorded per pair. encode_pairs
-turns a dataset into one (N, 2, L) array of token rows, each pair's chosen
-side then its rejected side, scored once against the frozen reference.
+itself), scored by a bag-of-tokens true reward, a (C, V) weight array shaped
+like the sampler's table, and labeled either deterministically (higher
+reward wins) or stochastically via the Bradley-Terry probability
+sigmoid(reward gap). A noise rate then swaps a random subset of labels, with
+the flip recorded per pair. encode_pairs turns a dataset into one (N, 2, L)
+array of token rows, each pair's chosen side then its rejected side, scored
+once against the frozen reference.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ __all__ = [
     "LABELING_MODES",
     "DatasetFormatError",
     "Dataset",
-    "TrueRewardModel",
     "SynthConfig",
     "random_reward_model",
     "synthesize_dataset",
@@ -95,25 +95,8 @@ class Dataset(NamedTuple):
 
 
 @dataclass(frozen=True)
-class TrueRewardModel:
-    """Bag-of-tokens linear reward: weights indexed by (prompt_class, token)."""
-
-    weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        weights = np.ascontiguousarray(self.weights, dtype=np.float64)
-        if weights.ndim != 2:
-            raise ValueError(f"weights must be 2-D (C, V), got shape {weights.shape}")
-        if not np.isfinite(weights).all():
-            raise ValueError("reward weights must be finite")
-        object.__setattr__(self, "weights", weights)
-
-
-@dataclass(frozen=True)
 class SynthConfig:
     num_pairs: int
-    num_prompt_classes: int = 4
-    vocab_size: int = 8
     seq_length: int = 4
     labeling_mode: str = "deterministic"
     noise_rate: float = 0.0
@@ -122,8 +105,8 @@ class SynthConfig:
     def __post_init__(self) -> None:
         if self.num_pairs < 1:
             raise ValueError(f"num_pairs must be >= 1, got {self.num_pairs}")
-        if self.num_prompt_classes < 1 or self.vocab_size < 2 or self.seq_length < 1:
-            raise ValueError("need num_prompt_classes >= 1, vocab_size >= 2, seq_length >= 1")
+        if self.seq_length < 1:
+            raise ValueError(f"seq_length must be >= 1, got {self.seq_length}")
         if self.labeling_mode not in LABELING_MODES:
             raise ValueError(
                 f"labeling_mode must be one of {LABELING_MODES}, got {self.labeling_mode!r}"
@@ -132,14 +115,12 @@ class SynthConfig:
             raise ValueError(f"noise_rate must lie in [0, 1), got {self.noise_rate!r}")
 
 
-def random_reward_model(num_prompt_classes: int, vocab_size: int, seed: int) -> TrueRewardModel:
-    rng = np.random.default_rng(seed)
-    return TrueRewardModel(rng.standard_normal((num_prompt_classes, vocab_size)))
+def random_reward_model(num_prompt_classes: int, vocab_size: int, seed: int) -> np.ndarray:
+    """Standard normal (C, V) true-reward weights from a fixed seed."""
+    return np.random.default_rng(seed).standard_normal((num_prompt_classes, vocab_size))
 
 
-def synthesize_dataset(
-    config: SynthConfig, reward: TrueRewardModel, sampler: PolicyTable
-) -> Dataset:
+def synthesize_dataset(config: SynthConfig, reward: np.ndarray, sampler: PolicyTable) -> Dataset:
     """Generate preference pairs; a pure function of (config, reward, sampler).
 
     Per pair: draw a prompt class uniformly, two distinct sequences from the
@@ -149,19 +130,14 @@ def synthesize_dataset(
     The true reward of a sequence is the sum of its per-token weights, added
     left to right (a cumulative sum: .sum() adds pairwise from 8 tokens on).
     """
-    if (sampler.num_prompt_classes, sampler.vocab_size) != (
-        config.num_prompt_classes,
-        config.vocab_size,
-    ):
-        raise ValueError(
-            f"sampler shape ({sampler.num_prompt_classes}, {sampler.vocab_size}) does not "
-            f"match config ({config.num_prompt_classes}, {config.vocab_size})"
-        )
-    if reward.weights.shape != (config.num_prompt_classes, config.vocab_size):
-        raise ValueError(
-            f"reward model shape {reward.weights.shape} does not match config "
-            f"({config.num_prompt_classes}, {config.vocab_size})"
-        )
+    reward = np.asarray(reward, dtype=np.float64)
+    shape = (sampler.num_prompt_classes, sampler.vocab_size)
+    if reward.shape != shape:
+        raise ValueError(f"reward shape {reward.shape} does not match sampler (C, V) = {shape}")
+    if not np.isfinite(reward).all():
+        raise ValueError("reward weights must be finite")
+    if sampler.vocab_size < 2:
+        raise ValueError("sampler vocab_size must be >= 2 to draw distinct sequences")
     rng = np.random.default_rng(config.generator_seed)
     cdf = _next_token_cdf(sampler.logits)
     num_pairs, length = config.num_pairs, config.seq_length
@@ -173,7 +149,7 @@ def synthesize_dataset(
     flip_draws = np.ones(num_pairs)
     bradley_terry = config.labeling_mode == "bradley_terry"
     for pair_id in range(num_pairs):
-        prompt_class = int(rng.integers(config.num_prompt_classes))
+        prompt_class = int(rng.integers(sampler.num_prompt_classes))
         tokens_a = _sample_tokens(cdf[prompt_class], length, rng)
         for _ in range(DISTINCT_DRAW_RETRIES):
             tokens_b = _sample_tokens(cdf[prompt_class], length, rng)
@@ -190,7 +166,7 @@ def synthesize_dataset(
             label_draws[pair_id] = rng.random()
         if config.noise_rate > 0.0:
             flip_draws[pair_id] = rng.random()
-    reward_a, reward_b = np.cumsum(reward.weights[classes[:, None], tokens], axis=-1)[..., -1]
+    reward_a, reward_b = np.cumsum(reward[classes[:, None], tokens], axis=-1)[..., -1]
     if bradley_terry:
         a_chosen = label_draws < sigmoid(reward_a - reward_b)
     else:
@@ -287,8 +263,7 @@ def _parse_row(line: str, num_prompt_classes, vocab_size, length) -> list:
         raise ValueError(f"pair_id {pair_id} does not fit in int64")
     if type(prompt_class) is not int:
         raise ValueError("prompt_class must be an integer")
-    class_limit = INT64_MAX + 1 if num_prompt_classes is None else num_prompt_classes
-    if not 0 <= prompt_class < class_limit:
+    if not 0 <= prompt_class < num_prompt_classes:
         raise ValueError(f"prompt_class {prompt_class} out of range")
     for name, tokens in (("chosen", chosen), ("rejected", rejected)):
         if not isinstance(tokens, list) or not tokens:
@@ -298,10 +273,8 @@ def _parse_row(line: str, num_prompt_classes, vocab_size, length) -> list:
                 raise ValueError(f"{name} contains a non-integer token {t!r}")
             if t < 0:
                 raise ValueError(f"{name} contains a negative token {t}")
-            if vocab_size is not None and t >= vocab_size:
+            if t >= vocab_size:
                 raise ValueError(f"{name} token {t} out of range for vocab size {vocab_size}")
-            if t > INT64_MAX:
-                raise ValueError(f"{name} token {t} does not fit in int64")
     for name in ("true_reward_chosen", "true_reward_rejected"):
         if type(row[name]) not in (int, float):
             raise ValueError(f"{name} must be a number")
@@ -318,13 +291,10 @@ def _parse_row(line: str, num_prompt_classes, vocab_size, length) -> list:
     return [row[name] for name in _DATASET_FIELDS]
 
 
-def load_dataset(path, num_prompt_classes=None, vocab_size=None) -> Dataset:
-    """Read and validate a JSONL dataset written by save_dataset.
-
-    When num_prompt_classes / vocab_size are given (e.g. from a loaded policy
-    table), class and token indices are range-checked against them. All
-    errors carry 1-based line numbers.
-    """
+def load_dataset(path, num_prompt_classes: int, vocab_size: int) -> Dataset:
+    """Read and validate a JSONL dataset written by save_dataset, with class
+    and token indices range-checked against the table shape given (e.g. that
+    of a loaded policy). All errors carry 1-based line numbers."""
     rows, length = [], None
     with open(path, "r", encoding="utf-8") as fh:
         for line_number, line in enumerate(fh, start=1):

@@ -83,13 +83,10 @@ class LossConfig:
 
 @dataclass(frozen=True)
 class LossOutput:
-    """Per-pair quantities at the given margins: loss, p, factor, gradient
-    weight. Each is a float for a float margin and an array of the margins'
-    shape for an array."""
+    """Per-pair loss and gradient weight at the given margins: floats for a
+    float margin, arrays of the margins' shape for an array."""
 
     loss: float | np.ndarray
-    probability: float | np.ndarray
-    factor: float | np.ndarray
     weight: float | np.ndarray
 
 
@@ -113,17 +110,14 @@ def modulating_factor(variant: LossVariant, p, gamma: float):
 
 
 def pair_loss(config: LossConfig, margin) -> LossOutput:
-    """Loss and diagnostics for each pair at the given margins.
+    """Loss and gradient weight of each pair at the given margins.
 
     The base term -log p goes through log_sigmoid and the factor through
     pow_via_exp; sigmoid(margin) is never logged directly.
     """
     p, s, log_p = sigmoid(margin), sigmoid(-margin), log_sigmoid(margin)
-    factor = modulating_factor(config.variant, p, config.gamma)
     return LossOutput(
-        loss=factor * -log_p,
-        probability=p,
-        factor=factor,
+        loss=modulating_factor(config.variant, p, config.gamma) * -log_p,
         weight=_weight(config, p, s, log_p),
     )
 

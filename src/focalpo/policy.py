@@ -2,7 +2,8 @@
 
 The table holds raw logits indexed by (prompt_class, previous_token,
 next_token); previous-token index V (== vocab_size) is the dedicated
-begin-of-sequence context, so the table shape is C x (V+1) x V. Sequence
+begin-of-sequence context, so the table shape is C x (V+1) x V; PolicyTable
+reads C and V off that shape and stores them nowhere else. Sequence
 log-probabilities are exact log-softmax chains, and their parameter
 gradients have the closed softmax form. There is no EOS token; datasets use
 a fixed sequence length.
@@ -44,34 +45,32 @@ __all__ = [
 class PolicyTable:
     """Logit table of shape (num_prompt_classes, vocab_size + 1, vocab_size)."""
 
-    num_prompt_classes: int
-    vocab_size: int
     logits: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.num_prompt_classes < 1 or self.vocab_size < 1:
-            raise ValueError("num_prompt_classes and vocab_size must be >= 1")
-        expected = (self.num_prompt_classes, self.vocab_size + 1, self.vocab_size)
         logits = np.ascontiguousarray(self.logits, dtype=np.float64)
-        if logits.shape != expected:
-            raise ValueError(f"logits shape {logits.shape} != expected {expected}")
+        if logits.ndim != 3 or min(logits.shape) < 1 or logits.shape[1] != logits.shape[2] + 1:
+            raise ValueError(f"logits shape {logits.shape} is not (C, V + 1, V) with C, V >= 1")
         if not np.isfinite(logits).all():
             raise ValueError("logits must be finite")
         self.logits = logits
 
     @property
-    def bos_index(self) -> int:
-        return self.vocab_size
+    def num_prompt_classes(self) -> int:
+        return self.logits.shape[0]
+
+    @property
+    def vocab_size(self) -> int:
+        return self.logits.shape[2]
 
     def clone(self) -> "PolicyTable":
-        return PolicyTable(self.num_prompt_classes, self.vocab_size, self.logits.copy())
+        return PolicyTable(self.logits.copy())
 
 
-def random_policy(num_prompt_classes: int, vocab_size: int, seed: int, scale: float = 1.0) -> PolicyTable:
-    """Table with i.i.d. normal(0, scale) logits from a fixed seed."""
+def random_policy(num_prompt_classes: int, vocab_size: int, seed: int) -> PolicyTable:
+    """Table with i.i.d. standard normal logits from a fixed seed."""
     rng = np.random.default_rng(seed)
-    logits = scale * rng.standard_normal((num_prompt_classes, vocab_size + 1, vocab_size))
-    return PolicyTable(num_prompt_classes, vocab_size, logits)
+    return PolicyTable(rng.standard_normal((num_prompt_classes, vocab_size + 1, vocab_size)))
 
 
 class TokenRows(NamedTuple):
@@ -99,7 +98,7 @@ def token_rows(policy: PolicyTable, classes, tokens) -> TokenRows:
     if tokens.max() >= policy.vocab_size:
         raise IndexError(f"token {tokens.max()} out of range for vocab size {policy.vocab_size}")
     contexts = np.empty_like(tokens)
-    contexts[..., :1] = policy.bos_index
+    contexts[..., :1] = policy.vocab_size  # the BOS context
     contexts[..., 1:] = tokens[..., :-1]
     contexts += (classes * (policy.vocab_size + 1)).reshape(-1, *[1] * (tokens.ndim - 1))
     return TokenRows(contexts, tokens)
@@ -198,10 +197,10 @@ def save_policy(path, policy: PolicyTable) -> None:
 
 def _lines(fh):
     """The lines of a text file from its start, read one at a time, so no
-    copy of the whole text is held."""
+    copy of the whole text is held. Only a newline ends a line."""
     fh.seek(0)
-    for raw in fh:
-        yield from raw.splitlines()
+    for line in fh:
+        yield line.rstrip("\n")
 
 
 def _rows(fh):
@@ -244,4 +243,4 @@ def load_policy(path) -> PolicyTable:
             except ValueError as exc:
                 raise ValueError(f"{path}: line {number}: malformed float") from exc
             logits[i // (vocab + 1), i % (vocab + 1)] = values
-    return PolicyTable(num_classes, vocab, logits)
+    return PolicyTable(logits)

@@ -39,6 +39,7 @@ from focalpo.policy import (
     log_prob_grad,
     log_probs,
     log_softmax,
+    random_policy,
     token_rows,
 )
 from focalpo.trainer import CORRECT, INCORRECT
@@ -180,7 +181,14 @@ def savetxt_csv_text(columns) -> str:
 def uniform_policy(num_prompt_classes: int, vocab_size: int) -> PolicyTable:
     """All-zero logits: every next-token distribution is uniform."""
     logits = np.zeros((num_prompt_classes, vocab_size + 1, vocab_size))
-    return PolicyTable(num_prompt_classes, vocab_size, logits)
+    return PolicyTable(logits)
+
+
+def scaled_random_policy(num_prompt_classes: int, vocab_size: int, seed: int, scale: float):
+    """random_policy with every logit multiplied by scale: normal(0, scale)
+    logits from a fixed seed."""
+    logits = random_policy(num_prompt_classes, vocab_size, seed).logits
+    return PolicyTable(scale * logits)
 
 
 def checksum(policy: PolicyTable) -> str:

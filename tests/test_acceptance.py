@@ -34,12 +34,13 @@ from _oracles import (
     VARIANT_NAMES,
     checksum,
     fd_weight,
+    scaled_random_policy,
     sequence_log_prob,
     sequence_log_prob_grad,
 )
 
 REF_SEED, REWARD_SEED, GEN_SEED = 42, 142, 9
-TOY = dict(num_prompt_classes=4, vocab_size=8, seq_length=4)
+TOY = dict(seq_length=4)
 RUN_VARIANTS = [
     (LossVariant.DPO, 0.05),
     (LossVariant.FOCAL, 0.05),
@@ -222,7 +223,7 @@ def test_criterion_5_policy_checks():
     rng = np.random.default_rng(1234)
     h = 1e-5
     for _ in range(20):
-        policy = random_policy(2, 5, seed=int(rng.integers(1 << 30)), scale=1.5)
+        policy = scaled_random_policy(2, 5, int(rng.integers(1 << 30)), 1.5)
         seq = int(rng.integers(2)), tuple(int(t) for t in rng.integers(0, 5, 4))
         grad = sequence_log_prob_grad(policy, *seq)
         for idx in np.ndindex(*grad.shape):
@@ -234,7 +235,7 @@ def test_criterion_5_policy_checks():
             fd = (up - down) / (2 * h)
             assert abs(grad[idx] - fd) <= 1e-6 * max(abs(fd), 1.0)
 
-    policy = random_policy(2, 4, seed=99, scale=2.0)
+    policy = scaled_random_policy(2, 4, 99, 2.0)
     for prompt_class in range(2):
         total = sum(
             math.exp(sequence_log_prob(policy, prompt_class, tokens))

@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 from _oracles import savetxt_csv_text
 from focalpo import cli, csvtext
 from focalpo.cli import CSV_BLOCK_VALUES, MAX_GRID_POINTS, _grid, _grid_points, _write_csv, main
-from focalpo.data import SynthConfig
+from focalpo.data import SynthConfig, synthesize_dataset
 from focalpo.losses import LossConfig, LossVariant
+from focalpo.policy import random_policy
 from focalpo.trainer import TrainConfig
 
 
@@ -113,6 +114,15 @@ class TestCurves:
         assert excinfo.value.code == 2
         assert "--gamma" in capsys.readouterr().err
         assert not out.exists()
+        # gammas with one %g tag would write, and overwrite, the same columns
+        for gammas, message in (
+            (["0.05", "0.05000001"], "gamma 0.05 and gamma 0.05000001 would both write columns g0.05"),
+            (["1.0000001"], "gamma 1.0000001 and gamma 1.0 would both write columns g1"),
+        ):
+            argv = ["curves", "--out", str(out)] + [a for g in gammas for a in ("--gamma", g)]
+            assert main(argv) == 2
+            assert f"error: {message}\n" == capsys.readouterr().err
+            assert not out.exists()
 
     def test_grid_size_cap(self):
         assert len(_grid_points(_grid(f"0:{MAX_GRID_POINTS - 1}:1"))) == MAX_GRID_POINTS
@@ -292,9 +302,9 @@ class TestSynth:
         assert excinfo.value.code == 2
         assert "argument --vocab: must be >= 2, got 1" in capsys.readouterr().err
         assert not out.exists()
-        # library callers get the same bound from SynthConfig
-        with pytest.raises(ValueError, match="vocab_size >= 2"):
-            SynthConfig(num_pairs=1, vocab_size=1)
+        # library callers get the same bound from synthesize_dataset
+        with pytest.raises(ValueError, match="vocab_size must be >= 2"):
+            synthesize_dataset(SynthConfig(num_pairs=1), np.zeros((1, 1)), random_policy(1, 1, 0))
 
     def test_outputs_and_census(self, tmp_path, capsys):
         out = tmp_path / "data"
@@ -399,8 +409,8 @@ class TestSynth:
         capsys.readouterr()
         from focalpo.data import load_dataset
 
-        assert len(load_dataset(out / "pairs.jsonl")) == 80
-        assert len(load_dataset(out / "holdout.jsonl")) == 20
+        assert len(load_dataset(out / "pairs.jsonl", 2, 5)) == 80
+        assert len(load_dataset(out / "holdout.jsonl", 2, 5)) == 20
 
 
 @pytest.fixture()

@@ -16,7 +16,6 @@ from focalpo.data import (
     SAVE_BLOCK_ROWS,
     DatasetFormatError,
     SynthConfig,
-    TrueRewardModel,
     load_dataset,
     random_reward_model,
     save_dataset,
@@ -31,6 +30,7 @@ from _oracles import (
     dataset_rows,
     make_dataset,
     pairs_of,
+    scaled_random_policy,
     true_reward,
     uniform_policy,
 )
@@ -39,8 +39,6 @@ from _oracles import (
 def small_dataset(num_pairs=50, noise=0.0, mode="deterministic", seed=4):
     config = SynthConfig(
         num_pairs=num_pairs,
-        num_prompt_classes=2,
-        vocab_size=4,
         seq_length=3,
         labeling_mode=mode,
         noise_rate=noise,
@@ -52,13 +50,7 @@ def small_dataset(num_pairs=50, noise=0.0, mode="deterministic", seed=4):
 
 
 def synthesized(reward, num_classes, vocab, length, num_pairs=40, seed=5):
-    config = SynthConfig(
-        num_pairs=num_pairs,
-        num_prompt_classes=num_classes,
-        vocab_size=vocab,
-        seq_length=length,
-        generator_seed=seed,
-    )
+    config = SynthConfig(num_pairs=num_pairs, seq_length=length, generator_seed=seed)
     return synthesize_dataset(config, reward, random_policy(num_classes, vocab, seed=1))
 
 
@@ -74,27 +66,26 @@ def stored_and_oracle_rewards(dataset, weights):
 
 class TestTrueReward:
     def test_zero_model(self):
-        model = TrueRewardModel(np.zeros((2, 4)))
-        dataset = synthesized(model, 2, 4, 3)
+        weights = np.zeros((2, 4))
+        dataset = synthesized(weights, 2, 4, 3)
         assert (dataset.reward_chosen == 0.0).all() and (dataset.reward_rejected == 0.0).all()
-        assert true_reward(model.weights, 1, (0, 3, 3)) == 0.0
+        assert true_reward(weights, 1, (0, 3, 3)) == 0.0
 
     def test_permutation_invariance(self):
-        model = random_reward_model(2, 5, seed=3)
-        dataset = synthesized(model, 2, 5, 3)
+        weights = random_reward_model(2, 5, seed=3)
+        dataset = synthesized(weights, 2, 5, 3)
         for c, chosen, rejected in pairs_of(dataset):
             for tokens in (chosen, rejected):
-                assert true_reward(model.weights, c, tokens) == pytest.approx(
-                    true_reward(model.weights, c, tokens[::-1]), rel=1e-15
+                assert true_reward(weights, c, tokens) == pytest.approx(
+                    true_reward(weights, c, tokens[::-1]), rel=1e-15
                 )
-        stored, oracle = stored_and_oracle_rewards(dataset, model.weights)
+        stored, oracle = stored_and_oracle_rewards(dataset, weights)
         assert stored == oracle
 
     def test_hand_sum(self):
         weights = np.arange(1.0, 5.0)[None, :]  # [1, 2, 3, 4]
-        model = TrueRewardModel(weights)
-        assert true_reward(model.weights, 0, (0, 0, 3)) == 6.0
-        dataset = synthesized(model, 1, 4, 3)
+        assert true_reward(weights, 0, (0, 0, 3)) == 6.0
+        dataset = synthesized(weights, 1, 4, 3)
         for (reward_c, reward_r), (_, chosen, rejected) in zip(
             zip(dataset.reward_chosen, dataset.reward_rejected), pairs_of(dataset)
         ):
@@ -102,22 +93,21 @@ class TestTrueReward:
             assert reward_r == sum(t + 1 for t in rejected)
 
     def test_out_of_range(self):
-        model = TrueRewardModel(np.zeros((1, 3)))
+        weights = np.zeros((1, 3))
         with pytest.raises(ValueError):
-            true_reward(model.weights, 0, (3,))
+            true_reward(weights, 0, (3,))
         with pytest.raises(ValueError):
-            true_reward(model.weights, 1, (0,))
-        # a reward model narrower than the sampler's vocabulary is refused
-        config = SynthConfig(num_pairs=1, num_prompt_classes=1, vocab_size=4)
-        with pytest.raises(ValueError, match="reward model shape"):
-            synthesize_dataset(config, model, uniform_policy(1, 4))
+            true_reward(weights, 1, (0,))
+        # a reward narrower than the sampler's vocabulary is refused
+        with pytest.raises(ValueError, match="reward shape"):
+            synthesize_dataset(SynthConfig(num_pairs=1), weights, uniform_policy(1, 4))
 
     def test_synthesized_rewards_are_the_left_to_right_sums(self):
         # at 12 tokens a pairwise sum would group the additions differently;
         # the stored rewards are the oracle's left-to-right sums, bit for bit
-        model = TrueRewardModel(1e3 * random_reward_model(3, 7, seed=8).weights)
-        dataset = synthesized(model, 3, 7, 12, num_pairs=300)
-        stored, oracle = stored_and_oracle_rewards(dataset, model.weights)
+        weights = 1e3 * random_reward_model(3, 7, seed=8)
+        dataset = synthesized(weights, 3, 7, 12, num_pairs=300)
+        stored, oracle = stored_and_oracle_rewards(dataset, weights)
         assert stored == oracle
 
 
@@ -151,8 +141,6 @@ class TestSynthesize:
         noise = 0.1
         config = SynthConfig(
             num_pairs=10_000,
-            num_prompt_classes=2,
-            vocab_size=4,
             seq_length=3,
             labeling_mode="deterministic",
             noise_rate=noise,
@@ -173,15 +161,13 @@ class TestSynthesize:
         # sigmoid(1) = 0.7310585786 (Monte-Carlo check, 50k pairs)
         config = SynthConfig(
             num_pairs=50_000,
-            num_prompt_classes=1,
-            vocab_size=2,
             seq_length=1,
             labeling_mode="bradley_terry",
             noise_rate=0.0,
             generator_seed=77,
         )
         sampler = uniform_policy(1, 2)
-        reward = TrueRewardModel(np.array([[0.0, 1.0]]))
+        reward = np.array([[0.0, 1.0]])
         pairs = synthesize_dataset(config, reward, sampler)
         consistent = int((pairs.reward_chosen > pairs.reward_rejected).sum())
         assert consistent / config.num_pairs == pytest.approx(0.7310585786, abs=0.01)
@@ -189,19 +175,34 @@ class TestSynthesize:
     def test_degenerate_sampler_fails_distinctness(self):
         sampler = uniform_policy(1, 4)
         sampler.logits[:, :, 2] = 50.0  # every draw collapses to token 2
-        config = SynthConfig(
-            num_pairs=1, num_prompt_classes=1, vocab_size=4, seq_length=2, generator_seed=0
-        )
+        config = SynthConfig(num_pairs=1, seq_length=2, generator_seed=0)
         reward = random_reward_model(1, 4, seed=0)
         with pytest.raises(RuntimeError, match="distinct"):
             synthesize_dataset(config, reward, sampler)
 
     def test_shape_mismatch(self):
-        config = SynthConfig(num_pairs=5, num_prompt_classes=2, vocab_size=4)
-        with pytest.raises(ValueError):
-            synthesize_dataset(config, random_reward_model(2, 4, 0), random_policy(2, 5, 0))
-        with pytest.raises(ValueError):
-            synthesize_dataset(config, random_reward_model(2, 5, 0), random_policy(2, 4, 0))
+        # the reward must have the sampler's (C, V) shape
+        config = SynthConfig(num_pairs=5)
+        for reward, sampler, shapes in (
+            (random_reward_model(2, 4, 0), random_policy(2, 5, 0), r"\(2, 4\) .* \(2, 5\)"),
+            (random_reward_model(2, 5, 0), random_policy(2, 4, 0), r"\(2, 5\) .* \(2, 4\)"),
+            (random_reward_model(3, 4, 0), random_policy(2, 4, 0), r"\(3, 4\) .* \(2, 4\)"),
+        ):
+            with pytest.raises(ValueError, match=f"^reward shape {shapes}$"):
+                synthesize_dataset(config, reward, sampler)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_reward_must_be_finite(self, bad):
+        reward = random_reward_model(2, 4, 0)
+        reward[1, 3] = bad
+        with pytest.raises(ValueError, match="^reward weights must be finite$"):
+            synthesize_dataset(SynthConfig(num_pairs=5), reward, random_policy(2, 4, 0))
+
+    def test_sampler_needs_two_tokens(self):
+        # one token admits no two distinct sequences; refused before any draw
+        message = "^sampler vocab_size must be >= 2 to draw distinct sequences$"
+        with pytest.raises(ValueError, match=message):
+            synthesize_dataset(SynthConfig(num_pairs=1), np.zeros((3, 1)), uniform_policy(3, 1))
 
 
 class TestClassifyPair:
@@ -217,13 +218,13 @@ class TestClassifyPair:
         assert classify_pair(reference, 0, (1, 1), (0, 2)) == CORRECT
 
     def test_matches_brute_force_product(self):
-        reference = random_policy(2, 4, seed=33, scale=2.0)
+        reference = scaled_random_policy(2, 4, 33, 2.0)
         pairs, _, _ = small_dataset(num_pairs=1000, noise=0.5, seed=2)
 
         def brute_force_prob(prompt_class, tokens):
             logits = reference.logits
             prob = 1.0
-            prev = reference.bos_index
+            prev = reference.vocab_size  # the BOS context
             for token in tokens:
                 row = np.exp(logits[prompt_class, prev] - logits[prompt_class, prev].max())
                 prob *= row[token] / row.sum()
@@ -318,7 +319,7 @@ def _malformed(kind: str, row: dict, data) -> str:
         return f"prompt_class {row['prompt_class']} out of range"
     if kind == "int64 token":
         row["rejected"][pos] = data.draw(st.integers(min_value=2**63))
-        return f"rejected token {row['rejected'][pos]} does not fit in int64"
+        return f"rejected token {row['rejected'][pos]} out of range for vocab size {VOCAB}"
     if kind == "float64-overflowing reward":
         name = data.draw(st.sampled_from(FIELDS[4:6]))
         sign = data.draw(st.sampled_from([1, -1]))
@@ -397,13 +398,11 @@ class TestJsonl:
         # follows at least one valid row
         at = data.draw(st.integers(1 if kind == "mixed lengths" else 0, num_valid - 1))
         message = _malformed(kind, rows[at], data)
-        # the int64 bounds matter when no class count or vocab size bounds the indices
-        limits = {} if kind.startswith("int64") else {"num_prompt_classes": 2, "vocab_size": VOCAB}
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "bad.jsonl"
             path.write_text("".join(json.dumps(row) + "\n" for row in rows))
             with pytest.raises(DatasetFormatError) as info:
-                load_dataset(path, **limits)
+                load_dataset(path, num_prompt_classes=2, vocab_size=VOCAB)
         assert str(info.value) == f"line {at + 1}: {message}"
         assert info.value.line_number == at + 1
 
@@ -430,7 +429,7 @@ class TestJsonl:
         pairs, _, _ = small_dataset(num_pairs=3)
         save_dataset(path, pairs.take(slice(0, 0)))
         assert path.read_bytes() == b""
-        loaded = load_dataset(path)
+        loaded = load_dataset(path, num_prompt_classes=2, vocab_size=4)
         assert len(loaded) == 0 and dataset_rows(loaded) == []
         assert loaded.chosen.shape == loaded.rejected.shape == (0, 0)
 
@@ -466,7 +465,7 @@ class TestJsonl:
         path = tmp_path / "bad.jsonl"
         path.write_text('{"pair_id": 0,\n')
         with pytest.raises(DatasetFormatError, match="line 1"):
-            load_dataset(path)
+            load_dataset(path, num_prompt_classes=2, vocab_size=4)
 
     def test_byte_order_mark_names_line(self, tmp_path):
         pairs, _, _ = small_dataset(num_pairs=2)
@@ -474,7 +473,7 @@ class TestJsonl:
         save_dataset(path, pairs)
         path.write_text("\ufeff" + path.read_text(), encoding="utf-8")
         with pytest.raises(DatasetFormatError) as info:
-            load_dataset(path)
+            load_dataset(path, num_prompt_classes=2, vocab_size=4)
         assert str(info.value) == (
             "line 1: invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): "
             "line 1 column 1 (char 0)"
@@ -484,7 +483,7 @@ class TestJsonl:
         path = tmp_path / "bad.jsonl"
         path.write_text('{"pair_id": 0, "prompt_class": 0}\n')
         with pytest.raises(DatasetFormatError, match="fields"):
-            load_dataset(path)
+            load_dataset(path, num_prompt_classes=2, vocab_size=4)
 
     def test_mixed_lengths_rejected(self, tmp_path):
         rows = [
@@ -510,7 +509,7 @@ class TestJsonl:
         path = tmp_path / "mixed.jsonl"
         path.write_text("".join(json.dumps(r) + "\n" for r in rows))
         with pytest.raises(DatasetFormatError, match="line 2"):
-            load_dataset(path)
+            load_dataset(path, num_prompt_classes=2, vocab_size=4)
 
     def test_save_is_byte_stable(self, tmp_path):
         pairs, _, _ = small_dataset(num_pairs=20, noise=0.1, seed=3)

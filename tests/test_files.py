@@ -61,7 +61,7 @@ class TestWriters:
         save_dataset(path, pairs(1.0))
         with pytest.raises(ValueError):
             save_dataset(path, pairs(2.0, math.inf))
-        assert load_dataset(path).reward_chosen.tolist() == [1.0]
+        assert load_dataset(path, 1, 2).reward_chosen.tolist() == [1.0]
         assert leftovers(tmp_path) == ["pairs.jsonl"]
 
     def test_manifest_with_non_json_value_leaves_no_file(self, tmp_path):

@@ -31,7 +31,7 @@ def random_case(rng, num_classes=3, vocab=7, length=6, num_rows=5):
         (int(rng.integers(num_classes)), tuple(int(t) for t in rng.integers(0, vocab, size=length)))
         for _ in range(num_rows)
     ]
-    return PolicyTable(num_classes, vocab, logits), seqs
+    return PolicyTable(logits), seqs
 
 
 def encode(policy, seqs):
@@ -87,7 +87,7 @@ def test_log_prob_grad_is_bitwise_the_whole_table_expression():
 
 def test_encoded_contexts_start_at_bos():
     # the flat context row is prompt_class * (V + 1) + previous token, BOS = V
-    policy = PolicyTable(2, 3, np.zeros((2, 4, 3)))
+    policy = PolicyTable(np.zeros((2, 4, 3)))
     rows = token_rows(policy, [1, 0], [(2, 0, 1), (0, 0, 2)])
     assert rows.contexts.tolist() == [[7, 6, 4], [3, 0, 0]]
     assert rows.tokens.tolist() == [[2, 0, 1], [0, 0, 2]]
@@ -122,6 +122,6 @@ def test_stacked_sides_match_separately_encoded_rows():
     ],
 )
 def test_encoder_rejects_indices_out_of_range(classes, tokens, message):
-    policy = PolicyTable(2, 3, np.zeros((2, 4, 3)))
+    policy = PolicyTable(np.zeros((2, 4, 3)))
     with pytest.raises(IndexError, match=f"^{message}$"):
         token_rows(policy, classes, tokens)

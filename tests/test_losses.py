@@ -18,6 +18,7 @@ from focalpo.losses import (
     pair_loss,
     parse_variant,
 )
+from focalpo.numerics import log_sigmoid
 
 from _oracles import (
     VARIANT_NAMES,
@@ -142,8 +143,8 @@ class TestPairLoss:
         cfg = config(LossVariant.FOCAL, gamma=0.07)
         for margin in (-3.0, 0.0, 1.7):
             out = pair_loss(cfg, margin)
-            assert out.probability == preference_probability(margin)
-            assert out.factor == modulating_factor(cfg.variant, out.probability, cfg.gamma)
+            factor = modulating_factor(cfg.variant, preference_probability(margin), cfg.gamma)
+            assert out.loss == factor * -log_sigmoid(margin)
             assert out.weight == gradient_weight(cfg, margin)
 
     def test_dpo_loss_strictly_decreasing(self):
@@ -241,8 +242,6 @@ class TestGradientWeight:
 
     def test_sign_boundary(self):
         # weight < 0 exactly where 1 + gamma * log sigmoid(delta) < 0
-        from focalpo.numerics import log_sigmoid
-
         cfg_small = config(LossVariant.FOCAL, gamma=0.05)
         assert all(gradient_weight(cfg_small, d) > 0.0 for d in GRID_QUARTER)
 
@@ -339,7 +338,7 @@ class TestArrays:
     def test_scalar_in_scalar_out(self):
         cfg = config(LossVariant.FOCAL)
         out = pair_loss(cfg, 0.5)
-        for value in (out.loss, out.probability, out.factor, out.weight, gradient_weight(cfg, 0.5)):
+        for value in (out.loss, out.weight, gradient_weight(cfg, 0.5)):
             assert np.ndim(value) == 0
 
     def test_factor_shapes(self):

@@ -19,6 +19,7 @@ from _oracles import (
     legacy_policy_text,
     pair_margin,
     sample_sequence,
+    scaled_random_policy,
     scan_sample_tokens,
     sequence_log_prob,
     sequence_log_prob_grad,
@@ -45,7 +46,7 @@ class TestSequenceLogProb:
     def test_always_nonpositive(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
-            policy = random_policy(3, 5, seed=int(rng.integers(1 << 30)), scale=4.0)
+            policy = scaled_random_policy(3, 5, int(rng.integers(1 << 30)), 4.0)
             tokens = tuple(int(t) for t in rng.integers(0, 5, size=6))
             assert sequence_log_prob(policy, 1, tokens) <= 0.0
 
@@ -54,7 +55,7 @@ class TestSequenceLogProb:
         # log(e / (e + 1)) + log(1/2), hand-checked by enumeration below
         logits = np.zeros((1, 3, 2))
         logits[0, 2] = [1.0, 0.0]  # BOS context
-        policy = PolicyTable(1, 2, logits)
+        policy = PolicyTable(logits)
         lp = sequence_log_prob(policy, 0, (0, 1))
         assert lp == pytest.approx(-1.0064088680781682, abs=1e-12)
         total = sum(
@@ -64,7 +65,7 @@ class TestSequenceLogProb:
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_brute_force_normalization(self):
-        policy = random_policy(2, 4, seed=11, scale=2.0)
+        policy = scaled_random_policy(2, 4, 11, 2.0)
         for prompt_class in range(2):
             total = sum(
                 math.exp(sequence_log_prob(policy, prompt_class, tokens))
@@ -73,7 +74,7 @@ class TestSequenceLogProb:
             assert total == pytest.approx(1.0, abs=1e-10)
 
     def test_per_context_normalization(self):
-        policy = random_policy(3, 6, seed=5, scale=3.0)
+        policy = scaled_random_policy(3, 6, 5, 3.0)
         logits = policy.logits
         shifted = logits - logits.max(axis=-1, keepdims=True)
         log_softmax = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
@@ -89,7 +90,7 @@ class TestSequenceLogProb:
 
 class TestSequenceLogProbGrad:
     def test_entries_sum_to_zero_per_context(self):
-        policy = random_policy(2, 5, seed=9, scale=2.0)
+        policy = scaled_random_policy(2, 5, 9, 2.0)
         seq = 1, (3, 3, 0, 2)
         grad = sequence_log_prob_grad(policy, *seq)
         np.testing.assert_allclose(grad.sum(axis=-1), 0.0, atol=1e-12)
@@ -97,13 +98,14 @@ class TestSequenceLogProbGrad:
     def test_uniform_policy_entry(self):
         policy = uniform_policy(1, 4)
         grad = sequence_log_prob_grad(policy, 0, (2,))
-        assert grad[0, policy.bos_index, 2] == pytest.approx(0.75, abs=1e-15)
+        bos = policy.vocab_size
+        assert grad[0, bos, 2] == pytest.approx(0.75, abs=1e-15)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(42)
         h = 1e-5
         for _ in range(20):
-            policy = random_policy(2, 5, seed=int(rng.integers(1 << 30)), scale=1.5)
+            policy = scaled_random_policy(2, 5, int(rng.integers(1 << 30)), 1.5)
             tokens = tuple(int(t) for t in rng.integers(0, 5, size=4))
             seq = int(rng.integers(0, 2)), tokens
             grad = sequence_log_prob_grad(policy, *seq)
@@ -118,7 +120,7 @@ class TestSequenceLogProbGrad:
             np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-9)
 
     def test_bounded_by_sequence_length(self):
-        policy = random_policy(2, 5, seed=1, scale=5.0)
+        policy = scaled_random_policy(2, 5, 1, 5.0)
         seq = 0, (1, 1, 1, 1, 1, 1)
         grad = sequence_log_prob_grad(policy, *seq)
         assert np.abs(grad).max() <= len(seq[1])
@@ -200,7 +202,7 @@ class TestSampling:
 
     def test_degenerate_policy_saturates(self):
         policy = uniform_policy(1, 4)
-        policy.logits[0, policy.bos_index, 2] = 50.0
+        policy.logits[0, policy.vocab_size, 2] = 50.0  # the BOS context
         cdf = _next_token_cdf(policy.logits[0])
         rng = np.random.default_rng(5)
         hits = sum(_sample_tokens(cdf, 1, rng)[0] == 2 for _ in range(1000))
@@ -232,7 +234,7 @@ def _edge_table():
     """A (2, 11, 10) table with a saturated context, where logits near 800
     leave zero probabilities and a CDF of repeated values, and uniform
     contexts, whose ten running sums of 0.1 end below 1."""
-    logits = random_policy(2, 10, seed=3, scale=4.0).logits
+    logits = 4.0 * random_policy(2, 10, seed=3).logits
     logits[0, 10] = 0.0  # uniform BOS context of class 0
     logits[0, 10, 4] = 800.0
     logits[0, 10, 7] = 799.5
@@ -251,7 +253,7 @@ class TestSamplerOracle:
         (2, 64, 16, 1.0), (2, 17, 9, 40.0),
     ])
     def test_matches_scan_sampler(self, classes, vocab, length, scale):
-        logits = random_policy(classes, vocab, seed=vocab, scale=scale).logits
+        logits = scale * random_policy(classes, vocab, seed=vocab).logits
         cdf = _next_token_cdf(logits)
         for seed in range(5):
             new_rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -285,7 +287,7 @@ class TestSamplerOracle:
         assert _sample_tokens(cdf[1], 2, ScriptedDraws([largest_draw] * 2)) == (9, 9)
 
     def test_class_rows_give_the_same_cdf(self):
-        logits = random_policy(3, 7, seed=11, scale=5.0).logits
+        logits = 5.0 * random_policy(3, 7, seed=11).logits
         whole = _next_token_cdf(logits)
         for c in range(3):
             assert _next_token_cdf(logits[c]).tobytes() == whole[c].tobytes()
@@ -299,7 +301,7 @@ class TestSamplerOracle:
 
 class TestSerialization:
     def test_round_trip_is_value_exact(self, tmp_path):
-        policy = random_policy(3, 5, seed=77, scale=13.7)
+        policy = scaled_random_policy(3, 5, 77, 13.7)
         path = tmp_path / "policy.txt"
         save_policy(path, policy)
         loaded = load_policy(path)
@@ -336,7 +338,7 @@ class TestSerialization:
         )
     )
     def test_text_matches_per_value_format_and_round_trips(self, logits):
-        policy = PolicyTable(logits.shape[0], logits.shape[2], logits)
+        policy = PolicyTable(logits)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "policy.txt"
             save_policy(path, policy)
@@ -362,6 +364,16 @@ class TestSerialization:
         path.write_text("1 1\n\n1\n\n1 2\n")
         with pytest.raises(ValueError, match="line 5: expected 1 values, got 2"):
             load_policy(path)
+        # only a newline ends a row: form feeds, NEL and the like are whitespace
+        path.write_text("1 1\n0.5\x0c0.25\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="expected 2 context rows .* got 1"):
+            load_policy(path)
+        path.write_text("1 1\n0.5\x0c0.25\n1\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="line 2: expected 1 values, got 2"):
+            load_policy(path)
+        path.write_text("1 2\n0.5 0.5\x85\nzz 1\n0.1 0.2\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="line 3: malformed float"):
+            load_policy(path)
 
     def test_malformed_files_raise(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -382,15 +394,25 @@ class TestSerialization:
 
 
 class TestPolicyTable:
-    def test_rejects_bad_shape(self):
-        with pytest.raises(ValueError):
-            PolicyTable(2, 4, np.zeros((2, 4, 4)))
+    @pytest.mark.parametrize(
+        "shape",
+        [(5, 4), (1, 2, 3, 2), (2, 4, 4), (0, 5, 4), (2, 1, 0)],
+        ids=["2-D", "4-D", "rows-not-V+1", "no-classes", "no-tokens"],
+    )
+    def test_rejects_bad_shape(self, shape):
+        message = f"logits shape {shape} is not (C, V + 1, V) with C, V >= 1"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            PolicyTable(np.zeros(shape))
+
+    def test_sizes_are_read_off_the_logits(self):
+        policy = PolicyTable(np.zeros((3, 6, 5)))
+        assert (policy.num_prompt_classes, policy.vocab_size) == (3, 5)
 
     def test_rejects_non_finite(self):
         logits = np.zeros((1, 5, 4))
         logits[0, 0, 0] = np.nan
-        with pytest.raises(ValueError):
-            PolicyTable(1, 4, logits)
+        with pytest.raises(ValueError, match="^logits must be finite$"):
+            PolicyTable(logits)
 
     def test_clone_is_independent(self):
         policy = random_policy(1, 3, seed=2)

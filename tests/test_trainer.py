@@ -43,8 +43,6 @@ def toy_setup(num_pairs=120, noise=0.1, seed=5, num_classes=3, vocab=6, length=4
     reward = random_reward_model(num_classes, vocab, seed=102)
     config = SynthConfig(
         num_pairs=num_pairs,
-        num_prompt_classes=num_classes,
-        vocab_size=vocab,
         seq_length=length,
         labeling_mode="deterministic",
         noise_rate=noise,
