@@ -2,10 +2,10 @@
 
 Subcommands: curves (factor/weight/loss CSVs over grids), synth (dataset
 generation with a seeded reference), train (mini-batch run with report
-files), eval (metrics JSON for saved artifacts). Every command that writes
-files emits its run manifest first, and identical invocations reproduce
-byte-identical data files; wall-clock timing goes to a separate file that
-is excluded from that guarantee.
+files), eval (metrics JSON for saved artifacts). Every output file is
+written here, each JSON file by _write_json; the manifest comes first, and
+identical invocations reproduce byte-identical data files. Wall-clock
+timing goes to a separate file that is excluded from that guarantee.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import json
 import math
 import re
 import sys
+from dataclasses import astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -43,13 +44,7 @@ from .losses import (
     parse_variant,
 )
 from .policy import load_policy, random_policy, save_policy
-from .trainer import (
-    TrainConfig,
-    evaluate,
-    train,
-    write_report_csv,
-    write_report_json,
-)
+from .trainer import StepRecord, TrainConfig, evaluate, train
 
 MANIFEST_NAME = "manifest.json"
 MAX_GRID_POINTS = 1_000_000
@@ -149,11 +144,19 @@ def _join_grid_values(argv: list[str]) -> list[str]:
     return out
 
 
+def _write_json(path: Path | None, value) -> str:
+    """Every JSON output's one layout: 2-space indent, no NaN or infinity, LF
+    at the end. Returns the text, after writing it to path if one is given."""
+    text = json.dumps(value, indent=2, allow_nan=False) + "\n"
+    if path is not None:
+        with atomic_write(path) as fh:
+            fh.write(text)
+    return text
+
+
 def _write_manifest(out_dir: Path, manifest: dict) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    with atomic_write(out_dir / MANIFEST_NAME) as fh:
-        json.dump(manifest, fh, indent=2, allow_nan=False)
-        fh.write("\n")
+    _write_json(out_dir / MANIFEST_NAME, manifest)
 
 
 def _manifest(command: str, configuration: dict, seeds: dict, outputs: dict) -> dict:
@@ -183,6 +186,13 @@ def _write_csv(path: Path, columns: dict[str, np.ndarray]) -> None:
             block = table[start:start + block_rows].ravel()
             fh.write(format_block(block, seps[:len(block)], out[:len(block)])
                      or row * (len(block) // table.shape[1]) % tuple(block.tolist()))
+
+
+def _report_row(record: StepRecord) -> str:
+    """A report.csv row: ints as is, floats as %.9g, None (empty subgroup) as nan."""
+    cells = ("nan" if v is None else _fmt(v) if isinstance(v, float) else str(v)
+             for v in astuple(record))
+    return ",".join(cells) + "\n"
 
 
 # ----------------------------------------------------------------- curves
@@ -346,7 +356,8 @@ def cmd_train(args) -> int:
         print(f"notice: gamma={gamma:g} is outside the tuned focal range [{lo}, {hi}]")
 
     config = TrainConfig(
-        loss=LossConfig(variant, beta=args.beta, gamma=gamma),
+        loss=LossConfig(variant, gamma=gamma),
+        beta=args.beta,
         learning_rate=args.lr,
         batch_size=args.batch_size,
         num_epochs=args.epochs,
@@ -386,12 +397,13 @@ def cmd_train(args) -> int:
     policy = reference.clone()
     report = train(config, dataset, policy, reference)
 
-    write_report_csv(out_dir / "report.csv", report)
-    write_report_json(out_dir / "report.json", report)
+    # not by _write_csv, whose csvtext import train does not need
+    with atomic_write(out_dir / "report.csv") as fh:
+        fh.write(",".join(f.name for f in fields(StepRecord)) + "\n")
+        fh.writelines(map(_report_row, report.steps))
+    _write_json(out_dir / "report.json", report.to_json_dict())
     save_policy(out_dir / "policy.txt", policy)
-    with atomic_write(out_dir / "timing.json") as fh:
-        json.dump({"wall_clock_seconds": report.wall_clock_seconds}, fh, indent=2)
-        fh.write("\n")
+    _write_json(out_dir / "timing.json", {"wall_clock_seconds": report.wall_clock_seconds})
 
     first, last = report.steps[0], report.steps[-1]
     print(f"trained {args.loss} for {last.step} steps on {len(dataset)} pairs")
@@ -434,22 +446,13 @@ def cmd_eval(args) -> int:
     output = {
         "manifest": manifest,
         "metrics": evaluation.metrics(),
-        "weights": ordering["weight_profile"],
-        "focal_to_dpo_weight_ratio": ordering["focal_to_dpo_weight_ratio"],
-        "margin_ordering_incorrect_below_correct": ordering[
-            "margin_ordering_incorrect_below_correct"
-        ],
-        "ratio_ordering_incorrect_below_correct": ordering[
-            "ratio_ordering_incorrect_below_correct"
-        ],
+        "weights": ordering.pop("weight_profile"),
+        **dict(sorted(ordering.items())),  # metrics.json lists these by name
     }
-    text = json.dumps(output, indent=2, allow_nan=False)
-    if args.out:
-        out_dir = Path(args.out)
+    out_dir = Path(args.out) if args.out else None
+    if out_dir:
         _write_manifest(out_dir, manifest)
-        with atomic_write(out_dir / "metrics.json") as fh:
-            fh.write(text + "\n")
-    print(text)
+    print(_write_json(out_dir and out_dir / "metrics.json", output), end="")
     return 0
 
 

@@ -10,11 +10,11 @@ batch of margins as a float64 array. With p = sigmoid(Delta) the variants are
     focus-incorrect  L = (1-p)**g * (-log p)     up-weights misranked pairs
 
 The gradient weight w(Delta) = -dL/dDelta is the scalar that multiplies the
-gradient of the chosen/rejected log-probability difference during descent;
-beta and the policy-gradient term live in the trainer.
+gradient of the chosen/rejected log-probability difference during descent.
+beta never enters here: the trainer owns it, forms the beta-scaled margins
+and applies the policy-gradient term.
 """
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -60,21 +60,14 @@ def parse_variant(name: str) -> LossVariant:
 
 @dataclass(frozen=True)
 class LossConfig:
-    """Loss variant plus its hyperparameters.
-
-    beta is the implicit-reward temperature (used by the trainer when it
-    forms margins); gamma is the focusing exponent, ignored by dpo.
-    """
+    """Loss variant plus its focusing exponent gamma, ignored by dpo."""
 
     variant: LossVariant
-    beta: float = 0.01
     gamma: float = 0.05
 
     def __post_init__(self) -> None:
         if not isinstance(self.variant, LossVariant):
             raise ValueError(f"variant must be a LossVariant, got {self.variant!r}")
-        if not 0.0 < self.beta < math.inf:
-            raise ValueError(f"beta must be finite and > 0, got {self.beta!r}")
         if not 0.0 <= self.gamma <= GAMMA_MAX:
             raise ValueError(f"gamma must lie in [0, {GAMMA_MAX}], got {self.gamma!r}")
         if self.variant is not LossVariant.DPO and self.gamma == 0.0:

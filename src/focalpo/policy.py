@@ -243,4 +243,9 @@ def load_policy(path) -> PolicyTable:
             except ValueError as exc:
                 raise ValueError(f"{path}: line {number}: malformed float") from exc
             logits[i // (vocab + 1), i % (vocab + 1)] = values
-    return PolicyTable(logits)
+        try:
+            return PolicyTable(logits)
+        except ValueError:  # the shape is right, so a logit is not finite
+            row = int(np.isfinite(logits).reshape(-1, vocab).all(axis=1).argmin())
+            number, _ = next(itertools.islice(_rows(fh), row, None))
+            raise ValueError(f"{path}: line {number}: logits must be finite") from None

@@ -10,19 +10,19 @@ evaluation reads its log-probabilities and subgroup labels from that
 encoding. Each evaluated policy state is scored once (see evaluate), and
 its step record, metrics and orderings all read those margins. The
 reference table is never modified; all randomness comes from the shuffle
-seed, so identical configurations reproduce identical reports.
+seed, so identical configurations reproduce identical reports. beta is a
+TrainConfig field, since margins are formed here; this module writes no files.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, astuple, dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .data import Dataset, EncodedPairs, encode_pairs
-from .files import atomic_write
 from .losses import LossConfig, LossVariant, gradient_weight, pair_loss
 from .policy import PolicyTable, _check_same_shape, log_prob_grad, log_probs, log_softmax
 
@@ -42,15 +42,26 @@ __all__ = [
     "train_step",
     "train",
     "evaluate",
-    "standard_profile_variants",
-    "write_report_csv",
-    "write_report_json",
+    "PROFILE_LOSSES",
 ]
+
+# The comparison trio of every weight profile: dpo, focal(0.05), focus-incorrect(1).
+PROFILE_LOSSES = (
+    LossConfig(LossVariant.DPO),
+    LossConfig(LossVariant.FOCAL, gamma=0.05),
+    LossConfig(LossVariant.FOCUS_INCORRECT, gamma=1.0),
+)
+
+
+def _check_beta(beta: float) -> None:
+    if not 0.0 < beta < math.inf:
+        raise ValueError(f"beta must be finite and > 0, got {beta!r}")
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     loss: LossConfig
+    beta: float = 0.01  # implicit-reward temperature of the margins
     learning_rate: float = 3e-3
     batch_size: int = 128
     num_epochs: int = 1
@@ -64,6 +75,7 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.loss, LossConfig):
             raise ValueError("loss must be a LossConfig")
+        _check_beta(self.beta)
         if not 0.0 <= self.learning_rate < math.inf:
             raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate!r}")
         if self.batch_size < 1:
@@ -81,10 +93,10 @@ class TrainConfig:
             raise ValueError(f"adam_epsilon must be finite and > 0, got {self.adam_epsilon!r}")
 
     def echo(self) -> dict:
-        """JSON-ready configuration record for reports and manifests: the
-        loss's variant, beta and gamma, then the other fields in order."""
-        record = {"loss": self.loss.variant.value, "beta": self.loss.beta, "gamma": self.loss.gamma}
-        record.update((f.name, getattr(self, f.name)) for f in fields(self) if f.name != "loss")
+        """JSON-ready configuration record for reports and manifests: loss
+        variant, beta and gamma first, then the other fields in order."""
+        record = {"loss": self.loss.variant.value, "beta": self.beta, "gamma": self.loss.gamma}
+        record.update((f.name, getattr(self, f.name)) for f in fields(self)[2:])
         return record
 
 
@@ -97,17 +109,17 @@ class OptimizerState:
 
 @dataclass(frozen=True)
 class StepRecord:
-    """Full-dataset snapshot at one eval point; subgroup means are NaN when
+    """Full-dataset snapshot at one eval point; subgroup means are None when
     the subgroup is empty."""
 
     step: int
     mean_loss: float
     mean_abs_weight: float
-    mean_weight_correct: float
-    mean_weight_incorrect: float
+    mean_weight_correct: float | None
+    mean_weight_incorrect: float | None
     accuracy_overall: float
-    accuracy_correct: float
-    accuracy_incorrect: float
+    accuracy_correct: float | None
+    accuracy_incorrect: float | None
 
 
 @dataclass
@@ -120,17 +132,7 @@ class TrainReport:
     def to_json_dict(self) -> dict:
         """Deterministic serializable form; wall-clock time is excluded so
         identical runs serialize byte-identically."""
-        return {
-            "config": self.config,
-            "steps": [_none_for_nan(asdict(rec)) for rec in self.steps],
-            "final": self.final,
-        }
-
-
-def _none_for_nan(record: dict) -> dict:
-    return {
-        k: (None if isinstance(v, float) and math.isnan(v) else v) for k, v in record.items()
-    }
+        return {"config": self.config, "steps": list(map(asdict, self.steps)), "final": self.final}
 
 
 def init_optimizer_state(config: TrainConfig, policy: PolicyTable) -> OptimizerState:
@@ -149,11 +151,7 @@ def _margins(log_table: np.ndarray, pairs: EncodedPairs, beta: float):
     return margins, chosen, rejected
 
 
-def assemble_gradient(
-    policy: PolicyTable,
-    batch: EncodedPairs,
-    loss_config: LossConfig,
-) -> np.ndarray:
+def assemble_gradient(policy: PolicyTable, batch: EncodedPairs, config: TrainConfig) -> np.ndarray:
     """Mean-loss parameter gradient over a batch, as a new table-shaped array.
 
     G = -(1/B) * sum_i weight_i * beta * (grad log pi(chosen_i) - grad log pi(rejected_i))
@@ -163,15 +161,15 @@ def assemble_gradient(
         raise ValueError("batch must be non-empty")
     _check_same_shape(policy, batch.reference)
     log_table = log_softmax(policy.logits)
-    margins, _, _ = _margins(log_table, batch, loss_config.beta)
+    margins, _, _ = _margins(log_table, batch, config.beta)
     finite = np.isfinite(margins)
-    weights = gradient_weight(loss_config, np.where(finite, margins, 0.0))
+    weights = gradient_weight(config.loss, np.where(finite, margins, 0.0))
     bad = ~(finite & np.isfinite(weights))
     if bad.any():
         i = int(np.argmax(bad))
         what = "gradient weight" if finite[i] else "margin"
         raise FloatingPointError(f"non-finite {what} for pair_id {batch.pair_ids[i]}")
-    coeffs = -weights * loss_config.beta * (1.0 / len(batch))
+    coeffs = -weights * config.beta * (1.0 / len(batch))
     # The (B, 2, L) rows flatten to every pair's chosen row and then its
     # rejected row, which take opposite signs, so the two add up next to
     # each other in a shared context.
@@ -219,7 +217,7 @@ def train_step(
 ) -> None:
     """One optimizer update on a batch, in place: the policy's logits and
     the optimizer state change; the reference is never touched."""
-    _apply_update(policy, assemble_gradient(policy, batch, config.loss), config, optimizer_state)
+    _apply_update(policy, assemble_gradient(policy, batch, config), config, optimizer_state)
 
 
 def _below(by_group: dict):
@@ -232,13 +230,12 @@ def _below(by_group: dict):
 
 @dataclass(frozen=True)
 class Evaluation:
-    """One policy state scored on an encoded dataset at one beta. The
-    margins are computed once (see evaluate); the step record, the metrics
-    and the orderings of that state all read them. The subgroups come from
-    the dataset's correct_at_init mask."""
+    """One policy state scored on an encoded dataset. The margins are
+    computed once (see evaluate); the step record, the metrics and the
+    orderings of that state all read them. The subgroups come from the
+    dataset's correct_at_init mask."""
 
     pairs: EncodedPairs
-    beta: float
     margins: np.ndarray
     policy_correct: np.ndarray  # the policy's own log-likelihood ranking
 
@@ -247,21 +244,21 @@ class Evaluation:
         correct = self.pairs.correct_at_init
         return {CORRECT: correct, INCORRECT: ~correct}
 
-    def by_group(self, values: np.ndarray, empty=None) -> dict:
+    def by_group(self, values: np.ndarray) -> dict:
         """Maps each subgroup name to the mean of values over its pairs,
-        `empty` when it has none."""
+        None when it has none."""
         means = {}
         for name, mask in self.groups().items():
             count = int(mask.sum())
-            means[name] = float(values[mask].sum() / count) if count else empty
+            means[name] = float(values[mask].sum() / count) if count else None
         return means
 
     def record(self, step: int, loss: LossConfig) -> StepRecord:
         """Full-dataset snapshot under the loss's variant and gamma."""
         out = pair_loss(loss, self.margins)
         positive = self.margins > 0.0
-        weights = self.by_group(out.weight, math.nan)
-        accuracies = self.by_group(positive, math.nan)
+        weights = self.by_group(out.weight)
+        accuracies = self.by_group(positive)
         return StepRecord(
             step=step,
             mean_loss=float(out.loss.mean()),
@@ -296,11 +293,11 @@ class Evaluation:
         """The orderings that the focal down-weighting mechanism predicts:
         whether the incorrect-at-init subgroup sits at the lower mean margin
         and at the lower focal-to-dpo weight ratio, with the subgroup weight
-        profile of the standard trio the ratios come from. Empty subgroups
+        profile of the PROFILE_LOSSES trio the ratios come from. Empty subgroups
         are absent from the profile; an ordering is None when a subgroup is
         empty."""
         profile, mean_weights = {}, {}
-        for config in standard_profile_variants(self.beta):
+        for config in PROFILE_LOSSES:
             weights = gradient_weight(config, self.margins)
             means = mean_weights[config.variant] = self.by_group(weights)
             abs_means = self.by_group(np.abs(weights))
@@ -330,18 +327,10 @@ def evaluate(policy: PolicyTable, pairs: EncodedPairs, beta: float) -> Evaluatio
     """Score the policy on the dataset: its margins at this beta and its own
     chosen-over-rejected ranking, from one log-softmax of its table. No
     parameter updates happen here."""
+    _check_beta(beta)
     _check_same_shape(policy, pairs.reference)
     margins, chosen, rejected = _margins(log_softmax(policy.logits), pairs, beta)
-    return Evaluation(pairs, beta, margins, chosen > rejected)
-
-
-def standard_profile_variants(beta: float) -> list[LossConfig]:
-    """The comparison trio reported everywhere: dpo, focal(0.05), focus-incorrect(1)."""
-    return [
-        LossConfig(LossVariant.DPO, beta=beta),
-        LossConfig(LossVariant.FOCAL, beta=beta, gamma=0.05),
-        LossConfig(LossVariant.FOCUS_INCORRECT, beta=beta, gamma=1.0),
-    ]
+    return Evaluation(pairs, margins, chosen > rejected)
 
 
 def train(
@@ -365,7 +354,7 @@ def train(
     step = 0
 
     def snapshot() -> Evaluation:
-        evaluation = evaluate(policy, pairs, config.loss.beta)
+        evaluation = evaluate(policy, pairs, config.beta)
         records.append(evaluation.record(step, config.loss))
         return evaluation
 
@@ -393,21 +382,3 @@ def train(
         wall_clock_seconds=time.perf_counter() - start,
     )
 
-
-def write_report_csv(path, report: TrainReport) -> None:
-    """One row per eval point and one column per StepRecord field, in
-    declaration order; floats with 9 significant digits, '.' decimal
-    separator, LF endings; empty-subgroup means render as 'nan'."""
-    with atomic_write(path) as fh:
-        fh.write(",".join(f.name for f in fields(StepRecord)) + "\n")
-        for rec in report.steps:
-            values = (f"{v:.9g}" if isinstance(v, float) else str(v) for v in astuple(rec))
-            fh.write(",".join(values) + "\n")
-
-
-def write_report_json(path, report: TrainReport) -> None:
-    import json
-
-    with atomic_write(path) as fh:
-        json.dump(report.to_json_dict(), fh, indent=2, allow_nan=False)
-        fh.write("\n")

@@ -74,7 +74,8 @@ def criterion(number, summary):
 
 def toy_train_config(variant, gamma):
     return TrainConfig(
-        loss=LossConfig(variant, beta=BETA, gamma=gamma),
+        loss=LossConfig(variant, gamma=gamma),
+        beta=BETA,
         learning_rate=3e-3,
         batch_size=128,
         num_epochs=50,  # 4 batches per epoch over 500 pairs -> exactly 200 steps

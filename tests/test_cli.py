@@ -4,6 +4,9 @@ import argparse
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -547,8 +550,8 @@ class TestTrain:
             assert not out.exists()
         # library callers get the same check from the config classes
         with pytest.raises(ValueError, match=f"{field} must"):
-            if field in ("beta", "gamma"):
-                LossConfig(LossVariant.FOCAL, **{field: float(value)})
+            if field == "gamma":
+                LossConfig(LossVariant.FOCAL, gamma=float(value))
             else:
                 TrainConfig(LossConfig(LossVariant.DPO), **{field: float(value)})
 
@@ -576,6 +579,51 @@ class TestTrain:
         )
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_never_imports_the_csv_kernel(self, synth_dir, tmp_path):
+        # report.csv is formatted without csvtext, which only curves needs
+        argv = train_args(synth_dir / "pairs.jsonl", synth_dir / "reference.txt", tmp_path / "run")
+        script = (
+            "import sys\nfrom focalpo.cli import main\n"
+            f"assert main({[str(a) for a in argv]!r}) == 0\n"
+            "print('focalpo.csvtext' in sys.modules)\n"
+        )
+        path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "False"
+        assert (tmp_path / "run" / "report.csv").exists()
+
+
+class TestEmptySubgroup:
+    def test_nan_in_csv_and_null_in_json(self, tmp_path, capsys, monkeypatch):
+        # the default seeds draw one pair, incorrect at init, so the
+        # correct_at_init subgroup is empty at every eval point
+        monkeypatch.chdir(tmp_path)
+        assert main(["synth", "--out", "data", "--pairs", "1"]) == 0
+        assert main(["train", "--dataset", "data/pairs.jsonl", "--reference",
+                     "data/reference.txt", "--out", "run", "--beta", "5", "--epochs", "3",
+                     "--eval-every", "1"]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--dataset", "data/pairs.jsonl", "--policy", "run/policy.txt",
+                     "--reference", "data/reference.txt", "--beta", "5", "--out", "eval"]) == 0
+        assert capsys.readouterr().out == Path("eval/metrics.json").read_text()
+        rows = Path("run/report.csv").read_text().splitlines()
+        assert rows[1] == "0,0.693147181,0.5,nan,0.5,0,nan,0"
+        step = json.loads(Path("run/report.json").read_text())["steps"][0]
+        assert step["mean_weight_correct"] is None and step["accuracy_correct"] is None
+        assert step["mean_weight_incorrect"] == 0.5 and step["accuracy_incorrect"] == 0.0
+        output = json.loads(Path("eval/metrics.json").read_text())
+        assert output["metrics"]["subgroup_counts"] == {
+            "correct_at_init": 0, "incorrect_at_init": 1,
+        }
+        assert output["metrics"]["accuracy_by_subgroup"]["correct_at_init"] is None
+        for groups in output["weights"].values():
+            assert list(groups) == ["incorrect_at_init"]
 
 
 class TestEval:

@@ -39,20 +39,13 @@ L_FOCAL_EXACT_AT_ZERO = 0.7175909630932573
 L_FOCUS_INCORRECT_AT_ZERO = 0.34657359027997264
 
 
-def config(variant: LossVariant, gamma: float = 0.05, beta: float = 0.01) -> LossConfig:
-    return LossConfig(variant, beta=beta, gamma=gamma)
+def config(variant: LossVariant, gamma: float = 0.05) -> LossConfig:
+    return LossConfig(variant, gamma=gamma)
 
 
 class TestConfig:
     def test_defaults(self):
-        cfg = LossConfig(LossVariant.FOCAL)
-        assert cfg.beta == 0.01 and cfg.gamma == 0.05
-
-    def test_rejects_bad_beta(self):
-        with pytest.raises(ValueError):
-            LossConfig(LossVariant.DPO, beta=0.0)
-        with pytest.raises(ValueError):
-            LossConfig(LossVariant.DPO, beta=math.inf)
+        assert LossConfig(LossVariant.FOCAL).gamma == 0.05
 
     def test_rejects_zero_gamma_for_focal(self):
         with pytest.raises(ValueError):

@@ -375,6 +375,14 @@ class TestSerialization:
         with pytest.raises(ValueError, match="line 3: malformed float"):
             load_policy(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_logit_names_file_and_line(self, tmp_path, value):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"1 2\n0.5 {value}\n0 0\n1 1\n")
+        message = f"{path}: line 2: logits must be finite"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_policy(path)
+
     def test_malformed_files_raise(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("")

@@ -61,14 +61,14 @@ def train_config(variant=LossVariant.DPO, gamma=0.05, beta=5.0, **kwargs):
         eval_every=5,
     )
     defaults.update(kwargs)
-    return TrainConfig(loss=LossConfig(variant, beta=beta, gamma=gamma), **defaults)
+    return TrainConfig(loss=LossConfig(variant, gamma=gamma), beta=beta, **defaults)
 
 
-def mean_batch_loss(policy, reference, batch, loss_config):
+def mean_batch_loss(policy, reference, batch, config):
     total = 0.0
     for pair in pairs_of(batch):
-        margin = pair_margin(policy, reference, *pair, loss_config.beta)
-        total += pair_loss(loss_config, margin).loss
+        margin = pair_margin(policy, reference, *pair, config.beta)
+        total += pair_loss(config.loss, margin).loss
     return total / len(batch)
 
 
@@ -120,10 +120,10 @@ class TestTrainStep:
                 batch_size=len(dataset),
             )
             trial = policy.clone()
-            before = mean_batch_loss(trial, reference, dataset, config.loss)
+            before = mean_batch_loss(trial, reference, dataset, config)
             state = init_optimizer_state(config, trial)
             train_step(trial, encode_pairs(reference, dataset), config, state)
-            after = mean_batch_loss(trial, reference, dataset, config.loss)
+            after = mean_batch_loss(trial, reference, dataset, config)
             assert after <= before
 
     def test_empty_batch_rejected(self):
@@ -138,6 +138,7 @@ class TestTrainStep:
                 init_optimizer_state(config, policy),
             )
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_non_finite_margin_aborts_with_pair_id(self):
         # logits at +/-1e308 are finite, but a two-step chain of suppressed
         # tokens pushes the sequence log-probability to -inf
@@ -164,10 +165,10 @@ class TestTrainStep:
         policy.logits[0, 2] = [0.0, 1.0]  # the BOS context favours token 1
         ranked = (7, 0, (1,), (0,), 1.0, 0.0, False)
         misranked = (9, 0, (0,), (1,), 1.0, 0.0, False)
-        loss = LossConfig(LossVariant.FOCAL, beta=1e308, gamma=5.0)
+        config = train_config(LossVariant.FOCAL, gamma=5.0, beta=1e308)
         pairs = make_dataset([ranked, misranked])
         with pytest.raises(FloatingPointError, match="non-finite gradient weight for pair_id 9"):
-            assemble_gradient(policy, encode_pairs(reference, pairs), loss)
+            assemble_gradient(policy, encode_pairs(reference, pairs), config)
 
 
 class TestGradientCheck:
@@ -181,17 +182,25 @@ class TestGradientCheck:
             (LossVariant.FOCAL_EXACT, 0.07),
             (LossVariant.FOCUS_INCORRECT, 1.0),
         ]:
-            loss_config = LossConfig(variant, beta=0.7, gamma=gamma)
-            grad = assemble_gradient(policy, encode_pairs(reference, dataset), loss_config)
+            config = train_config(variant, gamma=gamma, beta=0.7)
+            grad = assemble_gradient(policy, encode_pairs(reference, dataset), config)
             fd = np.zeros_like(grad)
             for idx in np.ndindex(*grad.shape):
                 policy.logits[idx] += h
-                up = mean_batch_loss(policy, reference, dataset, loss_config)
+                up = mean_batch_loss(policy, reference, dataset, config)
                 policy.logits[idx] -= 2 * h
-                down = mean_batch_loss(policy, reference, dataset, loss_config)
+                down = mean_batch_loss(policy, reference, dataset, config)
                 policy.logits[idx] += h
                 fd[idx] = (up - down) / (2 * h)
             np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-10)
+
+
+class TestTrainConfig:
+    def test_rejects_bad_beta(self):
+        with pytest.raises(ValueError, match="^beta must be finite and > 0, got 0.0$"):
+            TrainConfig(LossConfig(LossVariant.DPO), beta=0.0)
+        with pytest.raises(ValueError, match="^beta must be finite and > 0, got inf$"):
+            TrainConfig(LossConfig(LossVariant.DPO), beta=math.inf)
 
 
 class TestTrain:
@@ -237,6 +246,13 @@ class TestTrain:
 
 
 class TestEvaluate:
+    @pytest.mark.parametrize("beta", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_bad_beta_at_the_call(self, beta):
+        dataset, reference = toy_setup(num_pairs=4)
+        pairs = encode_pairs(reference, dataset)
+        with pytest.raises(ValueError, match=f"^beta must be finite and > 0, got {beta!r}$"):
+            evaluate(reference.clone(), pairs, beta)
+
     def test_policy_equal_to_reference(self):
         dataset, reference = toy_setup(num_pairs=40)
         metrics = evaluate(reference.clone(), encode_pairs(reference, dataset), beta=0.01).metrics()
