@@ -41,10 +41,9 @@ from .losses import (
     LossVariant,
     modulating_factor,
     pair_loss,
-    parse_variant,
 )
 from .policy import load_policy, random_policy, save_policy
-from .trainer import StepRecord, TrainConfig, evaluate, train
+from .trainer import PROFILE_LOSSES, StepRecord, TrainConfig, evaluate, train
 
 MANIFEST_NAME = "manifest.json"
 MAX_GRID_POINTS = 1_000_000
@@ -208,10 +207,10 @@ def _gamma_columns(gamma: float) -> dict[str, LossVariant]:
 
 
 def cmd_curves(args) -> int:
-    gammas = list(dict.fromkeys(args.gamma or [0.05]))
-    # The weight/loss files always carry the reference configurations
+    gammas = list(dict.fromkeys(args.gamma or [LossConfig.gamma]))
+    # The weight/loss files always carry the gammas of the profile trio
     # (focal at 0.05, focus-incorrect at 1) alongside whatever was asked for.
-    weight_gammas = list(dict.fromkeys(gammas + [0.05, 1.0]))
+    weight_gammas = list(dict.fromkeys(gammas + [loss.gamma for loss in PROFILE_LOSSES[1:]]))
     tags = {}
     for g in weight_gammas:
         other = tags.setdefault(f"{g:g}", g)
@@ -346,28 +345,21 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    variant = parse_variant(args.loss)
+    variant = LossVariant(args.loss)
     if variant is LossVariant.DPO and args.gamma is not None:
         print(f"notice: gamma={args.gamma:g} is ignored by the dpo loss")
-    # dpo stores the default gamma, unused
-    gamma = 0.05 if args.gamma is None or variant is LossVariant.DPO else args.gamma
-    if variant is LossVariant.FOCAL and gamma > 1.0:
-        lo, hi = TUNED_GAMMA_RANGE
-        print(f"notice: gamma={gamma:g} is outside the tuned focal range [{lo}, {hi}]")
+    # dpo keeps the default gamma, unused
+    if args.gamma is None or variant is LossVariant.DPO:
+        loss = LossConfig(variant)
+    else:
+        loss = LossConfig(variant, gamma=args.gamma)
+    lo, hi = TUNED_GAMMA_RANGE
+    if variant is LossVariant.FOCAL and not lo <= loss.gamma <= hi:
+        print(f"notice: gamma={loss.gamma:g} is outside the tuned focal range [{lo}, {hi}]")
 
-    config = TrainConfig(
-        loss=LossConfig(variant, gamma=gamma),
-        beta=args.beta,
-        learning_rate=args.lr,
-        batch_size=args.batch_size,
-        num_epochs=args.epochs,
-        optimizer=args.optimizer,
-        adam_beta1=args.adam_beta1,
-        adam_beta2=args.adam_beta2,
-        adam_epsilon=args.adam_eps,
-        shuffle_seed=args.shuffle_seed,
-        eval_every=args.eval_every,
-    )
+    # a TrainConfig flag not given is absent from args, and TrainConfig fills it in
+    given = {f.name: vars(args)[f.name] for f in fields(TrainConfig)[1:] if f.name in vars(args)}
+    config = TrainConfig(loss, **given)
     reference = load_policy(args.reference)
     dataset = load_dataset(
         args.dataset,
@@ -384,7 +376,7 @@ def cmd_train(args) -> int:
             "reference": str(args.reference),
             **config.echo(),
         },
-        seeds={"shuffle_seed": args.shuffle_seed},
+        seeds={"shuffle_seed": config.shuffle_seed},
         outputs={
             "report_csv": "report.csv",
             "report_json": "report.json",
@@ -492,40 +484,43 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--pairs", type=_positive_int, required=True)
     p_synth.add_argument("--classes", type=_positive_int, default=4)
     p_synth.add_argument("--vocab", type=_flag(int, lambda v: v >= 2, "be >= 2"), default=8)
-    p_synth.add_argument("--length", type=_positive_int, default=4)
-    p_synth.add_argument("--mode", choices=LABELING_MODES, default="deterministic")
-    p_synth.add_argument("--noise", type=_unit_fraction, default=0.0)
-    p_synth.add_argument("--seed", type=_non_negative_int, default=0)
+    p_synth.add_argument("--length", type=_positive_int, default=SynthConfig.seq_length)
+    p_synth.add_argument("--mode", choices=LABELING_MODES, default=SynthConfig.labeling_mode)
+    p_synth.add_argument("--noise", type=_unit_fraction, default=SynthConfig.noise_rate)
+    p_synth.add_argument("--seed", type=_non_negative_int, default=SynthConfig.generator_seed)
     p_synth.add_argument("--ref-seed", type=_non_negative_int, default=1)
     p_synth.add_argument("--reward-seed", type=_non_negative_int, default=2)
     p_synth.add_argument("--holdout-fraction", type=_unit_fraction, default=0.0)
     p_synth.set_defaults(func=cmd_synth)
 
-    p_train = sub.add_parser("train", help="train a policy against a frozen reference")
+    # TrainConfig owns the defaults of its flags, each named by its field
+    p_train = sub.add_parser("train", help="train a policy against a frozen reference",
+                             argument_default=argparse.SUPPRESS)
     p_train.add_argument("--dataset", required=True)
     p_train.add_argument("--reference", required=True)
     p_train.add_argument("--out", required=True)
     p_train.add_argument(
         "--loss", choices=[v.value for v in LossVariant], default=LossVariant.DPO.value
     )
-    p_train.add_argument("--beta", type=_positive_finite, default=0.01)
+    p_train.add_argument("--beta", type=_positive_finite)
     p_train.add_argument("--gamma", type=_gamma, default=None)
-    p_train.add_argument("--lr", type=_non_negative_finite, default=3e-3)
-    p_train.add_argument("--batch-size", type=_positive_int, default=128)
-    p_train.add_argument("--epochs", type=_non_negative_int, default=1)
-    p_train.add_argument("--optimizer", choices=("adam", "sgd"), default="adam")
-    p_train.add_argument("--adam-beta1", type=_unit_fraction, default=0.9)
-    p_train.add_argument("--adam-beta2", type=_unit_fraction, default=0.999)
-    p_train.add_argument("--adam-eps", type=_positive_finite, default=1e-8)
-    p_train.add_argument("--shuffle-seed", type=_non_negative_int, default=0)
-    p_train.add_argument("--eval-every", type=_positive_int, default=10)
+    p_train.add_argument("--lr", type=_non_negative_finite, dest="learning_rate", metavar="LR")
+    p_train.add_argument("--batch-size", type=_positive_int)
+    p_train.add_argument("--epochs", type=_non_negative_int, dest="num_epochs", metavar="EPOCHS")
+    p_train.add_argument("--optimizer", choices=("adam", "sgd"))
+    p_train.add_argument("--adam-beta1", type=_unit_fraction)
+    p_train.add_argument("--adam-beta2", type=_unit_fraction)
+    p_train.add_argument("--adam-eps", type=_positive_finite,
+                         dest="adam_epsilon", metavar="ADAM_EPS")
+    p_train.add_argument("--shuffle-seed", type=_non_negative_int)
+    p_train.add_argument("--eval-every", type=_positive_int)
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("eval", help="evaluate a saved policy on a dataset")
     p_eval.add_argument("--dataset", required=True)
     p_eval.add_argument("--policy", required=True)
     p_eval.add_argument("--reference", required=True)
-    p_eval.add_argument("--beta", type=_positive_finite, default=0.01)
+    p_eval.add_argument("--beta", type=_positive_finite, default=TrainConfig.beta)
     p_eval.add_argument("--out", default=None, help="optional output directory")
     p_eval.set_defaults(func=cmd_eval)
 

@@ -24,8 +24,8 @@ from .numerics import log_sigmoid, pow_via_exp, sigmoid
 
 GAMMA_MAX = 5.0
 
-# Focusing-parameter window the focal variant was tuned in; larger values
-# are accepted but flagged by the CLI.
+# Focusing-parameter window the focal variant was tuned in, both ends
+# included; values outside it are accepted but flagged by the CLI.
 TUNED_GAMMA_RANGE = (0.05, 0.07)
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "LossVariant",
     "LossConfig",
     "LossOutput",
-    "parse_variant",
     "modulating_factor",
     "pair_loss",
     "gradient_weight",
@@ -48,14 +47,6 @@ class LossVariant(Enum):
     FOCAL = "focal"
     FOCAL_EXACT = "focal-exact"
     FOCUS_INCORRECT = "focus-incorrect"
-
-
-def parse_variant(name: str) -> LossVariant:
-    for variant in LossVariant:
-        if variant.value == name:
-            return variant
-    known = ", ".join(v.value for v in LossVariant)
-    raise ValueError(f"unknown loss variant {name!r}; expected one of: {known}")
 
 
 @dataclass(frozen=True)

@@ -143,10 +143,7 @@ def log_prob_grad(log_table: np.ndarray, rows: TokenRows, coeffs: np.ndarray) ->
 
 
 def _check_same_shape(policy: PolicyTable, reference: PolicyTable) -> None:
-    if (policy.num_prompt_classes, policy.vocab_size) != (
-        reference.num_prompt_classes,
-        reference.vocab_size,
-    ):
+    if policy.logits.shape != reference.logits.shape:
         raise ValueError(
             "policy shape (C, V) = "
             f"({policy.num_prompt_classes}, {policy.vocab_size}) does not match "

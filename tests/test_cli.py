@@ -100,6 +100,9 @@ class TestCurves:
             (["--p-grid", "0:1:0.5"], "open interval (0, 1)"),
             # an infinite step would reach the manifest as a non-JSON value
             (["--delta-grid=0:1:inf"], "finite"),
+            (["--delta-grid=0:1"], "invalid grid '0:1': expected min:max:step"),
+            (["--delta-grid=1:0:0.1"], "grid min must be < max in '1:0:0.1'"),
+            (["--p-grid", "0.1:0.9:0"], "grid step must be > 0 in '0.1:0.9:0'"),
         ],
     )
     def test_bad_grid_exits_2_before_any_file(self, tmp_path, capsys, grid, message):
@@ -140,6 +143,15 @@ class TestCurves:
         assert [row[0] for row in rows] == [float(d) for d in range(-5, 6)]
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["configuration"]["delta_grid"] == [-5.0, 5.0, 1.0]
+
+    def test_p_grid_sets_the_factor_rows(self, tmp_path, capsys):
+        out = tmp_path / "c"
+        assert main(["curves", "--out", str(out), "--p-grid", "0.1:0.9:0.1"]) == 0
+        capsys.readouterr()
+        _, rows = read_csv(out / "factors.csv")
+        assert [row[0] for row in rows] == pytest.approx([k / 10 for k in range(1, 10)])
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["configuration"]["p_grid"] == [0.1, 0.9, 0.1]
 
     def test_rerun_is_byte_identical(self, tmp_path, capsys):
         main(["curves", "--out", str(tmp_path / "a"), "--gamma", "0.07"])
@@ -330,6 +342,17 @@ class TestSynth:
         for name in ("manifest.json", "reference.txt", "pairs.jsonl"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    def test_defaults(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        assert main(["synth", "--out", str(out), "--pairs", "3"]) == 0
+        capsys.readouterr()
+        manifest = json.loads((out / "manifest.json").read_text())
+        configuration = manifest["configuration"]
+        assert (configuration["length"], configuration["mode"], configuration["noise"]) == (
+            4, "deterministic", 0.0
+        )
+        assert manifest["seeds"]["generator_seed"] == 0
+
     def test_empty_training_split_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "data"
         assert main(synth_args(out, pairs=1, extra=("--holdout-fraction", "0.6"))) == 2
@@ -493,12 +516,39 @@ class TestTrain:
         assert "ignored by the dpo loss" in capsys.readouterr().out
 
     def test_gamma_notice_for_large_focal(self, synth_dir, tmp_path, capsys):
+        # any focal gamma outside the tuned range, on either side, is flagged
+        cases = {"2.0": True, "0.5": True, "0.01": True, "0.06": False, "0.07": False}
+        for gamma, flagged in cases.items():
+            out = tmp_path / gamma
+            assert main(
+                train_args(synth_dir / "pairs.jsonl", synth_dir / "reference.txt", out,
+                           extra=("--loss", "focal", "--gamma", gamma))
+            ) == 0
+            notice = (f"notice: gamma={float(gamma):g} is outside the tuned focal range "
+                      "[0.05, 0.07]\n")
+            assert (notice in capsys.readouterr().out) is flagged, gamma
+
+    def test_defaults_are_train_config_defaults(self, synth_dir, tmp_path, capsys):
         out = tmp_path / "run"
-        main(
-            train_args(synth_dir / "pairs.jsonl", synth_dir / "reference.txt", out,
-                       extra=("--loss", "focal", "--gamma", "2.0"))
-        )
-        assert "outside the tuned focal range" in capsys.readouterr().out
+        dataset, reference = str(synth_dir / "pairs.jsonl"), str(synth_dir / "reference.txt")
+        assert main(["train", "--dataset", dataset, "--reference", reference,
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["configuration"] == {
+            "dataset": dataset,
+            "reference": reference,
+            **TrainConfig(LossConfig(LossVariant.DPO)).echo(),
+        }
+        assert manifest["seeds"] == {"shuffle_seed": 0}
+
+    def test_help_names_flags_by_their_metavars(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["train", "--help"])
+        assert excinfo.value.code == 0
+        printed = capsys.readouterr().out
+        assert all(f"  {flag}\n" in printed
+                   for flag in ("--lr LR", "--epochs EPOCHS", "--adam-eps ADAM_EPS"))
 
     def test_zero_learning_rate_keeps_accuracy_flat(self, synth_dir, tmp_path, capsys):
         out = tmp_path / "run"
@@ -705,8 +755,10 @@ class TestEval:
             "--out", str(out),
         ])
         capsys.readouterr()
-        assert (out / "manifest.json").exists()
         assert (out / "metrics.json").exists()
+        # without --beta, eval scores at TrainConfig's default beta
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["configuration"]["beta"] == 0.01
 
 
 class TestGoldenRuns:

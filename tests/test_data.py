@@ -180,6 +180,22 @@ class TestSynthesize:
         with pytest.raises(RuntimeError, match="distinct"):
             synthesize_dataset(config, reward, sampler)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("num_pairs", 0, "num_pairs must be >= 1, got 0"),
+            ("seq_length", 0, "seq_length must be >= 1, got 0"),
+            ("labeling_mode", "random",
+             "labeling_mode must be one of ('deterministic', 'bradley_terry'), got 'random'"),
+            ("noise_rate", 1.0, "noise_rate must lie in [0, 1), got 1.0"),
+            ("noise_rate", -0.1, "noise_rate must lie in [0, 1), got -0.1"),
+        ],
+    )
+    def test_config_check_messages(self, field, value, message):
+        with pytest.raises(ValueError) as info:
+            SynthConfig(**{"num_pairs": 1, field: value})
+        assert str(info.value) == message
+
     def test_shape_mismatch(self):
         # the reward must have the sampler's (C, V) shape
         config = SynthConfig(num_pairs=5)
@@ -294,9 +310,44 @@ FIELDS = [
 VOCAB = 4
 
 
-def _malformed(kind: str, row: dict, data) -> str:
-    """Make a valid row malformed in the given way; the error message of it."""
+# JSON values of every type but the one a field needs; finite, so that the
+# line stays valid JSON
+JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.text()
+                | st.floats(allow_nan=False, allow_infinity=False))
+JSON_VALUES = JSON_SCALARS | st.lists(JSON_SCALARS, max_size=3)
+
+
+def _malformed(kind: str, rows: list, at: int, data) -> str:
+    """Make the valid row rows[at] malformed in the given way, editing a
+    field in place or replacing the row by the whole text of its line; the
+    error message of it."""
+    row = rows[at]
     pos = data.draw(st.integers(0, len(row["chosen"]) - 1))
+    if kind == "blank line":
+        rows[at] = ""
+        return "blank line in JSONL dataset"
+    if kind == "non-object":
+        rows[at] = json.dumps(data.draw(JSON_VALUES))
+        return "expected a JSON object"
+    if kind == "bad pair_id":
+        row["pair_id"] = data.draw(
+            st.integers(max_value=-1) | JSON_VALUES.filter(lambda v: type(v) is not int)
+        )
+        return "pair_id must be a non-negative integer"
+    if kind == "non-integer prompt_class":
+        row["prompt_class"] = data.draw(JSON_VALUES.filter(lambda v: type(v) is not int))
+        return "prompt_class must be an integer"
+    if kind == "bad token array":
+        name = data.draw(st.sampled_from(FIELDS[2:4]))
+        row[name] = data.draw(st.just([]) | JSON_SCALARS)
+        return f"{name} must be a non-empty token array"
+    if kind == "non-number reward":
+        name = data.draw(st.sampled_from(FIELDS[4:6]))
+        row[name] = data.draw(JSON_VALUES.filter(lambda v: type(v) not in (int, float)))
+        return f"{name} must be a number"
+    if kind == "non-boolean label_flipped":
+        row["label_flipped"] = data.draw(JSON_VALUES.filter(lambda v: type(v) is not bool))
+        return "label_flipped must be a boolean"
     if kind == "bool token":
         row["chosen"][pos] = data.draw(st.booleans())
         return f"chosen contains a non-integer token {row['chosen'][pos]!r}"
@@ -345,6 +396,13 @@ def _malformed(kind: str, row: dict, data) -> str:
 
 
 MALFORMED_KINDS = (
+    "blank line",
+    "non-object",
+    "bad pair_id",
+    "non-integer prompt_class",
+    "bad token array",
+    "non-number reward",
+    "non-boolean label_flipped",
     "bool token",
     "negative token",
     "out-of-vocab token",
@@ -397,10 +455,11 @@ class TestJsonl:
         # a length mismatch is reported on the later line, so that row
         # follows at least one valid row
         at = data.draw(st.integers(1 if kind == "mixed lengths" else 0, num_valid - 1))
-        message = _malformed(kind, rows[at], data)
+        message = _malformed(kind, rows, at, data)
+        lines = [row if isinstance(row, str) else json.dumps(row) for row in rows]
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "bad.jsonl"
-            path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+            path.write_text("".join(line + "\n" for line in lines))
             with pytest.raises(DatasetFormatError) as info:
                 load_dataset(path, num_prompt_classes=2, vocab_size=VOCAB)
         assert str(info.value) == f"line {at + 1}: {message}"

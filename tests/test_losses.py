@@ -16,7 +16,6 @@ from focalpo.losses import (
     gradient_weight,
     modulating_factor,
     pair_loss,
-    parse_variant,
 )
 from focalpo.numerics import log_sigmoid
 
@@ -58,11 +57,19 @@ class TestConfig:
         with pytest.raises(ValueError):
             LossConfig(LossVariant.FOCAL, gamma=GAMMA_MAX + 0.1)
 
-    def test_parse_variant_round_trip(self):
-        for variant in LossVariant:
-            assert parse_variant(variant.value) is variant
-        with pytest.raises(ValueError):
-            parse_variant("ipo")
+    @pytest.mark.parametrize(
+        "variant, gamma, message",
+        [
+            ("focal", 0.05, "variant must be a LossVariant, got 'focal'"),
+            (LossVariant.FOCAL, -0.5, f"gamma must lie in [0, {GAMMA_MAX}], got -0.5"),
+            (LossVariant.DPO, 5.5, f"gamma must lie in [0, {GAMMA_MAX}], got 5.5"),
+            (LossVariant.FOCUS_INCORRECT, 0.0, "gamma must be > 0 for focus-incorrect"),
+        ],
+    )
+    def test_check_messages(self, variant, gamma, message):
+        with pytest.raises(ValueError) as info:
+            LossConfig(variant, gamma=gamma)
+        assert str(info.value) == message
 
 
 class TestPreferenceProbability:
@@ -147,7 +154,7 @@ class TestPairLoss:
 
     def test_matches_high_precision_mirror(self):
         for name in VARIANT_NAMES:
-            variant = parse_variant(name)
+            variant = LossVariant(name)
             for gamma in (0.05, 1.0):
                 cfg = config(variant, gamma=gamma)
                 deltas = (-10.0, -2.5, 0.0, 2.5, 10.0)
@@ -188,7 +195,7 @@ class TestGradientWeight:
         """
         h = 1e-5
         for name in VARIANT_NAMES:
-            variant = parse_variant(name)
+            variant = LossVariant(name)
             for gamma in (0.05, 0.07, 1.0):
                 cfg = config(variant, gamma=gamma)
                 fds = np.array([fd_weight(name, gamma, delta, h=h) for delta in GRID_QUARTER])
@@ -318,7 +325,7 @@ class TestArrays:
     def test_element_alone_matches_element_in_array(self, margins, name, gamma):
         # An epoch's last batch is smaller than the others: a pair's loss and
         # weight must not depend on how many other pairs share its call.
-        cfg = config(parse_variant(name), gamma=gamma)
+        cfg = config(LossVariant(name), gamma=gamma)
         batch = pair_loss(cfg, np.array(margins))
         for i, margin in enumerate(margins):
             alone = pair_loss(cfg, margin)
@@ -346,7 +353,7 @@ class TestArrays:
     def test_one_non_finite_margin_rejected(self, bad, position, name):
         margins = np.linspace(-5.0, 5.0, 11)
         margins[position] = bad
-        cfg = config(parse_variant(name))
+        cfg = config(LossVariant(name))
         with pytest.raises(ValueError, match="must be finite"):
             pair_loss(cfg, margins)
         with pytest.raises(ValueError, match="must be finite"):

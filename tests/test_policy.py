@@ -391,6 +391,14 @@ class TestSerialization:
         path.write_text("2 4\n1 2 3\n")
         with pytest.raises(ValueError):
             load_policy(path)
+        for header, message in (
+            ("1 2 3", "expected header 'C V', got '1 2 3'"),
+            ("a b", "malformed header 'a b'"),
+        ):
+            path.write_text(f"{header}\n")
+            with pytest.raises(ValueError) as info:
+                load_policy(path)
+            assert str(info.value) == f"{path}: line 1: {message}"
 
     @pytest.mark.parametrize("header", ["0 8", "-1 8", "2 0"])
     def test_header_sizes_below_one_name_the_line(self, tmp_path, header):

@@ -202,6 +202,22 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="^beta must be finite and > 0, got inf$"):
             TrainConfig(LossConfig(LossVariant.DPO), beta=math.inf)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("loss", LossVariant.DPO, "loss must be a LossConfig"),
+            ("batch_size", 0, "batch_size must be >= 1, got 0"),
+            ("num_epochs", -1, "num_epochs must be >= 0, got -1"),
+            ("optimizer", "rmsprop", "optimizer must be one of ('sgd', 'adam'), got 'rmsprop'"),
+            ("eval_every", 0, "eval_every must be >= 1, got 0"),
+        ],
+    )
+    def test_check_messages(self, field, value, message):
+        given = {"loss": LossConfig(LossVariant.DPO), field: value}
+        with pytest.raises(ValueError) as info:
+            TrainConfig(**given)
+        assert str(info.value) == message
+
 
 class TestTrain:
     def test_zero_epochs_reports_only_step_zero(self):
