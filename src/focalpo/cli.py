@@ -43,7 +43,7 @@ from .losses import (
     pair_loss,
 )
 from .policy import load_policy, random_policy, save_policy
-from .trainer import PROFILE_LOSSES, StepRecord, TrainConfig, evaluate, train
+from .trainer import OPTIMIZERS, PROFILE_LOSSES, StepRecord, TrainConfig, evaluate, train
 
 MANIFEST_NAME = "manifest.json"
 MAX_GRID_POINTS = 1_000_000
@@ -466,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--gamma",
         type=_gamma,
         action="append",
-        help="focusing parameter for the factor curves (repeatable; default 0.05)",
+        help=f"focusing parameter for the factor curves (repeatable; default {LossConfig.gamma:g})",
     )
     p_curves.add_argument(
         "--delta-grid", type=_grid, default=(-10.0, 10.0, 0.1), help="margin grid min:max:step"
@@ -507,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--lr", type=_non_negative_finite, dest="learning_rate", metavar="LR")
     p_train.add_argument("--batch-size", type=_positive_int)
     p_train.add_argument("--epochs", type=_non_negative_int, dest="num_epochs", metavar="EPOCHS")
-    p_train.add_argument("--optimizer", choices=("adam", "sgd"))
+    p_train.add_argument("--optimizer", choices=OPTIMIZERS)
     p_train.add_argument("--adam-beta1", type=_unit_fraction)
     p_train.add_argument("--adam-beta2", type=_unit_fraction)
     p_train.add_argument("--adam-eps", type=_positive_finite,

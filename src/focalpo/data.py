@@ -6,8 +6,8 @@ like the sampler's table, and labeled either deterministically (higher
 reward wins) or stochastically via the Bradley-Terry probability
 sigmoid(reward gap). A noise rate then swaps a random subset of labels, with
 the flip recorded per pair. encode_pairs turns a dataset into one (N, 2, L)
-array of token rows, each pair's chosen side then its rejected side, scored
-once against the frozen reference.
+array of flat table indices (policy.token_rows), each pair's chosen side
+then its rejected side, scored once against the frozen reference.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .files import atomic_write
 from .numerics import sigmoid
 from .policy import (
     PolicyTable,
-    TokenRows,
     _next_token_cdf,
     _sample_tokens,
     log_probs,
@@ -65,10 +64,10 @@ __all__ = [
 
 
 class DatasetFormatError(ValueError):
-    """Malformed or out-of-range dataset content, tagged with the line number."""
+    """Malformed or out-of-range dataset content, tagged with its file and line number."""
 
-    def __init__(self, line_number: int, message: str):
-        super().__init__(f"line {line_number}: {message}")
+    def __init__(self, path, line_number: int, message: str):
+        super().__init__(f"{path}: line {line_number}: {message}")
         self.line_number = line_number
 
 
@@ -185,15 +184,15 @@ def synthesize_dataset(config: SynthConfig, reward: np.ndarray, sampler: PolicyT
 
 
 class EncodedPairs(NamedTuple):
-    """A Dataset encoded and scored once against the frozen reference: the
-    (N, 2, L) token rows of every pair's chosen and rejected sequence, in
-    that order, their (N, 2) reference log-probabilities, and the subgroup
-    label that follows from them. len() counts the pairs, so the tuple's
-    _make and _replace do not apply."""
+    """A Dataset encoded and scored once against the frozen reference, whose
+    shape its indices assume: the (N, 2, L) token_rows indices of each pair's
+    chosen and rejected sequence, in that order, their (N, 2) reference
+    log-probabilities, and the subgroup label that follows from them. len()
+    counts the pairs, so the tuple's _make and _replace do not apply."""
 
     reference: PolicyTable
     pair_ids: np.ndarray
-    rows: TokenRows
+    rows: np.ndarray
     ref_log_probs: np.ndarray
     correct_at_init: np.ndarray
 
@@ -202,10 +201,7 @@ class EncodedPairs(NamedTuple):
 
     def take(self, idx) -> "EncodedPairs":
         """The pairs at the given indices, in that order."""
-        return EncodedPairs(
-            self.reference, self.pair_ids[idx], TokenRows(*(a[idx] for a in self.rows)),
-            self.ref_log_probs[idx], self.correct_at_init[idx],
-        )
+        return EncodedPairs(self.reference, *(column[idx] for column in self[1:]))
 
 
 def encode_pairs(reference: PolicyTable, dataset: Dataset) -> EncodedPairs:
@@ -294,14 +290,14 @@ def _parse_row(line: str, num_prompt_classes, vocab_size, length) -> list:
 def load_dataset(path, num_prompt_classes: int, vocab_size: int) -> Dataset:
     """Read and validate a JSONL dataset written by save_dataset, with class
     and token indices range-checked against the table shape given (e.g. that
-    of a loaded policy). All errors carry 1-based line numbers."""
+    of a loaded policy). Each error names the file and a 1-based line number."""
     rows, length = [], None
     with open(path, "r", encoding="utf-8") as fh:
         for line_number, line in enumerate(fh, start=1):
             try:
                 rows.append(_parse_row(line.rstrip("\n"), num_prompt_classes, vocab_size, length))
             except ValueError as exc:
-                raise DatasetFormatError(line_number, str(exc)) from exc
+                raise DatasetFormatError(path, line_number, str(exc)) from exc
             length = len(rows[0][2])
     pair_ids, classes, chosen, rejected, reward_chosen, reward_rejected, flipped = (
         zip(*rows) if rows else [()] * len(_DATASET_FIELDS)

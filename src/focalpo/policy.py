@@ -8,18 +8,17 @@ log-probabilities are exact log-softmax chains, and their parameter
 gradients have the closed softmax form. There is no EOS token; datasets use
 a fixed sequence length.
 
-All scoring is batched: token_rows encodes sequences once, each token with
-its flat context row; the table's log-softmax is taken once, and the
-log-probabilities of every row come from one gather and a sum over
-positions. Sampling walks a cumulative next-token table built once per
-sampler, with one binary search per token.
+All scoring is batched: token_rows encodes each token once as its flat
+index into the table; the table's log-softmax is taken once, the log-probs
+of every row come from one gather and a sum over positions, and their
+gradients from bincounts of those indices. Sampling walks a cumulative
+next-token table built once per sampler, with one binary search per token.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -30,7 +29,6 @@ GRAD_BLOCK_VALUES = 8192
 
 __all__ = [
     "PolicyTable",
-    "TokenRows",
     "token_rows",
     "log_softmax",
     "log_probs",
@@ -73,18 +71,10 @@ def random_policy(num_prompt_classes: int, vocab_size: int, seed: int) -> Policy
     return PolicyTable(rng.standard_normal((num_prompt_classes, vocab_size + 1, vocab_size)))
 
 
-class TokenRows(NamedTuple):
-    """Equal-length sequences as two index arrays of one shape (N, ..., L):
-    the flat context row, prompt_class * (V+1) + previous token (the BOS
-    index V before the first token), and the token drawn in it."""
-
-    contexts: np.ndarray
-    tokens: np.ndarray
-
-
-def token_rows(policy: PolicyTable, classes, tokens) -> TokenRows:
+def token_rows(policy: PolicyTable, classes, tokens) -> np.ndarray:
     """Encode equal-length sequences, tokens (N, ..., L) drawn in prompt classes
-    (N,), for a table of this shape; indices out of range raise IndexError."""
+    (N,), as flat indices into the (C, V + 1, V) table: (prompt_class * (V + 1)
+    + previous token, or BOS V) * V + token. Indices out of range raise IndexError."""
     classes = np.asarray(classes, dtype=np.int64)
     tokens = np.asarray(tokens, dtype=np.int64)
     if classes.min() < 0:
@@ -97,11 +87,13 @@ def token_rows(policy: PolicyTable, classes, tokens) -> TokenRows:
         raise IndexError(f"token indices must be >= 0, got {tokens.min()}")
     if tokens.max() >= policy.vocab_size:
         raise IndexError(f"token {tokens.max()} out of range for vocab size {policy.vocab_size}")
-    contexts = np.empty_like(tokens)
-    contexts[..., :1] = policy.vocab_size  # the BOS context
-    contexts[..., 1:] = tokens[..., :-1]
-    contexts += (classes * (policy.vocab_size + 1)).reshape(-1, *[1] * (tokens.ndim - 1))
-    return TokenRows(contexts, tokens)
+    rows = np.empty_like(tokens)
+    rows[..., :1] = policy.vocab_size  # the BOS context
+    rows[..., 1:] = tokens[..., :-1]
+    rows += (classes * (policy.vocab_size + 1)).reshape(-1, *[1] * (tokens.ndim - 1))
+    rows *= policy.vocab_size
+    rows += tokens
+    return rows
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -111,12 +103,12 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted
 
 
-def log_probs(log_table: np.ndarray, rows: TokenRows) -> np.ndarray:
-    """log pi(row | prompt class) for every row, given log_softmax(logits)."""
-    return log_table.reshape(-1, log_table.shape[-1])[rows.contexts, rows.tokens].sum(axis=-1)
+def log_probs(log_table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """log pi(row | prompt class) for every row of token_rows, given log_softmax(logits)."""
+    return np.take(log_table, rows).sum(axis=-1)
 
 
-def log_prob_grad(log_table: np.ndarray, rows: TokenRows, coeffs: np.ndarray) -> np.ndarray:
+def log_prob_grad(log_table: np.ndarray, rows: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """sum_i coeffs[i] * d(log pi(row_i))/d(logits), as a dense table; the
     rows add up in their flattened order.
 
@@ -124,12 +116,10 @@ def log_prob_grad(log_table: np.ndarray, rows: TokenRows, coeffs: np.ndarray) ->
     visits times the next-token distribution, both weighted by coeffs.
     """
     num_classes, num_contexts, vocab = log_table.shape
-    contexts = rows.contexts.ravel()
-    weights = np.repeat(coeffs.ravel(), rows.tokens.shape[-1])
-    visits = np.bincount(contexts, weights, minlength=num_classes * num_contexts)
-    grad = np.bincount(
-        contexts * vocab + rows.tokens.ravel(), weights, minlength=log_table.size
-    ).reshape(log_table.shape)
+    weights = np.repeat(coeffs.ravel(), rows.shape[-1])
+    rows = rows.ravel()
+    visits = np.bincount(rows // vocab, weights, minlength=num_classes * num_contexts)
+    grad = np.bincount(rows, weights, minlength=log_table.size).reshape(log_table.shape)
     # The token counts become the result and the visit terms are subtracted
     # a block of classes at a time: a large table allocates no second
     # table-sized array, and a small one is a single block.

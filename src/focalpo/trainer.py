@@ -3,11 +3,11 @@
 Each step assembles the parameter gradient from closed-form pieces: the
 gradient weights of the configured loss (one array call per batch), times
 beta, times the analytic gradient of the chosen/rejected log-probability
-difference. The dataset is encoded once (see data.encode_pairs), both
-sides of every pair in one array, so one gather scores both and the
-frozen reference is scored once per dataset; every step, snapshot and
-evaluation reads its log-probabilities and subgroup labels from that
-encoding. Each evaluated policy state is scored once (see evaluate), and
+difference. The dataset is encoded once (see data.encode_pairs) as one flat
+table index per token, both sides of every pair in one array, so one gather
+scores both and the frozen reference is scored once per dataset; every step,
+snapshot and evaluation reads its log-probabilities and subgroup labels from
+that encoding. Each evaluated policy state is scored once (see evaluate), and
 its step record, metrics and orderings all read those margins. The
 reference table is never modified; all randomness comes from the shuffle
 seed, so identical configurations reproduce identical reports. beta is a

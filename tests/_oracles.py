@@ -112,12 +112,15 @@ def scalar_log_prob_grad(logits, prompt_class, tokens) -> np.ndarray:
 
 def whole_table_log_prob_grad(log_table, rows, coeffs) -> np.ndarray:
     """log_prob_grad as one expression over the whole table: each entry is
-    exp(log_table) * -visits + counts, the same arithmetic per entry."""
+    exp(log_table) * -visits + counts, the same arithmetic per entry. The
+    visited contexts come from unravelling the flat indices of token_rows."""
     num_classes, num_contexts, vocab = log_table.shape
-    contexts = rows.contexts.ravel()
-    weights = np.repeat(coeffs.ravel(), rows.tokens.shape[-1])
+    flat = rows.ravel()
+    weights = np.repeat(coeffs.ravel(), rows.shape[-1])
+    classes, previous, _ = np.unravel_index(flat, log_table.shape)
+    contexts = classes * num_contexts + previous
     visits = np.bincount(contexts, weights, minlength=num_classes * num_contexts)
-    counts = np.bincount(contexts * vocab + rows.tokens.ravel(), weights, minlength=log_table.size)
+    counts = np.bincount(flat, weights, minlength=log_table.size)
     return (
         np.exp(log_table) * -visits.reshape(num_classes, num_contexts, 1)
         + counts.reshape(log_table.shape)

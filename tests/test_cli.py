@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -22,7 +23,7 @@ from focalpo.cli import CSV_BLOCK_VALUES, MAX_GRID_POINTS, _grid, _grid_points, 
 from focalpo.data import SynthConfig, synthesize_dataset
 from focalpo.losses import LossConfig, LossVariant
 from focalpo.policy import random_policy
-from focalpo.trainer import TrainConfig
+from focalpo.trainer import OPTIMIZERS, TrainConfig
 
 
 def read_csv(path):
@@ -542,6 +543,28 @@ class TestTrain:
         }
         assert manifest["seeds"] == {"shuffle_seed": 0}
 
+    def test_readme_defaults_are_train_config_defaults(self):
+        readme = " ".join((Path(__file__).parents[1] / "README.md").read_text().split())
+        match = re.search(
+            r"The defaults \(`beta (\S+)`, `lr (\S+)`, batch (\d+), (\d+) epochs?, (\w+)\)", readme
+        )
+        assert match, "README no longer states the train defaults"
+        beta, lr, batch, epochs, optimizer = match.groups()
+        assert float(beta) == TrainConfig.beta
+        assert float(lr) == TrainConfig.learning_rate
+        assert int(batch) == TrainConfig.batch_size
+        assert int(epochs) == TrainConfig.num_epochs
+        assert optimizer == TrainConfig.optimizer
+
+    def test_parser_reads_config_values_off_the_classes(self, capsys):
+        for command in ("train", "curves"):
+            with pytest.raises(SystemExit) as excinfo:
+                main([command, "--help"])
+            assert excinfo.value.code == 0
+        printed = " ".join(capsys.readouterr().out.split())
+        assert "--optimizer {" + ",".join(OPTIMIZERS) + "}" in printed
+        assert f"(repeatable; default {LossConfig.gamma:g})" in printed
+
     def test_help_names_flags_by_their_metavars(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["train", "--help"])
@@ -629,6 +652,16 @@ class TestTrain:
         )
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_dataset_error_names_the_dataset(self, synth_dir, tmp_path, capsys):
+        # a policy file is not JSONL; the message says which input was read
+        reference = synth_dir / "reference.txt"
+        assert main(train_args(reference, reference, tmp_path / "run")) == 1
+        assert capsys.readouterr().err.startswith(f"error: {reference}: line 1: invalid JSON")
+        assert main(["eval", "--dataset", str(reference), "--policy", str(reference),
+                     "--reference", str(reference)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {reference}: line 1: invalid JSON")
+        assert not (tmp_path / "run").exists()
 
     def test_never_imports_the_csv_kernel(self, synth_dir, tmp_path):
         # report.csv is formatted without csvtext, which only curves needs

@@ -462,7 +462,7 @@ class TestJsonl:
             path.write_text("".join(line + "\n" for line in lines))
             with pytest.raises(DatasetFormatError) as info:
                 load_dataset(path, num_prompt_classes=2, vocab_size=VOCAB)
-        assert str(info.value) == f"line {at + 1}: {message}"
+        assert str(info.value) == f"{path}: line {at + 1}: {message}"
         assert info.value.line_number == at + 1
 
     def test_round_trip(self, tmp_path):
@@ -534,7 +534,7 @@ class TestJsonl:
         with pytest.raises(DatasetFormatError) as info:
             load_dataset(path, num_prompt_classes=2, vocab_size=4)
         assert str(info.value) == (
-            "line 1: invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): "
+            f"{path}: line 1: invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): "
             "line 1 column 1 (char 0)"
         )
 

@@ -86,11 +86,27 @@ def test_log_prob_grad_is_bitwise_the_whole_table_expression():
 
 
 def test_encoded_contexts_start_at_bos():
-    # the flat context row is prompt_class * (V + 1) + previous token, BOS = V
+    # each token's index into the (C, V + 1, V) table is that of (prompt
+    # class, previous token or the BOS context V, token), as numpy flattens it
+    rng = np.random.default_rng(11)
+    for num_classes, vocab, shape in [(1, 1, (3, 1)), (2, 3, (5, 4)), (4, 8, (6, 2, 4)),
+                                      (16, 64, (9, 2, 16))]:
+        policy = PolicyTable(np.zeros((num_classes, vocab + 1, vocab)))
+        classes = rng.integers(num_classes, size=shape[0])
+        tokens = rng.integers(vocab, size=shape)
+        previous = np.concatenate([np.full((*shape[:-1], 1), vocab), tokens[..., :-1]], axis=-1)
+        class_of_token = np.broadcast_to(classes.reshape(-1, *[1] * (len(shape) - 1)), shape)
+        expected = np.ravel_multi_index(
+            (class_of_token, previous, tokens), (num_classes, vocab + 1, vocab)
+        )
+        rows = token_rows(policy, classes, tokens)
+        assert rows.dtype == np.int64 and rows.shape == shape
+        assert rows.tolist() == expected.tolist()
+    # worked by hand, C = 2 and V = 3: class 1 starts in context 1 * 4 + 3 = 7,
+    # so its first token 2 sits at 7 * 3 + 2 = 23
     policy = PolicyTable(np.zeros((2, 4, 3)))
     rows = token_rows(policy, [1, 0], [(2, 0, 1), (0, 0, 2)])
-    assert rows.contexts.tolist() == [[7, 6, 4], [3, 0, 0]]
-    assert rows.tokens.tolist() == [[2, 0, 1], [0, 0, 2]]
+    assert rows.tolist() == [[23, 18, 13], [9, 0, 2]]
 
 
 def test_stacked_sides_match_separately_encoded_rows():
