@@ -3,9 +3,10 @@
 Subcommands: curves (factor/weight/loss CSVs over grids), synth (dataset
 generation with a seeded reference), train (mini-batch run with report
 files), eval (metrics JSON for saved artifacts). Every output file is
-written here, each JSON file by _write_json; the manifest comes first, and
-identical invocations reproduce byte-identical data files. Wall-clock
-timing goes to a separate file that is excluded from that guarantee.
+written here and laid out here, each JSON file by _write_json; the manifest
+comes first, and identical invocations reproduce byte-identical data files.
+train's wall-clock time, measured here, goes to a separate file that is
+excluded from that guarantee.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ import json
 import math
 import re
 import sys
-from dataclasses import astuple, fields
+import time
+from dataclasses import asdict, astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -153,19 +155,33 @@ def _write_json(path: Path | None, value) -> str:
     return text
 
 
-def _write_manifest(out_dir: Path, manifest: dict) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(out_dir / MANIFEST_NAME, manifest)
-
-
-def _manifest(command: str, configuration: dict, seeds: dict, outputs: dict) -> dict:
-    return {
+def _manifest(
+    out_dir: Path | None, command: str, configuration: dict, seeds: dict, outputs: dict
+) -> dict:
+    """The command's manifest. Given an output directory, it is written
+    there first, before any data file, creating the directory."""
+    manifest = {
         "command": command,
         "artifact_version": __version__,
         "configuration": configuration,
         "seeds": seeds,
         "outputs": outputs,
     }
+    if out_dir is not None:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        _write_json(out_dir / MANIFEST_NAME, manifest)
+    return manifest
+
+
+def _load_dataset(path: str, reference):
+    """The dataset at path, loaded against the reference's (C, V); an empty
+    one is an error that names the file."""
+    dataset = load_dataset(
+        path, num_prompt_classes=reference.num_prompt_classes, vocab_size=reference.vocab_size
+    )
+    if not len(dataset):
+        raise ValueError(f"{path}: dataset must be non-empty")
+    return dataset
 
 
 def _write_csv(path: Path, columns: dict[str, np.ndarray]) -> None:
@@ -218,7 +234,8 @@ def cmd_curves(args) -> int:
             raise UsageError(f"gamma {other!r} and gamma {g!r} would both write columns g{g:g}")
 
     out_dir = Path(args.out)
-    manifest = _manifest(
+    _manifest(
+        out_dir,
         "curves",
         {
             "gamma_list": gammas,
@@ -233,7 +250,6 @@ def cmd_curves(args) -> int:
             "losses": "losses.csv",
         },
     )
-    _write_manifest(out_dir, manifest)
 
     p_values = _grid_points(args.p_grid)
     factors = {"p": p_values}
@@ -305,7 +321,8 @@ def cmd_synth(args) -> int:
     outputs = {"reference": "reference.txt", "pairs": "pairs.jsonl"}
     if holdout_size(args.pairs, args.holdout_fraction):
         outputs["holdout"] = "holdout.jsonl"
-    manifest = _manifest(
+    _manifest(
+        out_dir,
         "synth",
         {
             "pairs": args.pairs,
@@ -323,7 +340,6 @@ def cmd_synth(args) -> int:
         },
         outputs=outputs,
     )
-    _write_manifest(out_dir, manifest)
 
     reference = random_policy(args.classes, args.vocab, args.ref_seed)
     reward = random_reward_model(args.classes, args.vocab, args.reward_seed)
@@ -361,15 +377,10 @@ def cmd_train(args) -> int:
     given = {f.name: vars(args)[f.name] for f in fields(TrainConfig)[1:] if f.name in vars(args)}
     config = TrainConfig(loss, **given)
     reference = load_policy(args.reference)
-    dataset = load_dataset(
-        args.dataset,
-        num_prompt_classes=reference.num_prompt_classes,
-        vocab_size=reference.vocab_size,
-    )
-    if not len(dataset):
-        raise ValueError("dataset must be non-empty")
+    dataset = _load_dataset(args.dataset, reference)
     out_dir = Path(args.out)
-    manifest = _manifest(
+    _manifest(
+        out_dir,
         "train",
         {
             "dataset": str(args.dataset),
@@ -384,27 +395,29 @@ def cmd_train(args) -> int:
             "timing": "timing.json",
         },
     )
-    _write_manifest(out_dir, manifest)
 
     policy = reference.clone()
-    report = train(config, dataset, policy, reference)
+    start = time.perf_counter()
+    steps, final = train(config, dataset, policy, reference)
+    seconds = time.perf_counter() - start
 
     # not by _write_csv, whose csvtext import train does not need
     with atomic_write(out_dir / "report.csv") as fh:
         fh.write(",".join(f.name for f in fields(StepRecord)) + "\n")
-        fh.writelines(map(_report_row, report.steps))
-    _write_json(out_dir / "report.json", report.to_json_dict())
+        fh.writelines(map(_report_row, steps))
+    report = {"config": config.echo(), "steps": list(map(asdict, steps)), "final": final}
+    _write_json(out_dir / "report.json", report)
     save_policy(out_dir / "policy.txt", policy)
-    _write_json(out_dir / "timing.json", {"wall_clock_seconds": report.wall_clock_seconds})
+    _write_json(out_dir / "timing.json", {"wall_clock_seconds": seconds})
 
-    first, last = report.steps[0], report.steps[-1]
+    first, last = steps[0], steps[-1]
     print(f"trained {args.loss} for {last.step} steps on {len(dataset)} pairs")
     print(f"  mean loss: {_fmt(first.mean_loss)} -> {_fmt(last.mean_loss)}")
     print(f"  overall accuracy: {_fmt(last.accuracy_overall)}")
     print(
         "  flip rates: incorrect->correct "
-        f"{report.final['flip_incorrect_to_correct']}, correct->incorrect "
-        f"{report.final['flip_correct_to_incorrect']}"
+        f"{final['flip_incorrect_to_correct']}, correct->incorrect "
+        f"{final['flip_correct_to_incorrect']}"
     )
     return 0
 
@@ -415,16 +428,13 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     policy = load_policy(args.policy)
     reference = load_policy(args.reference)
-    dataset = load_dataset(
-        args.dataset,
-        num_prompt_classes=reference.num_prompt_classes,
-        vocab_size=reference.vocab_size,
-    )
-
+    dataset = _load_dataset(args.dataset, reference)
     evaluation = evaluate(policy, encode_pairs(reference, dataset), args.beta)
     ordering = evaluation.orderings()
 
+    out_dir = Path(args.out) if args.out else None
     manifest = _manifest(
+        out_dir,
         "eval",
         {
             "dataset": str(args.dataset),
@@ -433,7 +443,7 @@ def cmd_eval(args) -> int:
             "beta": args.beta,
         },
         seeds={},
-        outputs={"metrics": "metrics.json"} if args.out else {},
+        outputs={"metrics": "metrics.json"} if out_dir else {},
     )
     output = {
         "manifest": manifest,
@@ -441,9 +451,6 @@ def cmd_eval(args) -> int:
         "weights": ordering.pop("weight_profile"),
         **dict(sorted(ordering.items())),  # metrics.json lists these by name
     }
-    out_dir = Path(args.out) if args.out else None
-    if out_dir:
-        _write_manifest(out_dir, manifest)
     print(_write_json(out_dir and out_dir / "metrics.json", output), end="")
     return 0
 

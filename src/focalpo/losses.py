@@ -133,6 +133,4 @@ def _weight(config: LossConfig, p, s, log_p):
         return s * pow_via_exp(p, g) * (1.0 + g * log_p)
     if variant is LossVariant.FOCAL_EXACT:
         return pow_via_exp(s, -g) * (s + g * p * log_p)
-    if variant is LossVariant.FOCUS_INCORRECT:
-        return pow_via_exp(s, g) * (s - g * p * log_p)
-    raise ValueError(f"unsupported variant {variant!r}")
+    return pow_via_exp(s, g) * (s - g * p * log_p)  # focus-incorrect

@@ -10,15 +10,15 @@ snapshot and evaluation reads its log-probabilities and subgroup labels from
 that encoding. Each evaluated policy state is scored once (see evaluate), and
 its step record, metrics and orderings all read those margins. The
 reference table is never modified; all randomness comes from the shuffle
-seed, so identical configurations reproduce identical reports. beta is a
-TrainConfig field, since margins are formed here; this module writes no files.
+seed, so identical configurations reproduce identical step records and final
+blocks. beta is a TrainConfig field, since margins are formed here; train
+returns data, and this module writes and times nothing.
 """
 
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -35,7 +35,6 @@ __all__ = [
     "TrainConfig",
     "OptimizerState",
     "StepRecord",
-    "TrainReport",
     "Evaluation",
     "init_optimizer_state",
     "assemble_gradient",
@@ -122,19 +121,6 @@ class StepRecord:
     accuracy_incorrect: float | None
 
 
-@dataclass
-class TrainReport:
-    config: dict
-    steps: list[StepRecord]
-    final: dict
-    wall_clock_seconds: float
-
-    def to_json_dict(self) -> dict:
-        """Deterministic serializable form; wall-clock time is excluded so
-        identical runs serialize byte-identically."""
-        return {"config": self.config, "steps": list(map(asdict, self.steps)), "final": self.final}
-
-
 def init_optimizer_state(config: TrainConfig, policy: PolicyTable) -> OptimizerState:
     if config.optimizer == "sgd":
         return OptimizerState()
@@ -179,12 +165,17 @@ def assemble_gradient(policy: PolicyTable, batch: EncodedPairs, config: TrainCon
     return grad
 
 
-def _apply_update(
-    policy: PolicyTable, grad: np.ndarray, config: TrainConfig, state: OptimizerState
+def train_step(
+    policy: PolicyTable,
+    batch: EncodedPairs,
+    config: TrainConfig,
+    state: OptimizerState,
 ) -> None:
-    """Apply one optimizer step. The step is computed in place in grad,
-    which is overwritten, so no table-sized array is allocated beyond one
-    scratch table for adam."""
+    """One optimizer update on a batch, in place: the policy's logits and
+    the optimizer state change; the reference is never touched. The step is
+    computed in place in the assembled gradient, so no table-sized array is
+    allocated beyond that gradient and one scratch table for adam."""
+    grad = assemble_gradient(policy, batch, config)
     lr = config.learning_rate
     if config.optimizer == "sgd":
         grad *= lr
@@ -207,17 +198,6 @@ def _apply_update(
     grad *= lr
     grad /= scratch
     policy.logits -= grad
-
-
-def train_step(
-    policy: PolicyTable,
-    batch: EncodedPairs,
-    config: TrainConfig,
-    optimizer_state: OptimizerState,
-) -> None:
-    """One optimizer update on a batch, in place: the policy's logits and
-    the optimizer state change; the reference is never touched."""
-    _apply_update(policy, assemble_gradient(policy, batch, config), config, optimizer_state)
 
 
 def _below(by_group: dict):
@@ -338,16 +318,14 @@ def train(
     dataset: Dataset,
     policy: PolicyTable,
     reference: PolicyTable,
-) -> TrainReport:
+) -> tuple[list[StepRecord], dict]:
     """Shuffled mini-batch training; deterministic given config seeds.
 
-    Records a full-dataset StepRecord at step 0, every eval_every steps, and
-    at the final step. The final block carries the metrics of the trained
-    state plus its subgroup weight profile and ordering flags, read from
-    the same evaluation as the last StepRecord.
+    Returns (steps, final): a full-dataset StepRecord at step 0, every
+    eval_every steps, and at the final step; and the final block, the
+    metrics of the trained state plus its subgroup weight profile and
+    ordering flags, read from the same evaluation as the last StepRecord.
     """
-    _check_same_shape(policy, reference)
-    start = time.perf_counter()
     pairs = encode_pairs(reference, dataset)
     optimizer_state = init_optimizer_state(config, policy)
     records: list[StepRecord] = []
@@ -375,10 +353,5 @@ def train(
     final["initial_mean_loss"] = records[0].mean_loss
     final["final_mean_loss"] = records[-1].mean_loss
     final.update(latest.orderings())
-    return TrainReport(
-        config=config.echo(),
-        steps=records,
-        final=final,
-        wall_clock_seconds=time.perf_counter() - start,
-    )
+    return records, final
 

@@ -99,16 +99,17 @@ def toy_runs():
     for variant, gamma in RUN_VARIANTS:
         policy = reference.clone()
         start = time.perf_counter()
-        report = train(toy_train_config(variant, gamma), dataset, policy, reference)
+        steps, final = train(toy_train_config(variant, gamma), dataset, policy, reference)
         runs[variant.value] = {
-            "report": report,
+            "steps": steps,
+            "final": final,
             "seconds": time.perf_counter() - start,
             "checksum": checksum(policy),
         }
     # repeat the dpo run for the determinism clause
     policy = reference.clone()
-    repeat = train(toy_train_config(*RUN_VARIANTS[0]), dataset, policy, reference)
-    runs["dpo_repeat"] = {"report": repeat, "checksum": checksum(policy)}
+    steps, final = train(toy_train_config(*RUN_VARIANTS[0]), dataset, policy, reference)
+    runs["dpo_repeat"] = {"steps": steps, "final": final, "checksum": checksum(policy)}
     return runs
 
 
@@ -251,26 +252,24 @@ def test_criterion_5_policy_checks():
 def test_criterion_6_end_to_end_descent(toy_runs):
     for variant, _ in RUN_VARIANTS:
         run = toy_runs[variant.value]
-        final = run["report"].final
+        final = run["final"]
         decrease = 1.0 - final["final_mean_loss"] / final["initial_mean_loss"]
         assert decrease >= 0.30, f"{variant.value}: loss decrease {decrease:.3f} < 30%"
         assert run["seconds"] < 60.0, f"{variant.value}: runtime {run['seconds']:.1f}s"
-        assert run["report"].steps[-1].step == 200
+        assert run["steps"][-1].step == 200
     for name in ("dpo", "focal"):
-        accuracy = toy_runs[name]["report"].final["overall_accuracy"]
+        accuracy = toy_runs[name]["final"]["overall_accuracy"]
         assert accuracy >= 0.9, f"{name}: accuracy {accuracy:.3f} < 0.9"
     # bitwise determinism across reruns
     assert toy_runs["dpo"]["checksum"] == toy_runs["dpo_repeat"]["checksum"]
-    assert (
-        toy_runs["dpo"]["report"].to_json_dict()
-        == toy_runs["dpo_repeat"]["report"].to_json_dict()
-    )
+    for key in ("steps", "final"):
+        assert toy_runs["dpo"][key] == toy_runs["dpo_repeat"][key]
 
 
 @criterion(7, "subgroup down-weighting mechanism")
 def test_criterion_7_subgroup_downweighting(toy_runs):
     for variant, _ in RUN_VARIANTS:
-        final = toy_runs[variant.value]["report"].final
+        final = toy_runs[variant.value]["final"]
         margins = final["mean_margin_by_subgroup"]
         ratios = final["focal_to_dpo_weight_ratio"]
         margin_ordering = margins["incorrect_at_init"] < margins["correct_at_init"]
@@ -282,7 +281,7 @@ def test_criterion_7_subgroup_downweighting(toy_runs):
             ratios["incorrect_at_init"] < ratios["correct_at_init"]
         )
     # the frozen configuration exercises the mechanism non-vacuously
-    dpo_final = toy_runs["dpo"]["report"].final
+    dpo_final = toy_runs["dpo"]["final"]
     assert dpo_final["margin_ordering_incorrect_below_correct"] is True
     assert dpo_final["ratio_ordering_incorrect_below_correct"] is True
 

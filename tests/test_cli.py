@@ -639,12 +639,25 @@ class TestTrain:
         assert not out.exists()
 
     def test_empty_dataset_fails_before_any_file(self, synth_dir, tmp_path, capsys):
+        # train and eval alike, with an error that names the file
         empty = tmp_path / "empty.jsonl"
         empty.write_bytes(b"")
+        reference, out = synth_dir / "reference.txt", tmp_path / "run"
+        eval_argv = ["eval", "--dataset", str(empty), "--policy", str(reference),
+                     "--reference", str(reference), "--out", str(out)]
+        for argv in (train_args(empty, reference, out), eval_argv):
+            assert main(argv) == 1
+            assert capsys.readouterr().err.startswith(f"error: {empty}: dataset must be non-empty")
+            assert not out.exists()
+
+    def test_timing_is_one_wall_clock_value(self, synth_dir, tmp_path, capsys):
         out = tmp_path / "run"
-        assert main(train_args(empty, synth_dir / "reference.txt", out)) == 1
-        assert "dataset must be non-empty" in capsys.readouterr().err
-        assert not out.exists()
+        assert main(train_args(synth_dir / "pairs.jsonl", synth_dir / "reference.txt", out)) == 0
+        capsys.readouterr()
+        timing = json.loads((out / "timing.json").read_text())
+        assert list(timing) == ["wall_clock_seconds"]
+        seconds = timing["wall_clock_seconds"]
+        assert type(seconds) is float and math.isfinite(seconds) and seconds >= 0.0
 
     def test_missing_dataset_is_runtime_error(self, synth_dir, tmp_path, capsys):
         code = main(

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from focalpo.cli import _write_manifest
+from focalpo.cli import _manifest
 from focalpo.data import load_dataset, save_dataset
 from focalpo.files import atomic_write
 
@@ -66,7 +66,8 @@ class TestWriters:
 
     def test_manifest_with_non_json_value_leaves_no_file(self, tmp_path):
         with pytest.raises(ValueError):
-            _write_manifest(tmp_path, {"command": "train", "configuration": {"beta": math.inf}})
+            _manifest(tmp_path, "train", {"beta": math.inf}, {}, {})
         assert leftovers(tmp_path) == []
-        _write_manifest(tmp_path, {"command": "train"})
-        assert json.loads((tmp_path / "manifest.json").read_text()) == {"command": "train"}
+        manifest = _manifest(tmp_path, "train", {}, {}, {})
+        assert manifest["command"] == "train"
+        assert json.loads((tmp_path / "manifest.json").read_text()) == manifest

@@ -222,17 +222,17 @@ class TestTrainConfig:
 class TestTrain:
     def test_zero_epochs_reports_only_step_zero(self):
         dataset, reference = toy_setup(num_pairs=12)
-        report = train(train_config(num_epochs=0), dataset, reference.clone(), reference)
-        assert [rec.step for rec in report.steps] == [0]
-        assert report.steps[0].accuracy_overall == 0.0  # all margins exactly zero
+        steps, _ = train(train_config(num_epochs=0), dataset, reference.clone(), reference)
+        assert [rec.step for rec in steps] == [0]
+        assert steps[0].accuracy_overall == 0.0  # all margins exactly zero
 
     def test_deterministic_reports_and_policies(self):
         dataset, reference = toy_setup(num_pairs=60)
         config = train_config(num_epochs=4)
         policy_a, policy_b = reference.clone(), reference.clone()
-        report_a = train(config, dataset, policy_a, reference)
-        report_b = train(config, dataset, policy_b, reference)
-        assert report_a.to_json_dict() == report_b.to_json_dict()
+        run_a = train(config, dataset, policy_a, reference)
+        run_b = train(config, dataset, policy_b, reference)
+        assert run_a == run_b  # (steps, final)
         assert checksum(policy_a) == checksum(policy_b)
 
     def test_reference_never_modified(self):
@@ -243,19 +243,26 @@ class TestTrain:
 
     def test_loss_descends_on_toy_run(self):
         dataset, reference = toy_setup(num_pairs=150)
-        report = train(train_config(num_epochs=20), dataset, reference.clone(), reference)
-        assert report.final["final_mean_loss"] < report.final["initial_mean_loss"]
-        assert report.steps[-1].step == 20 * math.ceil(150 / 64)
+        steps, final = train(train_config(num_epochs=20), dataset, reference.clone(), reference)
+        assert final["final_mean_loss"] < final["initial_mean_loss"]
+        assert steps[-1].step == 20 * math.ceil(150 / 64)
 
     def test_empty_dataset_rejected(self):
         dataset, reference = toy_setup(num_pairs=4)
         with pytest.raises(ValueError, match="dataset must be non-empty"):
             train(train_config(), dataset.take([]), reference.clone(), reference)
 
+    def test_policy_of_another_shape_rejected_before_any_update(self):
+        dataset, reference = toy_setup(num_pairs=8)
+        policy = random_policy(3, 5, seed=7)
+        before = checksum(policy)
+        with pytest.raises(ValueError, match=r"policy shape \(C, V\) = \(3, 5\) does not match"):
+            train(train_config(), dataset, policy, reference)
+        assert checksum(policy) == before
+
     def test_report_records_orderings(self):
         dataset, reference = toy_setup(num_pairs=80)
-        report = train(train_config(num_epochs=6), dataset, reference.clone(), reference)
-        final = report.final
+        _, final = train(train_config(num_epochs=6), dataset, reference.clone(), reference)
         assert set(final["weight_profile"]) == {"dpo", "focal", "focus-incorrect"}
         assert final["margin_ordering_incorrect_below_correct"] in (True, False)
         assert final["ratio_ordering_incorrect_below_correct"] in (True, False)
