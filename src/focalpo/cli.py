@@ -51,11 +51,16 @@ MANIFEST_NAME = "manifest.json"
 MAX_GRID_POINTS = 1_000_000
 # synth caps on C x (V+1) x V table values and on --pairs x --length tokens
 MAX_TABLE_VALUES = MAX_DATASET_TOKENS = 2**22
+# curves cap on the rows x columns of each CSV: a million-row grid at the
+# default gamma (eight weight columns) fits, and each extra --gamma adds
+# three columns to every file
+MAX_CSV_VALUES = 2**24
 # Values formatted per step when writing a CSV: big enough that the
 # per-call overhead vanishes, small enough that the block's arrays and text
 # stay a fraction of a megabyte.
 CSV_BLOCK_VALUES = 4096
 GRID_OPTIONS = ("--delta-grid", "--p-grid")
+FOCAL_FAMILY = tuple(v for v in LossVariant if v is not LossVariant.DPO)
 
 
 class UsageError(ValueError):
@@ -186,21 +191,21 @@ def _load_dataset(path: str, reference):
 
 def _write_csv(path: Path, columns: dict[str, np.ndarray]) -> None:
     """One column per entry, in order, with the entry's name as its header;
-    every value as %.9g. The table is formatted a block of rows at a time,
+    every value as %.9g. Each block of rows is stacked and formatted alone,
     by csvtext.format_block or, for a block it declines, by one `%` call."""
     from .csvtext import format_block  # compiled only by a command that writes a CSV
 
-    table = np.column_stack(list(columns.values()))
-    row = ",".join(["%.9g"] * table.shape[1]) + "\n"
-    block_rows = max(1, CSV_BLOCK_VALUES // table.shape[1])
-    seps = np.tile(np.uint64([ord(",")] * (table.shape[1] - 1) + [ord("\n")]) << 40, block_rows)
+    values, ncols = list(columns.values()), len(columns)
+    row = ",".join(["%.9g"] * ncols) + "\n"
+    block_rows = max(1, CSV_BLOCK_VALUES // ncols)
+    seps = np.tile(np.uint64([ord(",")] * (ncols - 1) + [ord("\n")]) << 40, block_rows)
     out = np.empty((len(seps), 4), "<u8")
     with atomic_write(path) as fh:
         fh.write(",".join(columns) + "\n")
-        for start in range(0, len(table), block_rows):
-            block = table[start:start + block_rows].ravel()
+        for start in range(0, len(values[0]), block_rows):
+            block = np.column_stack([v[start:start + block_rows] for v in values]).ravel()
             fh.write(format_block(block, seps[:len(block)], out[:len(block)])
-                     or row * (len(block) // table.shape[1]) % tuple(block.tolist()))
+                     or row * (len(block) // ncols) % tuple(block.tolist()))
 
 
 def _report_row(record: StepRecord) -> str:
@@ -213,13 +218,12 @@ def _report_row(record: StepRecord) -> str:
 # ----------------------------------------------------------------- curves
 
 
-def _gamma_columns(gamma: float) -> dict[str, LossVariant]:
-    tag = f"{gamma:g}"
-    return {
-        f"focal_g{tag}": LossVariant.FOCAL,
-        f"focal_exact_g{tag}": LossVariant.FOCAL_EXACT,
-        f"focus_incorrect_g{tag}": LossVariant.FOCUS_INCORRECT,
-    }
+def _column(variant: LossVariant, gamma: float) -> str:
+    return f"{variant.value.replace('-', '_')}_g{gamma:g}"
+
+
+def _gamma_columns(gamma: float) -> dict[str, LossConfig]:
+    return {_column(v, gamma): LossConfig(v, gamma=gamma) for v in FOCAL_FAMILY}
 
 
 def cmd_curves(args) -> int:
@@ -232,6 +236,14 @@ def cmd_curves(args) -> int:
         other = tags.setdefault(f"{g:g}", g)
         if other != g:
             raise UsageError(f"gamma {other!r} and gamma {g!r} would both write columns g{g:g}")
+    p_values, deltas = _grid_points(args.p_grid), _grid_points(args.delta_grid)
+    for name, rows, columns in (
+        ("factors.csv", len(p_values), 1 + len(FOCAL_FAMILY) * len(gammas)),
+        ("weights.csv", len(deltas), 2 + len(FOCAL_FAMILY) * len(weight_gammas)),
+    ):
+        if rows * columns > MAX_CSV_VALUES:
+            raise UsageError(f"{name} would hold {rows} rows x {columns} columns = "
+                             f"{rows * columns} values, more than {MAX_CSV_VALUES}")
 
     out_dir = Path(args.out)
     _manifest(
@@ -251,20 +263,18 @@ def cmd_curves(args) -> int:
         },
     )
 
-    p_values = _grid_points(args.p_grid)
     factors = {"p": p_values}
     for g in gammas:
-        for name, variant in _gamma_columns(g).items():
-            factors[name] = modulating_factor(variant, p_values, g)
+        for name, loss in _gamma_columns(g).items():
+            factors[name] = modulating_factor(loss, p_values)
     _write_csv(out_dir / "factors.csv", factors)
 
-    deltas = _grid_points(args.delta_grid)
     dpo = pair_loss(LossConfig(LossVariant.DPO), deltas)
     weights = {"delta": deltas, "dpo": dpo.weight}
     losses = {"delta": deltas, "dpo": dpo.loss}
     for g in weight_gammas:
-        for name, variant in _gamma_columns(g).items():
-            out = pair_loss(LossConfig(variant, gamma=g), deltas)
+        for name, loss in _gamma_columns(g).items():
+            out = pair_loss(loss, deltas)
             weights[name] = out.weight
             losses[name] = out.loss
     _write_csv(out_dir / "weights.csv", weights)
@@ -275,7 +285,8 @@ def cmd_curves(args) -> int:
     # Empirical gap between the exact factor form and its adopted
     # approximation, reported over the margin grid rather than asserted.
     for g in weight_gammas:
-        gaps = losses[f"focal_exact_g{g:g}"] - losses[f"focal_g{g:g}"]
+        gaps = (losses[_column(LossVariant.FOCAL_EXACT, g)]
+                - losses[_column(LossVariant.FOCAL, g)])
         print(
             f"exact-vs-approx loss gap at gamma={g:g}: "
             f"min {_fmt(gaps.min())}, max {_fmt(gaps.max())} over delta grid"

@@ -9,8 +9,11 @@ batch of margins as a float64 array. With p = sigmoid(Delta) the variants are
     focal-exact      L = (1-p)**(-g) * (-log p)  same intent, exact focal form
     focus-incorrect  L = (1-p)**g * (-log p)     up-weights misranked pairs
 
-The gradient weight w(Delta) = -dL/dDelta is the scalar that multiplies the
-gradient of the chosen/rejected log-probability difference during descent.
+Each variant's factor is one branch of _factor in p and s = 1 - p, shared by
+the loss and its gradient weight, which take s as sigmoid(-Delta): accurate
+where 1 - p would cancel. The gradient weight w(Delta) = -dL/dDelta is the
+scalar that multiplies the gradient of the chosen/rejected log-probability
+difference during descent.
 beta never enters here: the trainer owns it, forms the beta-scaled margins
 and applies the policy-gradient term.
 """
@@ -20,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .numerics import log_sigmoid, pow_via_exp, sigmoid
+from .numerics import _open_unit, log_sigmoid, pow_via_exp, sigmoid
 
 GAMMA_MAX = 5.0
 
@@ -74,23 +77,11 @@ class LossOutput:
     weight: float | np.ndarray
 
 
-def modulating_factor(variant: LossVariant, p, gamma: float):
-    """The multiplicative factor applied to the base loss -log p.
-
-    dpo -> 1; focal -> p**gamma; focal-exact -> (1-p)**(-gamma);
-    focus-incorrect -> (1-p)**gamma.
-    """
-    if not gamma >= 0.0:
-        raise ValueError(f"gamma must be >= 0, got {gamma!r}")
-    if variant is LossVariant.DPO:
-        return np.full(np.shape(p), 1.0)[()]
-    if variant is LossVariant.FOCAL:
-        return pow_via_exp(p, gamma)
-    if variant is LossVariant.FOCAL_EXACT:
-        return pow_via_exp(1.0 - p, -gamma)
-    if variant is LossVariant.FOCUS_INCORRECT:
-        return pow_via_exp(1.0 - p, gamma)
-    raise ValueError(f"unsupported variant {variant!r}")
+def modulating_factor(config: LossConfig, p):
+    """The factor applied to the base loss -log p, at exact probabilities p
+    in the open interval (0, 1): here 1 - p is formed by subtraction."""
+    p = _open_unit("p", p)
+    return _factor(config, p, 1.0 - p)
 
 
 def pair_loss(config: LossConfig, margin) -> LossOutput:
@@ -100,10 +91,8 @@ def pair_loss(config: LossConfig, margin) -> LossOutput:
     pow_via_exp; sigmoid(margin) is never logged directly.
     """
     p, s, log_p = sigmoid(margin), sigmoid(-margin), log_sigmoid(margin)
-    return LossOutput(
-        loss=modulating_factor(config.variant, p, config.gamma) * -log_p,
-        weight=_weight(config, p, s, log_p),
-    )
+    factor = _factor(config, p, s)
+    return LossOutput(loss=factor * -log_p, weight=_weight(config, factor, p, s, log_p))
 
 
 def gradient_weight(config: LossConfig, margin):
@@ -118,19 +107,31 @@ def gradient_weight(config: LossConfig, margin):
 
     Each is the derivative of the corresponding factored loss; all four are
     certified against finite differences of pair_loss in the test suite.
-    (1-p) is evaluated as sigmoid(-Delta), which stays accurate where the
-    subtraction 1 - p would cancel.
     """
-    return _weight(config, sigmoid(margin), sigmoid(-margin), log_sigmoid(margin))
+    p, s, log_p = sigmoid(margin), sigmoid(-margin), log_sigmoid(margin)
+    return _weight(config, _factor(config, p, s), p, s, log_p)
 
 
-def _weight(config: LossConfig, p, s, log_p):
+def _factor(config: LossConfig, p, s):
+    """The variant's modulating factor at probabilities p, given s = 1 - p."""
+    g = config.gamma
+    variant = config.variant
+    if variant is LossVariant.DPO:
+        return np.full(np.shape(p), 1.0)[()]
+    if variant is LossVariant.FOCAL:
+        return pow_via_exp(p, g)
+    if variant is LossVariant.FOCAL_EXACT:
+        return pow_via_exp(s, -g)
+    return pow_via_exp(s, g)  # focus-incorrect
+
+
+def _weight(config: LossConfig, factor, p, s, log_p):
     g = config.gamma
     variant = config.variant
     if variant is LossVariant.DPO:
         return s
     if variant is LossVariant.FOCAL:
-        return s * pow_via_exp(p, g) * (1.0 + g * log_p)
+        return s * factor * (1.0 + g * log_p)
     if variant is LossVariant.FOCAL_EXACT:
-        return pow_via_exp(s, -g) * (s + g * p * log_p)
-    return pow_via_exp(s, g) * (s - g * p * log_p)  # focus-incorrect
+        return factor * (s + g * p * log_p)
+    return factor * (s - g * p * log_p)  # focus-incorrect

@@ -29,6 +29,12 @@ def _finite(name: str, x) -> np.ndarray:
     return _checked(x, np.isfinite, f"{name} must be finite")
 
 
+def _open_unit(name: str, x) -> np.ndarray:
+    return _checked(
+        x, lambda x: (0.0 < x) & (x < 1.0), f"{name} must lie in the open interval (0, 1)"
+    )
+
+
 def clamp_probability(p):
     """Clamp a probability into [PROB_EPS, 1 - PROB_EPS]."""
     return np.minimum(np.maximum(p, PROB_EPS), 1.0 - PROB_EPS)
@@ -65,6 +71,6 @@ def pow_via_exp(p, g):
     or beyond 0 and 1 are rejected.
     """
     g = _finite("exponent", g)
-    p = _checked(p, lambda p: (0.0 < p) & (p < 1.0), "base must lie in the open interval (0, 1)")
+    p = _open_unit("base", p)
     # The clamped log is finite, so g == 0 gives exp(0) == 1.0 exactly.
     return np.exp(g * np.log(clamp_probability(p)))[()]

@@ -130,11 +130,21 @@ def init_optimizer_state(config: TrainConfig, policy: PolicyTable) -> OptimizerS
 
 def _margins(log_table: np.ndarray, pairs: EncodedPairs, beta: float):
     """Per-pair margins, plus the policy's log-probabilities of the chosen
-    and rejected rows, for the policy whose log_softmax is log_table."""
+    and rejected rows, for the policy whose log_softmax is log_table. A
+    margin that overflows is an error naming its pair."""
     chosen, rejected = log_probs(log_table, pairs.rows).T
     ref_chosen, ref_rejected = pairs.ref_log_probs.T
-    margins = beta * (chosen - ref_chosen) - beta * (rejected - ref_rejected)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        margins = beta * (chosen - ref_chosen) - beta * (rejected - ref_rejected)
+    _check_finite("margin", margins, pairs)
     return margins, chosen, rejected
+
+
+def _check_finite(name: str, values: np.ndarray, pairs: EncodedPairs) -> None:
+    """Raises FloatingPointError naming the first pair whose value is not finite."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise FloatingPointError(f"non-finite {name} for pair_id {pairs.pair_ids[finite.argmin()]}")
 
 
 def assemble_gradient(policy: PolicyTable, batch: EncodedPairs, config: TrainConfig) -> np.ndarray:
@@ -148,13 +158,8 @@ def assemble_gradient(policy: PolicyTable, batch: EncodedPairs, config: TrainCon
     _check_same_shape(policy, batch.reference)
     log_table = log_softmax(policy.logits)
     margins, _, _ = _margins(log_table, batch, config.beta)
-    finite = np.isfinite(margins)
-    weights = gradient_weight(config.loss, np.where(finite, margins, 0.0))
-    bad = ~(finite & np.isfinite(weights))
-    if bad.any():
-        i = int(np.argmax(bad))
-        what = "gradient weight" if finite[i] else "margin"
-        raise FloatingPointError(f"non-finite {what} for pair_id {batch.pair_ids[i]}")
+    weights = gradient_weight(config.loss, margins)
+    _check_finite("gradient weight", weights, batch)
     coeffs = -weights * config.beta * (1.0 / len(batch))
     # The (B, 2, L) rows flatten to every pair's chosen row and then its
     # rejected row, which take opposite signs, so the two add up next to
@@ -174,30 +179,35 @@ def train_step(
     """One optimizer update on a batch, in place: the policy's logits and
     the optimizer state change; the reference is never touched. The step is
     computed in place in the assembled gradient, so no table-sized array is
-    allocated beyond that gradient and one scratch table for adam."""
+    allocated beyond that gradient and one scratch table for adam. An
+    update that overflows is an error, raised before the logits change
+    unless the subtraction itself overflows."""
     grad = assemble_gradient(policy, batch, config)
     lr = config.learning_rate
-    if config.optimizer == "sgd":
-        grad *= lr
-        policy.logits -= grad
-        return
-    state.step_count += 1
-    b1, b2 = config.adam_beta1, config.adam_beta2
-    m, v = state.first_moment, state.second_moment
-    scratch = np.multiply(grad, 1.0 - b1)
-    m *= b1
-    m += scratch
-    np.multiply(grad, 1.0 - b2, out=scratch)
-    scratch *= grad
-    v *= b2
-    v += scratch
-    np.divide(m, 1.0 - b1**state.step_count, out=grad)  # bias-corrected m
-    np.divide(v, 1.0 - b2**state.step_count, out=scratch)  # bias-corrected v
-    np.sqrt(scratch, out=scratch)
-    scratch += config.adam_epsilon
-    grad *= lr
-    grad /= scratch
-    policy.logits -= grad
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            if config.optimizer == "sgd":
+                grad *= lr
+            else:
+                state.step_count += 1
+                b1, b2 = config.adam_beta1, config.adam_beta2
+                m, v = state.first_moment, state.second_moment
+                scratch = np.multiply(grad, 1.0 - b1)
+                m *= b1
+                m += scratch
+                np.multiply(grad, 1.0 - b2, out=scratch)
+                scratch *= grad
+                v *= b2
+                v += scratch
+                np.divide(m, 1.0 - b1**state.step_count, out=grad)  # bias-corrected m
+                np.divide(v, 1.0 - b2**state.step_count, out=scratch)  # bias-corrected v
+                np.sqrt(scratch, out=scratch)
+                scratch += config.adam_epsilon
+                grad *= lr
+                grad /= scratch
+            policy.logits -= grad
+    except FloatingPointError as exc:
+        raise FloatingPointError(f"{config.optimizer} update overflowed ({exc})") from exc
 
 
 def _below(by_group: dict):
@@ -325,6 +335,7 @@ def train(
     eval_every steps, and at the final step; and the final block, the
     metrics of the trained state plus its subgroup weight profile and
     ordering flags, read from the same evaluation as the last StepRecord.
+    An overflow raises FloatingPointError naming the step it happened in.
     """
     pairs = encode_pairs(reference, dataset)
     optimizer_state = init_optimizer_state(config, policy)
@@ -336,18 +347,21 @@ def train(
         records.append(evaluation.record(step, config.loss))
         return evaluation
 
-    latest = snapshot()
     rng = np.random.default_rng(config.shuffle_seed)
-    for _ in range(config.num_epochs):
-        order = rng.permutation(len(pairs))
-        for lo in range(0, len(pairs), config.batch_size):
-            batch = pairs.take(order[lo : lo + config.batch_size])
-            train_step(policy, batch, config, optimizer_state)
-            step += 1
-            if step % config.eval_every == 0:
-                latest = snapshot()
-    if records[-1].step != step:
+    try:
         latest = snapshot()
+        for _ in range(config.num_epochs):
+            order = rng.permutation(len(pairs))
+            for lo in range(0, len(pairs), config.batch_size):
+                step += 1
+                batch = pairs.take(order[lo : lo + config.batch_size])
+                train_step(policy, batch, config, optimizer_state)
+                if step % config.eval_every == 0:
+                    latest = snapshot()
+        if records[-1].step != step:
+            latest = snapshot()
+    except FloatingPointError as exc:  # from the update or snapshot of this step
+        raise FloatingPointError(f"step {step}: {exc}") from exc
 
     final = latest.metrics()
     final["initial_mean_loss"] = records[0].mean_loss

@@ -207,16 +207,18 @@ def test_criterion_3_dominance_and_bell_shape():
 def test_criterion_4_factor_monotonicity():
     ps = [0.01 * k for k in range(1, 100)]
     for gamma in (0.05, 0.5, 1.0):
-        up = [modulating_factor(LossVariant.FOCAL, p, gamma) for p in ps]
-        down = [modulating_factor(LossVariant.FOCUS_INCORRECT, p, gamma) for p in ps]
+        up = [modulating_factor(LossConfig(LossVariant.FOCAL, gamma=gamma), p) for p in ps]
+        down = [
+            modulating_factor(LossConfig(LossVariant.FOCUS_INCORRECT, gamma=gamma), p) for p in ps
+        ]
         assert all(a < b for a, b in zip(up, up[1:]))
         assert all(a > b for a, b in zip(down, down[1:]))
-    assert modulating_factor(LossVariant.FOCAL, 0.5, 0.05) == pytest.approx(
+    assert modulating_factor(LossConfig(LossVariant.FOCAL, gamma=0.05), 0.5) == pytest.approx(
         FACTOR_HALF_G005, abs=1e-6
     )
-    assert modulating_factor(LossVariant.FOCUS_INCORRECT, 0.5, 0.05) == pytest.approx(
-        FACTOR_HALF_G005, abs=1e-6
-    )
+    assert modulating_factor(
+        LossConfig(LossVariant.FOCUS_INCORRECT, gamma=0.05), 0.5
+    ) == pytest.approx(FACTOR_HALF_G005, abs=1e-6)
 
 
 @criterion(5, "policy gradient and normalization checks")

@@ -131,6 +131,35 @@ class TestCurves:
             assert f"error: {message}\n" == capsys.readouterr().err
             assert not out.exists()
 
+    def test_gap_line_at_delta_20(self, tmp_path, capsys):
+        # mpmath gives 485165196.91 for the gamma=2 gap at delta = 20; with
+        # 1 - p formed by subtraction the run printed 485165162
+        assert main(["curves", "--out", str(tmp_path / "c"), "--gamma", "2",
+                     "--delta-grid=-20:20:1"]) == 0
+        assert ("exact-vs-approx loss gap at gamma=2: min 2.36224874, max 485165197 "
+                "over delta grid\n") in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            # five weight gammas: 2 + 3 x 5 columns of a million rows
+            (["--delta-grid=0:999999:1", "--gamma", "0.1", "--gamma", "0.2", "--gamma", "0.3"],
+             "weights.csv would hold 1000000 rows x 17 columns = 17000000 values"),
+            (["--p-grid", "1e-6:0.999999:1e-6"]
+             + [a for g in range(1, 7) for a in ("--gamma", str(g / 10))],
+             "factors.csv would hold 999999 rows x 19 columns = 18999981 values"),
+        ],
+    )
+    def test_csv_size_cap_exits_2_before_any_file(self, tmp_path, capsys, flags, message):
+        # the cap admits a million-row delta grid at the default gamma
+        assert 8 * MAX_GRID_POINTS <= cli.MAX_CSV_VALUES
+        out = tmp_path / "c"
+        assert main(["curves", "--out", str(out), *flags]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {message}, more than {cli.MAX_CSV_VALUES}"
+        )
+        assert not out.exists()
+
     def test_grid_size_cap(self):
         assert len(_grid_points(_grid(f"0:{MAX_GRID_POINTS - 1}:1"))) == MAX_GRID_POINTS
         with pytest.raises(argparse.ArgumentTypeError, match="points"):
@@ -658,6 +687,28 @@ class TestTrain:
         assert list(timing) == ["wall_clock_seconds"]
         seconds = timing["wall_clock_seconds"]
         assert type(seconds) is float and math.isfinite(seconds) and seconds >= 0.0
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            # adam's second moment squares a gradient of about 1e158
+            (["--beta", "1e160", "--epochs", "3"],
+             "step 1: adam update overflowed (overflow encountered in multiply)"),
+            # the update is finite, but the margins it leads to are not
+            (["--beta", "1e300", "--optimizer", "sgd", "--lr", "1", "--epochs", "1"],
+             "step 1: non-finite margin for pair_id 0"),
+        ],
+    )
+    def test_overflow_names_its_step_and_writes_no_report(self, tmp_path, capsys, flags, message):
+        data, out = tmp_path / "data", tmp_path / "run"
+        assert main(["synth", "--out", str(data), "--pairs", "50",
+                     "--holdout-fraction", "0.2"]) == 0
+        capsys.readouterr()
+        argv = ["train", "--dataset", str(data / "pairs.jsonl"),
+                "--reference", str(data / "reference.txt"), "--out", str(out), *flags]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert [path.name for path in out.iterdir()] == ["manifest.json"]
 
     def test_missing_dataset_is_runtime_error(self, synth_dir, tmp_path, capsys):
         code = main(

@@ -93,29 +93,40 @@ class TestModulatingFactor:
     def test_dpo_is_always_one(self):
         for p in (0.001, 0.5, 0.999):
             for g in (0.0, 0.05, 2.0):
-                assert modulating_factor(LossVariant.DPO, p, g) == 1.0
+                assert modulating_factor(config(LossVariant.DPO, gamma=g), p) == 1.0
 
     def test_focal_approaches_one_at_high_p(self):
         # correctly ranked pairs keep their loss almost unchanged
-        assert modulating_factor(LossVariant.FOCAL, 0.999999, 0.05) == pytest.approx(1.0, abs=1e-6)
+        assert modulating_factor(config(LossVariant.FOCAL), 0.999999) == pytest.approx(
+            1.0, abs=1e-6
+        )
 
     def test_reference_value(self):
-        assert modulating_factor(LossVariant.FOCAL, 0.5, 0.05) == pytest.approx(
+        assert modulating_factor(config(LossVariant.FOCAL), 0.5) == pytest.approx(
             0.9659363289248456, abs=1e-12
         )
 
     def test_rejects_negative_gamma(self):
         with pytest.raises(ValueError):
-            modulating_factor(LossVariant.FOCAL, 0.5, -0.05)
+            modulating_factor(config(LossVariant.FOCAL, gamma=-0.05), 0.5)
+
+    @pytest.mark.parametrize("p", [math.nan, 0.0, 1.0, 5.0])
+    @pytest.mark.parametrize("name", VARIANT_NAMES)
+    def test_rejects_p_outside_the_open_unit_interval(self, name, p):
+        # dpo's factor is 1 at every valid p, and checks p like the others
+        with pytest.raises(ValueError, match=r"p must lie in the open interval \(0, 1\)"):
+            modulating_factor(config(LossVariant(name)), np.array([0.5, p]))
+        with pytest.raises(ValueError, match=r"p must lie in the open interval \(0, 1\)"):
+            modulating_factor(config(LossVariant(name)), p)
 
     def test_exact_and_incorrect_forms(self):
         p = 0.73
-        assert modulating_factor(LossVariant.FOCAL_EXACT, p, 0.3) == pytest.approx(
+        assert modulating_factor(config(LossVariant.FOCAL_EXACT, gamma=0.3), p) == pytest.approx(
             (1 - p) ** -0.3, rel=1e-14
         )
-        assert modulating_factor(LossVariant.FOCUS_INCORRECT, p, 0.3) == pytest.approx(
-            (1 - p) ** 0.3, rel=1e-14
-        )
+        assert modulating_factor(
+            config(LossVariant.FOCUS_INCORRECT, gamma=0.3), p
+        ) == pytest.approx((1 - p) ** 0.3, rel=1e-14)
 
 
 class TestPairLoss:
@@ -143,7 +154,7 @@ class TestPairLoss:
         cfg = config(LossVariant.FOCAL, gamma=0.07)
         for margin in (-3.0, 0.0, 1.7):
             out = pair_loss(cfg, margin)
-            factor = modulating_factor(cfg.variant, preference_probability(margin), cfg.gamma)
+            factor = modulating_factor(cfg, preference_probability(margin))
             assert out.loss == factor * -log_sigmoid(margin)
             assert out.weight == gradient_weight(cfg, margin)
 
@@ -153,17 +164,19 @@ class TestPairLoss:
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_matches_high_precision_mirror(self):
+        # out to |delta| = 25, the curves' margins, where 1 - p ~ 1e-11 would
+        # cancel if it were formed by subtraction
         for name in VARIANT_NAMES:
             variant = LossVariant(name)
-            for gamma in (0.05, 1.0):
+            for gamma in (0.05, 1.0, 5.0):
                 cfg = config(variant, gamma=gamma)
-                deltas = (-10.0, -2.5, 0.0, 2.5, 10.0)
+                deltas = (-25.0, -20.0, -15.0, -10.0, -2.5, 0.0, 2.5, 10.0, 15.0, 20.0, 25.0)
                 mirrors = [float(mirror_pair_loss(name, gamma, delta)) for delta in deltas]
                 for delta, mirror in zip(deltas, mirrors):
-                    assert pair_loss(cfg, delta).loss == pytest.approx(mirror, rel=1e-10)
+                    assert pair_loss(cfg, delta).loss == pytest.approx(mirror, rel=1e-12)
                 # the whole margin array in one call
                 losses = pair_loss(cfg, np.array(deltas)).loss
-                assert losses == pytest.approx(np.array(mirrors), rel=1e-10)
+                assert losses == pytest.approx(np.array(mirrors), rel=1e-12)
 
 
 class TestGradientWeight:
@@ -344,8 +357,8 @@ class TestArrays:
     def test_factor_shapes(self):
         ps = np.linspace(0.1, 0.9, 9)
         for variant in LossVariant:
-            assert modulating_factor(variant, ps, 0.5).shape == ps.shape
-        assert (modulating_factor(LossVariant.DPO, ps, 0.5) == 1.0).all()
+            assert modulating_factor(config(variant, gamma=0.5), ps).shape == ps.shape
+        assert (modulating_factor(config(LossVariant.DPO, gamma=0.5), ps) == 1.0).all()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("position", [0, 5, 10])
