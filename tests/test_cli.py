@@ -862,13 +862,22 @@ class TestGoldenRuns:
     # SHA-256 of train's report.csv, report.json, policy.txt and stdout, and
     # of eval's metrics.json on the held-out split, run from the synth
     # directory with relative paths (the eval manifest records them). The
-    # README config is focal at 200 adam steps; the wide config's L=16 rows
-    # are summed by numpy's pairwise summation, so a change in how the
-    # log-probabilities are gathered or summed shows here.
+    # README config is focal at 200 adam steps, and the other three losses
+    # run at the same size; the wide config's L=16 rows are summed by
+    # numpy's pairwise summation, so a change in how the log-probabilities
+    # are gathered or summed shows here.
     SIZES = {
         "readme": (["--classes", "4", "--vocab", "8", "--length", "4"], ["--epochs", "50"]),
         "wide": (["--classes", "16", "--vocab", "64", "--length", "16"],
                  ["--epochs", "1", "--eval-every", "2"]),
+    }
+    FOCAL = ["--loss", "focal", "--gamma", "0.05"]
+    RUNS = {  # each config's size and loss
+        "readme": ("readme", FOCAL),
+        "wide": ("wide", FOCAL),
+        "readme-dpo": ("readme", ["--loss", "dpo"]),
+        "readme-focal-exact": ("readme", ["--loss", "focal-exact", "--gamma", "0.5"]),
+        "readme-focus-incorrect": ("readme", ["--loss", "focus-incorrect", "--gamma", "1"]),
     }
     GOLDEN = {
         "readme": (
@@ -885,18 +894,40 @@ class TestGoldenRuns:
             "48a364bc70fb14d7fe0cfce348c5b38c76d463c5a3736c2ee79cf3f681fcda58",
             "db94cceb2137d57ebecde897db134a6da1c1fc74338af9f7e610fe38a64d7ecb",
         ),
+        "readme-dpo": (
+            "8ff5eaefe47249214b999175aa6dcf9b27036ab18b977ec3223d2bbdf2ca78af",
+            "66710bea2efc09059e3904fa2dc262bfbe98a53764c0e79e9d7cb3a3bf0f6a0e",
+            "8e72cfabb6e13c01f326dbdd1529ee38d1c15c9028f656874b434a5be1cfc61d",
+            "4fc823e341698b5035de45d923eef5b205bab5082af9a875194fa906803e6c43",
+            "01dbefbd7d8e25d5f5b19594c81e4521aafa17f6783c2d327f7c1fda8106978e",
+        ),
+        "readme-focal-exact": (
+            "9d18eeeb5b037e63b4c108a49aaee018aedbde67514f89eed895a599e02d1d51",
+            "f250f81eaad0f46ea4b79feb6ad3df60d7e6fd214970a098d66171bba79788db",
+            "257b63798566f51100dd6d7b65fcdf57a1aa87960ae85aa38148092d05e2abac",
+            "aad7048f8fc519292c7878b293b6d1914c9832d8f8f5b573bd84894538891bbc",
+            "b17acc35ab5431e0abf414d623737150b368315d833ff649eab9bedebd2c2a2b",
+        ),
+        "readme-focus-incorrect": (
+            "dfdc4e5fa652fbcf04913c0faade0531fe0576bae3fd9d6716baf214456c8c3b",
+            "68ea2cad76024648620889b09b5a91d01afec07efd121c35c838577249cd78e9",
+            "744a8021e2fdc3fe758106b3620105b03d6ea2cf8fba869e5e7176b00a418f68",
+            "c9abb45a8c2841b9aa82acb003f8da3cb6553199533877ff30769153f11f31ec",
+            "b12eefa35b613fbcb977e4d4ca5ccf272356922230b1bff7d0dec4dc3bbab7bc",
+        ),
     }
 
     @pytest.mark.parametrize("config", sorted(GOLDEN))
     def test_golden_bytes(self, tmp_path, capsys, monkeypatch, config):
-        size, schedule = self.SIZES[config]
+        size_name, loss = self.RUNS[config]
+        size, schedule = self.SIZES[size_name]
         monkeypatch.chdir(tmp_path)
         assert main(["synth", "--out", "data", "--pairs", "500", *size, "--noise", "0.1",
                      "--holdout-fraction", "0.2", "--seed", "9", "--ref-seed", "42",
                      "--reward-seed", "142"]) == 0
         capsys.readouterr()
         assert main(["train", "--dataset", "data/pairs.jsonl", "--reference",
-                     "data/reference.txt", "--out", "run", "--loss", "focal", "--gamma", "0.05",
+                     "data/reference.txt", "--out", "run", *loss,
                      "--beta", "5", "--lr", "3e-3", "--batch-size", "128", *schedule]) == 0
         stdout = capsys.readouterr().out.encode()
         assert main(["eval", "--dataset", "data/holdout.jsonl", "--policy", "run/policy.txt",
@@ -907,3 +938,24 @@ class TestGoldenRuns:
         outputs += [stdout, Path("eval/metrics.json").read_bytes()]
         digests = [hashlib.sha256(data).hexdigest() for data in outputs]
         assert digests == list(self.GOLDEN[config])
+
+    # SHA-256 of factors.csv, weights.csv, losses.csv and stdout of the
+    # curves-grid benchmark's command line: all four variants at three
+    # gammas, 30k rows through the CSV kernel and its exact fallback. The
+    # out directory is relative because stdout names it.
+    CURVES = (
+        "0d6a8a297c4a7b8eeb88511aebabbe7335f3f0bdb5b36a93fab77d37d135d797",
+        "2cf83a4a5209ad60b4ac3824c90eff68dc428fcbd7cfccc04cdf741aeef8e93c",
+        "f3bff0e789d368f5833819c24df1e7f7185e970c60e58ab27dfdac412671aa8c",
+        "be84d09582c74b2c2c045a9a5728a0517df33b0946e9e9f7dbb5cef9c7615c41",
+    )
+
+    def test_curves_golden_bytes(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["curves", "--out", "curves", "--delta-grid=-20:20:0.002",
+                     "--p-grid", "0.0001:0.9999:0.0001", "--gamma", "0.05", "--gamma", "0.5",
+                     "--gamma", "2"]) == 0
+        outputs = [Path("curves", name).read_bytes()
+                   for name in ("factors.csv", "weights.csv", "losses.csv")]
+        outputs.append(capsys.readouterr().out.encode())
+        assert [hashlib.sha256(data).hexdigest() for data in outputs] == list(self.CURVES)
