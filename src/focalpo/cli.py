@@ -44,6 +44,7 @@ from .losses import (
     modulating_factor,
     pair_loss,
 )
+from .numerics import PROB_EPS
 from .policy import load_policy, random_policy, save_policy
 from .trainer import OPTIMIZERS, PROFILE_LOSSES, StepRecord, TrainConfig, evaluate, train
 
@@ -122,10 +123,13 @@ def _grid(text: str) -> tuple[float, float, float]:
 
 
 def _probability_grid(text: str) -> tuple[float, float, float]:
+    """A grid inside the loss zoo's clamp window, where each factor is
+    taken at p itself rather than at a clamped p or 1 - p."""
     grid = _grid(text)
-    if not (0.0 < grid[0] and _grid_points(grid)[-1] < 1.0):
+    if not (PROB_EPS <= grid[0] and _grid_points(grid)[-1] <= 1.0 - PROB_EPS):
         raise argparse.ArgumentTypeError(
-            f"probability grid {text!r} must lie in the open interval (0, 1)"
+            f"probability grid {text!r} must lie in the open interval (0, 1), "
+            f"within [{PROB_EPS:g}, 1 - {PROB_EPS:g}]"
         )
     return grid
 
@@ -245,6 +249,26 @@ def cmd_curves(args) -> int:
             raise UsageError(f"{name} would hold {rows} rows x {columns} columns = "
                              f"{rows * columns} values, more than {MAX_CSV_VALUES}")
 
+    factors = {"p": p_values}
+    for g in gammas:
+        for name, loss in _gamma_columns(g).items():
+            factors[name] = modulating_factor(loss, p_values)
+    dpo = pair_loss(LossConfig(LossVariant.DPO), deltas)
+    weights = {"delta": deltas, "dpo": dpo.weight}
+    losses = {"delta": deltas, "dpo": dpo.loss}
+    for g in weight_gammas:
+        for name, loss in _gamma_columns(g).items():
+            out = pair_loss(loss, deltas)
+            weights[name] = out.weight
+            losses[name] = out.loss
+    # the loss zoo leaves a loss or weight too large for a float as +-inf
+    for file, table in (("losses.csv", losses), ("weights.csv", weights)):
+        for name, values in table.items():
+            finite = np.isfinite(values)
+            if not finite.all():
+                raise UsageError(f"{file} column {name} is not finite at delta "
+                                 f"{float(deltas[~finite][0])!r}")
+
     out_dir = Path(args.out)
     _manifest(
         out_dir,
@@ -263,20 +287,7 @@ def cmd_curves(args) -> int:
         },
     )
 
-    factors = {"p": p_values}
-    for g in gammas:
-        for name, loss in _gamma_columns(g).items():
-            factors[name] = modulating_factor(loss, p_values)
     _write_csv(out_dir / "factors.csv", factors)
-
-    dpo = pair_loss(LossConfig(LossVariant.DPO), deltas)
-    weights = {"delta": deltas, "dpo": dpo.weight}
-    losses = {"delta": deltas, "dpo": dpo.loss}
-    for g in weight_gammas:
-        for name, loss in _gamma_columns(g).items():
-            out = pair_loss(loss, deltas)
-            weights[name] = out.weight
-            losses[name] = out.loss
     _write_csv(out_dir / "weights.csv", weights)
     _write_csv(out_dir / "losses.csv", losses)
 
@@ -493,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--p-grid",
         type=_probability_grid,
         default=(0.01, 0.99, 0.01),
-        help="probability grid min:max:step, inside (0, 1)",
+        help=f"probability grid min:max:step, inside [{PROB_EPS:g}, 1 - {PROB_EPS:g}]",
     )
     p_curves.set_defaults(func=cmd_curves)
 

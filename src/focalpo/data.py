@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .files import atomic_write
-from .numerics import sigmoid
+from .numerics import logistic
 from .policy import (
     PolicyTable,
     _next_token_cdf,
@@ -167,7 +167,7 @@ def synthesize_dataset(config: SynthConfig, reward: np.ndarray, sampler: PolicyT
             flip_draws[pair_id] = rng.random()
     reward_a, reward_b = np.cumsum(reward[classes[:, None], tokens], axis=-1)[..., -1]
     if bradley_terry:
-        a_chosen = label_draws < sigmoid(reward_a - reward_b)
+        a_chosen = label_draws < logistic(reward_a - reward_b)[0]
     else:
         a_chosen = reward_a >= reward_b
     label_flipped = flip_draws < config.noise_rate

@@ -9,11 +9,12 @@ batch of margins as a float64 array. With p = sigmoid(Delta) the variants are
     focal-exact      L = (1-p)**(-g) * (-log p)  same intent, exact focal form
     focus-incorrect  L = (1-p)**g * (-log p)     up-weights misranked pairs
 
-Each variant's factor is one branch of _factor in p and s = 1 - p, shared by
-the loss and its gradient weight, which take s as sigmoid(-Delta): accurate
-where 1 - p would cancel. The gradient weight w(Delta) = -dL/dDelta is the
-scalar that multiplies the gradient of the chosen/rejected log-probability
-difference during descent.
+so each variant's factor is one probability, p or s = 1 - p, raised to one
+exponent, g, -g or 0: one entry of _POWERS. p, s and log p all come from
+one logistic pass over the margins, which takes s as sigmoid(-Delta):
+accurate where 1 - p would cancel. The gradient weight w(Delta) =
+-dL/dDelta is the scalar that multiplies the gradient of the
+chosen/rejected log-probability difference during descent.
 beta never enters here: the trainer owns it, forms the beta-scaled margins
 and applies the policy-gradient term.
 """
@@ -23,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .numerics import _open_unit, log_sigmoid, pow_via_exp, sigmoid
+from .numerics import _open_unit, clamp_probability, logistic
 
 GAMMA_MAX = 5.0
 
@@ -77,22 +78,46 @@ class LossOutput:
     weight: float | np.ndarray
 
 
+# Each variant's factor as base**(sign * gamma): whether its base is p
+# (else s = 1 - p), and the sign of its exponent.
+_POWERS = {
+    LossVariant.DPO: (False, 0.0),
+    LossVariant.FOCAL: (True, 1.0),
+    LossVariant.FOCAL_EXACT: (False, -1.0),
+    LossVariant.FOCUS_INCORRECT: (False, 1.0),
+}
+
+
+def _power(config: LossConfig) -> tuple[bool, float]:
+    """Whether the factor's base is p, and its exponent k."""
+    on_p, sign = _POWERS[config.variant]
+    return on_p, sign * config.gamma
+
+
 def modulating_factor(config: LossConfig, p):
     """The factor applied to the base loss -log p, at exact probabilities p
-    in the open interval (0, 1): here 1 - p is formed by subtraction."""
+    in the open interval (0, 1): here 1 - p is formed by subtraction, and
+    the base is clamped like logistic's."""
     p = _open_unit("p", p)
-    return _factor(config, p, 1.0 - p)
+    on_p, k = _power(config)
+    return _pow(clamp_probability(p if on_p else 1.0 - p), k)
 
 
 def pair_loss(config: LossConfig, margin) -> LossOutput:
     """Loss and gradient weight of each pair at the given margins.
 
-    The base term -log p goes through log_sigmoid and the factor through
-    pow_via_exp; sigmoid(margin) is never logged directly.
+    The base term -log p is logistic's log_p; sigmoid(margin) is never
+    logged directly. A loss or weight too large for a float, at margins of
+    order -1e308, is left as +-inf, without a warning, for the caller to
+    check.
     """
-    p, s, log_p = sigmoid(margin), sigmoid(-margin), log_sigmoid(margin)
-    factor = _factor(config, p, s)
-    return LossOutput(loss=factor * -log_p, weight=_weight(config, factor, p, s, log_p))
+    p, s, log_p = logistic(margin)
+    on_p, k = _power(config)
+    factor = _pow(p if on_p else s, k)
+    with np.errstate(over="ignore"):
+        loss = factor * -log_p
+        weight = s * factor * (1.0 + k * log_p) if on_p else factor * (s - k * p * log_p)
+    return LossOutput(loss=loss, weight=weight)
 
 
 def gradient_weight(config: LossConfig, margin):
@@ -108,30 +133,10 @@ def gradient_weight(config: LossConfig, margin):
     Each is the derivative of the corresponding factored loss; all four are
     certified against finite differences of pair_loss in the test suite.
     """
-    p, s, log_p = sigmoid(margin), sigmoid(-margin), log_sigmoid(margin)
-    return _weight(config, _factor(config, p, s), p, s, log_p)
+    return pair_loss(config, margin).weight
 
 
-def _factor(config: LossConfig, p, s):
-    """The variant's modulating factor at probabilities p, given s = 1 - p."""
-    g = config.gamma
-    variant = config.variant
-    if variant is LossVariant.DPO:
-        return np.full(np.shape(p), 1.0)[()]
-    if variant is LossVariant.FOCAL:
-        return pow_via_exp(p, g)
-    if variant is LossVariant.FOCAL_EXACT:
-        return pow_via_exp(s, -g)
-    return pow_via_exp(s, g)  # focus-incorrect
-
-
-def _weight(config: LossConfig, factor, p, s, log_p):
-    g = config.gamma
-    variant = config.variant
-    if variant is LossVariant.DPO:
-        return s
-    if variant is LossVariant.FOCAL:
-        return s * factor * (1.0 + g * log_p)
-    if variant is LossVariant.FOCAL_EXACT:
-        return factor * (s + g * p * log_p)
-    return factor * (s - g * p * log_p)  # focus-incorrect
+def _pow(base, k):
+    """base**k as exp(k * log base), for a base already clamped into
+    [PROB_EPS, 1 - PROB_EPS]: its log is finite, so k == 0 gives exactly 1.0."""
+    return np.exp(k * np.log(base))[()]

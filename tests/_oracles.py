@@ -14,6 +14,10 @@ the sampler and the policy writer: a linear scan per step, and one format
 call per value. The CSV oracle is the curves writer as numpy's savetxt
 gives it, one row at a time.
 
+The bitwise oracles are the loss zoo as it stood before logistic: three
+checked primitives and the two four-way branch ladders over the variants,
+kept verbatim. The loss zoo must match them byte for byte.
+
 The one-sequence helpers state single-sequence and single-pair quantities
 (log-probability, gradient, implicit reward, margin, subgroup, a sampled
 sequence) through the batched path of focalpo, one row at a time; only the
@@ -30,7 +34,8 @@ import mpmath as mp
 import numpy as np
 
 from focalpo.data import Dataset, encode_pairs
-from focalpo.numerics import sigmoid
+from focalpo.losses import LossConfig, LossVariant
+from focalpo.numerics import _checked, _open_unit, clamp_probability, logistic
 from focalpo.policy import (
     PolicyTable,
     _check_same_shape,
@@ -80,6 +85,83 @@ def fd_weight(variant: str, gamma: float, delta: float, h: float = 1e-5) -> floa
     """Central finite difference of the mirrored loss: approximates -dL/dDelta."""
     num = mirror_pair_loss(variant, gamma, delta + h) - mirror_pair_loss(variant, gamma, delta - h)
     return float(-num / (2 * mp.mpf(h)))
+
+
+def _finite(name: str, x) -> np.ndarray:
+    return _checked(x, np.isfinite, f"{name} must be finite")
+
+
+def sigmoid(x):
+    """Logistic function 1 / (1 + exp(-x)), clamped into the open unit interval.
+
+    Branches on the sign of x so the exponential argument is never positive;
+    large |x| therefore cannot overflow.
+    """
+    x = _finite("sigmoid argument", x)
+    e = np.exp(-np.abs(x))
+    return clamp_probability(np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e)))[()]
+
+
+def log_sigmoid(x):
+    """log(sigmoid(x)) computed as -softplus(-x).
+
+    Accurate for |x| up to at least 700: no intermediate overflow, and the
+    log1p form avoids the cancellation of log(1 - small) near saturation.
+    Always <= 0.
+    """
+    x = _finite("log_sigmoid argument", x)
+    tail = np.log1p(np.exp(-np.abs(x)))
+    return np.where(x >= 0.0, -tail, x - tail)[()]
+
+
+def pow_via_exp(p, g):
+    """p**g for p in (0, 1), computed as exp(g * log(p)).
+
+    Exactly 1.0 when g == 0. The base is clamped before the log, so callers
+    may pass probabilities arbitrarily close to the endpoints, but values at
+    or beyond 0 and 1 are rejected.
+    """
+    g = _finite("exponent", g)
+    p = _open_unit("base", p)
+    # The clamped log is finite, so g == 0 gives exp(0) == 1.0 exactly.
+    return np.exp(g * np.log(clamp_probability(p)))[()]
+
+
+def _factor(config: LossConfig, p, s):
+    """The variant's modulating factor at probabilities p, given s = 1 - p."""
+    g = config.gamma
+    variant = config.variant
+    if variant is LossVariant.DPO:
+        return np.full(np.shape(p), 1.0)[()]
+    if variant is LossVariant.FOCAL:
+        return pow_via_exp(p, g)
+    if variant is LossVariant.FOCAL_EXACT:
+        return pow_via_exp(s, -g)
+    return pow_via_exp(s, g)  # focus-incorrect
+
+
+def _weight(config: LossConfig, factor, p, s, log_p):
+    g = config.gamma
+    variant = config.variant
+    if variant is LossVariant.DPO:
+        return s
+    if variant is LossVariant.FOCAL:
+        return s * factor * (1.0 + g * log_p)
+    if variant is LossVariant.FOCAL_EXACT:
+        return factor * (s + g * p * log_p)
+    return factor * (s - g * p * log_p)  # focus-incorrect
+
+
+def ladder_pair_loss(config: LossConfig, margin) -> tuple:
+    """(loss, weight) at the margins, as the ladders give them."""
+    p, s, log_p = sigmoid(margin), sigmoid(-margin), log_sigmoid(margin)
+    factor = _factor(config, p, s)
+    return factor * -log_p, _weight(config, factor, p, s, log_p)
+
+
+def ladder_modulating_factor(config: LossConfig, p):
+    p = _open_unit("p", p)
+    return _factor(config, p, 1.0 - p)
 
 
 def _chain(logits, prompt_class, tokens):
@@ -279,7 +361,7 @@ def sample_sequence(policy, prompt_class: int, length: int, rng_seed: int) -> tu
 
 def preference_probability(margin):
     """p = sigmoid(margin): the model's probability that chosen beats rejected."""
-    return sigmoid(margin)
+    return logistic(margin)[0]
 
 
 def classify_pair(reference, prompt_class: int, chosen, rejected) -> str:

@@ -104,6 +104,11 @@ class TestCurves:
             (["--delta-grid=0:1"], "invalid grid '0:1': expected min:max:step"),
             (["--delta-grid=1:0:0.1"], "grid min must be < max in '1:0:0.1'"),
             (["--p-grid", "0.1:0.9:0"], "grid step must be > 0 in '0.1:0.9:0'"),
+            # p grids must lie in the loss zoo's clamp window, at both ends
+            (["--p-grid", "1e-20:0.5:0.1"], "within [1e-12, 1 - 1e-12]"),
+            (["--p-grid", "0.5:0.9999999999999:0.4999999999999"],
+             "probability grid '0.5:0.9999999999999:0.4999999999999' must lie in the open "
+             "interval (0, 1), within [1e-12, 1 - 1e-12]"),
         ],
     )
     def test_bad_grid_exits_2_before_any_file(self, tmp_path, capsys, grid, message):
@@ -138,6 +143,24 @@ class TestCurves:
                      "--delta-grid=-20:20:1"]) == 0
         assert ("exact-vs-approx loss gap at gamma=2: min 2.36224874, max 485165197 "
                 "over delta grid\n") in capsys.readouterr().out
+
+    def test_p_grid_may_span_the_clamp_window(self, tmp_path, capsys):
+        out = tmp_path / "c"
+        assert main(["curves", "--out", str(out),
+                     "--p-grid=1e-12:0.999999999999:0.999999999998"]) == 0
+        capsys.readouterr()
+        _, rows = read_csv(out / "factors.csv")
+        assert [row[0] for row in rows] == [1e-12, 1.0]  # 1 - 1e-12 prints as 1
+
+    def test_non_finite_curve_exits_2_before_any_file(self, tmp_path, capsys):
+        # gamma * log p overflows at the grid's first margin
+        out = tmp_path / "c"
+        assert main(["curves", "--out", str(out), "--delta-grid=-1e308:0:1e306",
+                     "--gamma", "5"]) == 2
+        assert capsys.readouterr().err == (
+            "error: weights.csv column focal_g5 is not finite at delta -1e+308\n"
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "flags, message",

@@ -17,11 +17,13 @@ from focalpo.losses import (
     modulating_factor,
     pair_loss,
 )
-from focalpo.numerics import log_sigmoid
 
 from _oracles import (
     VARIANT_NAMES,
     fd_weight,
+    ladder_modulating_factor,
+    ladder_pair_loss,
+    log_sigmoid,
     mirror_pair_loss,
     mirror_weight_ratio,
     preference_probability,
@@ -373,3 +375,54 @@ class TestArrays:
             gradient_weight(cfg, margins)
         with pytest.raises(ValueError, match="must be finite"):
             preference_probability(margins)
+
+
+# margins at the edges of float64 and of the logistic's saturation
+SWEEP = np.array([
+    sign * x for x in (0.0, 5e-324, 1e-300, 0.5, 2.0, 20.0, 36.0, 700.0, 750.0, 1e6)
+    for sign in (1.0, -1.0)
+])
+
+
+class TestLadderOracle:
+    """The loss zoo against its four-way branch ladders, byte for byte."""
+
+    @staticmethod
+    def assert_same_bytes(cfg, margins):
+        with np.errstate(over="ignore"):  # the ladders warn where a weight overflows
+            loss, weight = ladder_pair_loss(cfg, margins)
+        out = pair_loss(cfg, margins)
+        assert np.float64(out.loss).tobytes() == np.float64(loss).tobytes()
+        assert np.float64(out.weight).tobytes() == np.float64(weight).tobytes()
+        assert np.float64(gradient_weight(cfg, margins)).tobytes() == np.float64(weight).tobytes()
+
+    @pytest.mark.parametrize("gamma", [0.05, 0.5, 1.0, 5.0])
+    @pytest.mark.parametrize("name", VARIANT_NAMES)
+    def test_sweep(self, name, gamma):
+        cfg = config(LossVariant(name), gamma=gamma)
+        self.assert_same_bytes(cfg, SWEEP)
+        for margin in SWEEP:
+            self.assert_same_bytes(cfg, float(margin))
+        # exact probabilities, from the logistic's and out to where the
+        # ladders' 1 - p still lies below 1
+        ps = np.concatenate([
+            preference_probability(SWEEP), np.linspace(0.01, 0.99, 99),
+            [2.0**-52, 1e-15, 1e-12, 1e-6, 1 - 1e-6, 1 - 1e-12, 1 - 2.0**-53],
+        ])
+        assert (modulating_factor(cfg, ps).tobytes()
+                == ladder_modulating_factor(cfg, ps).tobytes())
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        margins=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+                         max_size=20),
+        p=st.floats(min_value=2.0**-52, max_value=1 - 2.0**-53),
+        name=st.sampled_from(VARIANT_NAMES),
+        gamma=st.sampled_from([0.05, 0.5, 1.0, 5.0]),
+    )
+    def test_finite_floats(self, margins, p, name, gamma):
+        cfg = config(LossVariant(name), gamma=gamma)
+        self.assert_same_bytes(cfg, np.array(margins))
+        assert np.float64(modulating_factor(cfg, p)).tobytes() == np.float64(
+            ladder_modulating_factor(cfg, p)
+        ).tobytes()

@@ -1,12 +1,39 @@
 """Primitive tests: frozen oracle values plus stability properties, for
-scalar arguments and for whole arrays."""
+scalar arguments and for whole arrays. sigmoid and log_sigmoid are the p
+and log_p of logistic, and the powers are the loss zoo's _pow."""
 
 import math
 
 import numpy as np
 import pytest
 
-from focalpo.numerics import PROB_EPS, clamp_probability, log_sigmoid, pow_via_exp, sigmoid
+from focalpo.losses import _pow
+from focalpo.numerics import PROB_EPS, clamp_probability, logistic
+
+
+def sigmoid(x):
+    return logistic(x)[0]
+
+
+def log_sigmoid(x):
+    return logistic(x)[2]
+
+
+class TestLogistic:
+    def test_s_is_p_at_minus_x_bit_for_bit(self):
+        xs = np.concatenate([np.linspace(-50, 50, 2001), [0.0, -0.0, 5e-324, -5e-324, 1e6, -1e6]])
+        s = logistic(xs)[1]
+        assert s.tobytes() == logistic(-xs)[0].tobytes()
+        for x, expected in zip(xs, s):
+            assert logistic(float(x))[1] == expected
+
+    def test_halves_at_zero(self):
+        for zero in (0.0, -0.0):
+            assert logistic(zero)[:2] == (0.5, 0.5)
+
+    def test_rejection_names_the_argument(self):
+        with pytest.raises(ValueError, match=r"^logistic argument must be finite, got nan$"):
+            logistic(np.array([0.0, math.nan]))
 
 
 class TestSigmoid:
@@ -86,29 +113,20 @@ class TestLogSigmoid:
 
 class TestPowViaExp:
     def test_zero_exponent_is_exact_one(self):
-        assert pow_via_exp(0.5, 0.0) == 1.0
-        assert pow_via_exp(1e-9, 0.0) == 1.0
+        assert _pow(0.5, 0.0) == 1.0
+        assert _pow(1e-9, 0.0) == 1.0
 
     def test_unit_exponent(self):
-        assert pow_via_exp(0.5, 1.0) == pytest.approx(0.5, rel=1e-15)
+        assert _pow(0.5, 1.0) == pytest.approx(0.5, rel=1e-15)
 
     def test_reference_value(self):
         # high-precision evaluation: 0.5 ** 0.05
-        assert pow_via_exp(0.5, 0.05) == pytest.approx(0.9659363289248456, abs=1e-12)
-
-    @pytest.mark.parametrize("p", [0.0, 1.0, -0.2, 1.5, math.nan])
-    def test_rejects_out_of_range_base(self, p):
-        with pytest.raises(ValueError):
-            pow_via_exp(p, 0.5)
-
-    def test_rejects_non_finite_exponent(self):
-        with pytest.raises(ValueError):
-            pow_via_exp(0.5, math.inf)
+        assert _pow(0.5, 0.05) == pytest.approx(0.9659363289248456, abs=1e-12)
 
     @pytest.mark.parametrize("g", [0.05, 1.0, 2.5, -0.05, -1.0])
     def test_monotone_in_base(self, g):
         ps = np.linspace(0.01, 0.99, 99)
-        values = [pow_via_exp(float(p), g) for p in ps]
+        values = [_pow(float(p), g) for p in ps]
         diffs = [b - a for a, b in zip(values, values[1:])]
         if g > 0:
             assert all(d > 0 for d in diffs)
@@ -117,7 +135,7 @@ class TestPowViaExp:
 
     def test_negative_power_finite_near_endpoint(self):
         # the clamp keeps (1-p)**(-gamma) finite at saturated probabilities
-        assert math.isfinite(pow_via_exp(1.0 - 1e-12, -1.0))
+        assert math.isfinite(_pow(1.0 - 1e-12, -1.0))
 
 
 class TestClamp:
@@ -131,16 +149,16 @@ class TestClamp:
 
 class TestElementwise:
     def test_scalar_in_scalar_out(self):
-        values = (sigmoid(0.3), log_sigmoid(0.3), pow_via_exp(0.3, 0.5), clamp_probability(0.3))
+        values = (*logistic(0.3), _pow(0.3, 0.5), clamp_probability(0.3))
         for value in values:
             assert np.ndim(value) == 0
             assert isinstance(value, float)
 
     def test_shape_preserved(self):
         xs = np.linspace(-3, 3, 12).reshape(3, 4)
-        assert sigmoid(xs).shape == (3, 4)
-        assert log_sigmoid(xs).shape == (3, 4)
-        assert pow_via_exp(sigmoid(xs), 0.5).shape == (3, 4)
+        for value in logistic(xs):
+            assert value.shape == (3, 4)
+        assert _pow(sigmoid(xs), 0.5).shape == (3, 4)
 
     @pytest.mark.parametrize("fn", [sigmoid, log_sigmoid])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -150,15 +168,3 @@ class TestElementwise:
         xs[position] = bad
         with pytest.raises(ValueError, match=repr(bad)):
             fn(xs)
-
-    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, math.nan])
-    @pytest.mark.parametrize("position", [0, 4])
-    def test_one_out_of_range_base_rejected(self, bad, position):
-        ps = np.linspace(0.1, 0.9, 5)
-        ps[position] = bad
-        with pytest.raises(ValueError, match="open interval"):
-            pow_via_exp(ps, 0.5)
-
-    def test_non_finite_exponent_element_rejected(self):
-        with pytest.raises(ValueError, match="exponent"):
-            pow_via_exp(0.5, np.array([0.5, math.inf]))

@@ -156,7 +156,6 @@ class TestTrainStep:
                 init_optimizer_state(config, policy),
             )
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_non_finite_weight_names_first_bad_pair(self):
         # at beta 1e308 the misranked pair's margin is about -1e308: finite,
         # but gamma * log p overflows, so its focal weight is -inf
