@@ -123,8 +123,6 @@ def _grid(text: str) -> tuple[float, float, float]:
 
 
 def _probability_grid(text: str) -> tuple[float, float, float]:
-    """A grid inside the loss zoo's clamp window, where each factor is
-    taken at p itself rather than at a clamped p or 1 - p."""
     grid = _grid(text)
     if not (PROB_EPS <= grid[0] and _grid_points(grid)[-1] <= 1.0 - PROB_EPS):
         raise argparse.ArgumentTypeError(
@@ -253,21 +251,17 @@ def cmd_curves(args) -> int:
     for g in gammas:
         for name, loss in _gamma_columns(g).items():
             factors[name] = modulating_factor(loss, p_values)
-    dpo = pair_loss(LossConfig(LossVariant.DPO), deltas)
-    weights = {"delta": deltas, "dpo": dpo.weight}
-    losses = {"delta": deltas, "dpo": dpo.loss}
+    columns = {"dpo": LossConfig(LossVariant.DPO)}
     for g in weight_gammas:
-        for name, loss in _gamma_columns(g).items():
-            out = pair_loss(loss, deltas)
-            weights[name] = out.weight
-            losses[name] = out.loss
-    # the loss zoo leaves a loss or weight too large for a float as +-inf
-    for file, table in (("losses.csv", losses), ("weights.csv", weights)):
-        for name, values in table.items():
-            finite = np.isfinite(values)
-            if not finite.all():
-                raise UsageError(f"{file} column {name} is not finite at delta "
-                                 f"{float(deltas[~finite][0])!r}")
+        columns.update(_gamma_columns(g))
+    weights, losses = {"delta": deltas}, {"delta": deltas}
+    for name, loss in columns.items():
+        out = pair_loss(loss, deltas)
+        weights[name], losses[name] = out.weight, out.loss
+        bad = ~(np.isfinite(out.loss) & np.isfinite(out.weight))
+        if bad.any():  # the loss zoo leaves what overflows a float as +-inf
+            raise UsageError(f"the {name} loss or weight is not finite at delta "
+                             f"{float(deltas[bad][0])!r}")
 
     out_dir = Path(args.out)
     _manifest(

@@ -88,19 +88,13 @@ _POWERS = {
 }
 
 
-def _power(config: LossConfig) -> tuple[bool, float]:
-    """Whether the factor's base is p, and its exponent k."""
-    on_p, sign = _POWERS[config.variant]
-    return on_p, sign * config.gamma
-
-
 def modulating_factor(config: LossConfig, p):
     """The factor applied to the base loss -log p, at exact probabilities p
     in the open interval (0, 1): here 1 - p is formed by subtraction, and
     the base is clamped like logistic's."""
     p = _open_unit("p", p)
-    on_p, k = _power(config)
-    return _pow(clamp_probability(p if on_p else 1.0 - p), k)
+    on_p, sign = _POWERS[config.variant]
+    return _pow(clamp_probability(p if on_p else 1.0 - p), sign * config.gamma)
 
 
 def pair_loss(config: LossConfig, margin) -> LossOutput:
@@ -112,7 +106,8 @@ def pair_loss(config: LossConfig, margin) -> LossOutput:
     check.
     """
     p, s, log_p = logistic(margin)
-    on_p, k = _power(config)
+    on_p, sign = _POWERS[config.variant]
+    k = sign * config.gamma
     factor = _pow(p if on_p else s, k)
     with np.errstate(over="ignore"):
         loss = factor * -log_p

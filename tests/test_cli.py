@@ -158,7 +158,7 @@ class TestCurves:
         assert main(["curves", "--out", str(out), "--delta-grid=-1e308:0:1e306",
                      "--gamma", "5"]) == 2
         assert capsys.readouterr().err == (
-            "error: weights.csv column focal_g5 is not finite at delta -1e+308\n"
+            "error: the focal_g5 loss or weight is not finite at delta -1e+308\n"
         )
         assert not out.exists()
 
