@@ -123,6 +123,8 @@ def _grid(text: str) -> tuple[float, float, float]:
 
 
 def _probability_grid(text: str) -> tuple[float, float, float]:
+    """A grid inside the loss zoo's clamp window, where each factor is
+    taken at p itself rather than at a clamped p or 1 - p."""
     grid = _grid(text)
     if not (PROB_EPS <= grid[0] and _grid_points(grid)[-1] <= 1.0 - PROB_EPS):
         raise argparse.ArgumentTypeError(
