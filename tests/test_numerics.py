@@ -1,6 +1,7 @@
 """Primitive tests: frozen oracle values plus stability properties, for
 scalar arguments and for whole arrays. sigmoid and log_sigmoid are the p
-and log_p of logistic, and the powers are the loss zoo's _pow."""
+and log_p of logistic, the powers are the loss zoo's _pow, and the base
+check is the open-interval check modulating_factor applies to its p."""
 
 import math
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from focalpo.losses import _pow
-from focalpo.numerics import PROB_EPS, clamp_probability, logistic
+from focalpo.numerics import PROB_EPS, _open_unit, clamp_probability, logistic
 
 
 def sigmoid(x):
@@ -123,6 +124,11 @@ class TestPowViaExp:
         # high-precision evaluation: 0.5 ** 0.05
         assert _pow(0.5, 0.05) == pytest.approx(0.9659363289248456, abs=1e-12)
 
+    @pytest.mark.parametrize("p", [0.0, 1.0, -0.2, 1.5, math.nan])
+    def test_rejects_out_of_range_base(self, p):
+        with pytest.raises(ValueError):
+            _open_unit("base", p)
+
     @pytest.mark.parametrize("g", [0.05, 1.0, 2.5, -0.05, -1.0])
     def test_monotone_in_base(self, g):
         ps = np.linspace(0.01, 0.99, 99)
@@ -168,3 +174,11 @@ class TestElementwise:
         xs[position] = bad
         with pytest.raises(ValueError, match=repr(bad)):
             fn(xs)
+
+    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, math.nan])
+    @pytest.mark.parametrize("position", [0, 4])
+    def test_one_out_of_range_base_rejected(self, bad, position):
+        ps = np.linspace(0.1, 0.9, 5)
+        ps[position] = bad
+        with pytest.raises(ValueError, match="open interval"):
+            _open_unit("base", ps)
