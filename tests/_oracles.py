@@ -12,7 +12,10 @@ numpy path they check.
 The sampling and text-format oracles are the one-step-at-a-time forms of
 the sampler and the policy writer: a linear scan per step, and one format
 call per value. The CSV oracle is the curves writer as numpy's savetxt
-gives it, one row at a time.
+gives it, one row at a time. The policy file oracles are save_policy and
+load_policy as they stood before the vectorized writer and the C reader,
+kept verbatim: a `%` template per row, and a line-by-line parse whose
+messages are the only error messages of the format.
 
 The bitwise oracles are the loss zoo as it stood before logistic: three
 checked primitives and the two four-way branch ladders over the variants,
@@ -28,12 +31,14 @@ dataset helpers move between a Dataset's columns and one tuple per pair.
 
 import hashlib
 import io
+import itertools
 import math
 
 import mpmath as mp
 import numpy as np
 
 from focalpo.data import Dataset, encode_pairs
+from focalpo.files import atomic_write
 from focalpo.losses import LossConfig, LossVariant
 from focalpo.numerics import _checked, _open_unit, clamp_probability, logistic
 from focalpo.policy import (
@@ -243,6 +248,75 @@ def legacy_policy_text(logits) -> str:
         for prev in range(num_contexts):
             lines.append(" ".join(f"{v:.17g}" for v in logits[c, prev]))
     return "\n".join(lines) + "\n"
+
+
+def template_save_policy(path, policy: PolicyTable) -> None:
+    """Write the text format: header line "C V", then one line of V logits
+    per (prompt_class, previous_token) context, previous-token-major within
+    each class and the BOS context last. Values use 17 significant digits so
+    the round trip is value-exact.
+    """
+    with atomic_write(path) as fh:
+        fh.write(f"{policy.num_prompt_classes} {policy.vocab_size}\n")
+        line = " ".join(["%.17g"] * policy.vocab_size) + "\n"
+        for row in policy.logits.reshape(-1, policy.vocab_size):
+            fh.write(line % tuple(row.tolist()))
+
+
+def _lines(fh):
+    """The lines of a text file from its start, read one at a time, so no
+    copy of the whole text is held. Only a newline ends a line."""
+    fh.seek(0)
+    for line in fh:
+        yield line.rstrip("\n")
+
+
+def _rows(fh):
+    """(line number, line) for the non-blank lines after the header line,
+    numbered as the file's physical lines from 1."""
+    lines = itertools.islice(enumerate(_lines(fh), 1), 1, None)
+    return ((number, line) for number, line in lines if line.strip())
+
+
+def line_load_policy(path) -> PolicyTable:
+    """Read the text format written by save_policy. The rows are counted in
+    one pass and parsed into the table in a second."""
+    with open(path, "r", encoding="utf-8") as fh:
+        first = next(_lines(fh), None)
+        if first is None:
+            raise ValueError(f"{path}: empty policy file")
+        header = first.split()
+        if len(header) != 2:
+            raise ValueError(f"{path}: line 1: expected header 'C V', got {first!r}")
+        try:
+            num_classes, vocab = int(header[0]), int(header[1])
+        except ValueError as exc:
+            raise ValueError(f"{path}: line 1: malformed header {first!r}") from exc
+        if num_classes < 1 or vocab < 1:
+            raise ValueError(f"{path}: line 1: C and V must be >= 1, got {first!r}")
+        expected_rows = num_classes * (vocab + 1)
+        got = sum(1 for _ in _rows(fh))
+        if got != expected_rows:
+            raise ValueError(
+                f"{path}: expected {expected_rows} context rows for C={num_classes} V={vocab}, "
+                f"got {got}"
+            )
+        logits = np.empty((num_classes, vocab + 1, vocab))
+        for i, (number, line) in enumerate(_rows(fh)):
+            parts = line.split()
+            if len(parts) != vocab:
+                raise ValueError(f"{path}: line {number}: expected {vocab} values, got {len(parts)}")
+            try:
+                values = [float(p) for p in parts]
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {number}: malformed float") from exc
+            logits[i // (vocab + 1), i % (vocab + 1)] = values
+        try:
+            return PolicyTable(logits)
+        except ValueError:  # the shape is right, so a logit is not finite
+            row = int(np.isfinite(logits).reshape(-1, vocab).all(axis=1).argmin())
+            number, _ = next(itertools.islice(_rows(fh), row, None))
+            raise ValueError(f"{path}: line {number}: logits must be finite") from None
 
 
 def savetxt_csv_text(columns) -> str:

@@ -451,7 +451,9 @@ class TestSynth:
     # SHA-256 of pairs.jsonl, holdout.jsonl, reference.txt and stdout, as
     # written by the object-per-pair synthesizer these bytes were first
     # recorded from. The README config takes distinct-draw retries (first at
-    # pair 243), the bradley_terry config one at pair 172.
+    # pair 243), the bradley_terry config one at pair 172. The wide config is
+    # the wide-pipeline benchmark's synth command line, whose 66,560-value
+    # reference.txt is written a block of 4,096 values at a time.
     GOLDEN = {
         "readme": (
             ["--pairs", "500", "--noise", "0.1", "--holdout-fraction", "0.2",
@@ -468,6 +470,15 @@ class TestSynth:
             "7c4b4dac3e13ed8186fb9cce87c020d1c9dd5313f746e58e36073e5b3f7f0061",
             "aa080a15cdc6e5bab1ef605c44ab3f945952a70866221d0a6385f9dae39b9e2d",
             "c1c1999339551f672f7cb8105fddd677195e847be4acdbab01fbd0427ca8f0fa",
+        ),
+        "wide": (
+            ["--pairs", "500", "--classes", "16", "--vocab", "64", "--length", "16",
+             "--noise", "0.1", "--holdout-fraction", "0.2", "--seed", "9", "--ref-seed", "42",
+             "--reward-seed", "142"],
+            "71bb584365ae6e156f996673bce55d7ffcab377a73bba28a98e18ca5d14a2d12",
+            "c664731ad7802be209955334cb066f17524cb80e9a95f4fbdfae0b7c56506b39",
+            "eeb5298e575e3ec3b966c32ac4b0101511317949bd977c358f9a3295b025f553",
+            "b04b8fcb1e9ec2444ee93ce22a1d50f4ec49f21f8574a08231e7354a341a8353",
         ),
     }
 
@@ -888,7 +899,9 @@ class TestGoldenRuns:
     # README config is focal at 200 adam steps, and the other three losses
     # run at the same size; the wide config's L=16 rows are summed by
     # numpy's pairwise summation, so a change in how the log-probabilities
-    # are gathered or summed shows here.
+    # are gathered or summed shows here. The wide config is the wide-pipeline
+    # benchmark's train and eval: its policy.txt pins the text of a
+    # 66,560-value table, and train and eval read two such files.
     SIZES = {
         "readme": (["--classes", "4", "--vocab", "8", "--length", "4"], ["--epochs", "50"]),
         "wide": (["--classes", "16", "--vocab", "64", "--length", "16"],

@@ -17,12 +17,14 @@ from _oracles import (
     checksum,
     implicit_reward,
     legacy_policy_text,
+    line_load_policy,
     pair_margin,
     sample_sequence,
     scaled_random_policy,
     scan_sample_tokens,
     sequence_log_prob,
     sequence_log_prob_grad,
+    template_save_policy,
     uniform_policy,
 )
 from focalpo.policy import (
@@ -407,6 +409,97 @@ class TestSerialization:
         message = f"{path}: line 1: C and V must be >= 1, got {header!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             load_policy(path)
+
+
+# Values at the edges of exact 17-digit text: signed zeros, subnormals, a
+# %.17g tie (2**-25 has 18 significant digits, the last a 5), the switches
+# between fixed and exponent notation, doubles just below powers of ten,
+# and integers past 2**53.
+EDGE_LOGITS = (
+    0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, -2.2250738585072014e-308,
+    2.0**-25, -(2.0**-25), 1e-5, -1e-5, 1e-4, 9.999999999999999e-05, 0.1, 1 / 3, 0.5, 1.0,
+    -1.0, 100.0, 1e16, -1e16, 1e17, 1e22, 1e23, 1.7976931348623157e308,
+    *(float(np.nextafter(10.0**k, 0.0)) for k in (-5, -4, -1, 0, 1, 2, 15, 16, 17, 22)),
+    2.0**53, 2.0**53 + 2, -(2.0**63), 12345678901234567.0, 99999999999999984.0, 123456.0,
+)
+
+
+def normal_logits(num_classes, vocab, seed):
+    return np.random.default_rng(seed).standard_normal((num_classes, vocab + 1, vocab))
+
+
+def edge_table():
+    """A (2, 65, 64) table of three 4,096-value blocks: the first all
+    standard normal, the edge values spread over the second, and a few in
+    the 128-value tail."""
+    logits = normal_logits(2, 64, seed=3)
+    flat = logits.reshape(-1)
+    flat[4096 + 37 * np.arange(len(EDGE_LOGITS))] = EDGE_LOGITS
+    flat[-len(EDGE_LOGITS[:8]):] = EDGE_LOGITS[:8]
+    return PolicyTable(logits)
+
+
+def load_outcome(load, path):
+    """The table's bytes, or the type and message of the ValueError."""
+    try:
+        return load(path).logits.tobytes()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+# Edits a policy text may suffer: underscores and non-ASCII digits that
+# float() takes, other line ends, comments, non-finite and malformed
+# literals, Unicode whitespace, and whole extra fields and rows.
+FUZZ_TOKENS = (
+    "1_0", "\u0661\u0662", "\uff11", "\r", "\r\n", "#", "# 1", "\n", "\n\n", " ", "\t", "inf",
+    "-inf", "nan", "infinity", "1e999", "0x1p3", "1,5", "+.5", "5.", "e5", "-", "1.5j", "'1'",
+    "\x0c", "\x0b", "\x1c", "\x85", "\u2028", "\xa0", "\x00", "1 2", "0 0 0",
+)
+
+
+class TestPolicyTextOracle:
+    """save_policy and load_policy against their line-at-a-time forms in
+    _oracles, on tables of one block (4,096 values) and more."""
+
+    def test_edge_table_saves_to_the_template_bytes(self, tmp_path):
+        policy = edge_table()
+        save_policy(tmp_path / "fast.txt", policy)
+        template_save_policy(tmp_path / "template.txt", policy)
+        text = (tmp_path / "fast.txt").read_bytes()
+        assert text == (tmp_path / "template.txt").read_bytes()
+        assert text == legacy_policy_text(policy.logits).encode()
+        assert load_policy(tmp_path / "fast.txt").logits.tobytes() == policy.logits.tobytes()
+
+    @pytest.mark.parametrize("value", EDGE_LOGITS)
+    def test_one_edge_value_in_a_normal_block(self, tmp_path, value):
+        logits = normal_logits(1, 64, seed=11)
+        logits[0, 40, 17] = value
+        save_policy(tmp_path / "fast.txt", PolicyTable(logits))
+        template_save_policy(tmp_path / "template.txt", PolicyTable(logits))
+        assert (tmp_path / "fast.txt").read_bytes() == (tmp_path / "template.txt").read_bytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("scale", [1.0, 1e-3, 40.0])
+    def test_normal_tables_round_trip_through_both_paths(self, tmp_path, seed, scale):
+        policy = PolicyTable(normal_logits(2, 64, seed) * scale)
+        path = tmp_path / "policy.txt"
+        save_policy(path, policy)
+        assert path.read_bytes() == legacy_policy_text(policy.logits).encode()
+        assert load_policy(path).logits.tobytes() == policy.logits.tobytes()
+        assert line_load_policy(path).logits.tobytes() == policy.logits.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True), st.integers(0, 3),
+                              st.sampled_from(FUZZ_TOKENS)), min_size=1, max_size=3))
+    def test_fuzzed_text_loads_as_the_oracle_loads_it(self, edits):
+        text = legacy_policy_text(normal_logits(1, 64, seed=5))
+        for at, deleted, token in sorted(edits, reverse=True):
+            i = int(at * len(text))
+            text = text[:i] + token + text[i + deleted:]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "policy.txt"
+            path.write_bytes(text.encode("utf-8"))
+            assert load_outcome(load_policy, path) == load_outcome(line_load_policy, path)
 
 
 class TestPolicyTable:
