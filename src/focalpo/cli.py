@@ -394,8 +394,8 @@ def cmd_train(args) -> int:
     # a TrainConfig flag not given is absent from args, and TrainConfig fills it in
     given = {f.name: vars(args)[f.name] for f in fields(TrainConfig)[1:] if f.name in vars(args)}
     config = TrainConfig(loss, **given)
-    reference = load_policy(args.reference)
-    dataset = _load_dataset(args.dataset, reference)
+    policy = load_policy(args.reference)  # the reference until the pairs are encoded
+    dataset = _load_dataset(args.dataset, policy)
     out_dir = Path(args.out)
     _manifest(
         out_dir,
@@ -414,9 +414,10 @@ def cmd_train(args) -> int:
         },
     )
 
-    policy = reference.clone()
     start = time.perf_counter()
-    steps, final = train(config, dataset, policy, reference)
+    # the pairs keep all that training reads of the reference, so its table
+    # is the one trained, and no copy of it is made
+    steps, final = train(config, encode_pairs(policy, dataset), policy)
     seconds = time.perf_counter() - start
 
     # not by _write_csv, whose csvtext import train does not need
@@ -446,8 +447,9 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     policy = load_policy(args.policy)
     reference = load_policy(args.reference)
-    dataset = _load_dataset(args.dataset, reference)
-    evaluation = evaluate(policy, encode_pairs(reference, dataset), args.beta)
+    pairs = encode_pairs(reference, _load_dataset(args.dataset, reference))
+    del reference  # the pairs keep all that evaluation reads of it
+    evaluation = evaluate(policy, pairs, args.beta)
     ordering = evaluation.orderings()
 
     out_dir = Path(args.out) if args.out else None

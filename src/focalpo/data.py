@@ -184,13 +184,15 @@ def synthesize_dataset(config: SynthConfig, reward: np.ndarray, sampler: PolicyT
 
 
 class EncodedPairs(NamedTuple):
-    """A Dataset encoded and scored once against the frozen reference, whose
-    shape its indices assume: the (N, 2, L) token_rows indices of each pair's
-    chosen and rejected sequence, in that order, their (N, 2) reference
-    log-probabilities, and the subgroup label that follows from them. len()
-    counts the pairs, so the tuple's _make and _replace do not apply."""
+    """A Dataset encoded and scored once against the frozen reference: the
+    reference's (C, V + 1, V) shape, which its indices assume; the (N, 2, L)
+    token_rows indices of each pair's chosen and rejected sequence, in that
+    order; their (N, 2) reference log-probabilities; and the subgroup label
+    that follows from them. Nothing else of the reference is kept, so its
+    table may be trained in place once the pairs are encoded. len() counts
+    the pairs, so the tuple's _make and _replace do not apply."""
 
-    reference: PolicyTable
+    reference_shape: tuple
     pair_ids: np.ndarray
     rows: np.ndarray
     ref_log_probs: np.ndarray
@@ -201,7 +203,7 @@ class EncodedPairs(NamedTuple):
 
     def take(self, idx) -> "EncodedPairs":
         """The pairs at the given indices, in that order."""
-        return EncodedPairs(self.reference, *(column[idx] for column in self[1:]))
+        return EncodedPairs(self.reference_shape, *(column[idx] for column in self[1:]))
 
 
 def encode_pairs(reference: PolicyTable, dataset: Dataset) -> EncodedPairs:
@@ -213,7 +215,9 @@ def encode_pairs(reference: PolicyTable, dataset: Dataset) -> EncodedPairs:
     rows = token_rows(reference, dataset.classes, np.stack((dataset.chosen, dataset.rejected), 1))
     ref_log_probs = log_probs(log_softmax(reference.logits), rows)
     correct_at_init = ref_log_probs[:, 0] > ref_log_probs[:, 1]
-    return EncodedPairs(reference, dataset.pair_ids, rows, ref_log_probs, correct_at_init)
+    return EncodedPairs(
+        reference.logits.shape, dataset.pair_ids, rows, ref_log_probs, correct_at_init
+    )
 
 
 def save_dataset(path, dataset: Dataset) -> None:

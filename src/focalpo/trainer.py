@@ -7,9 +7,9 @@ difference. The dataset is encoded once (see data.encode_pairs) as one flat
 table index per token, both sides of every pair in one array, so one gather
 scores both and the frozen reference is scored once per dataset; every step,
 snapshot and evaluation reads its log-probabilities and subgroup labels from
-that encoding. Each evaluated policy state is scored once (see evaluate), and
-its step record, metrics and orderings all read those margins. The
-reference table is never modified; all randomness comes from the shuffle
+that encoding, and nothing else of the reference. Each evaluated policy
+state is scored once (see evaluate), and its step record, metrics and
+orderings all read those margins. All randomness comes from the shuffle
 seed, so identical configurations reproduce identical step records and final
 blocks. beta is a TrainConfig field, since margins are formed here; train
 returns data, and this module writes and times nothing.
@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .data import Dataset, EncodedPairs, encode_pairs
+from .data import EncodedPairs
 from .losses import LossConfig, LossVariant, gradient_weight, pair_loss
 from .policy import PolicyTable, _check_same_shape, log_prob_grad, log_probs, log_softmax
 
@@ -155,7 +155,7 @@ def assemble_gradient(policy: PolicyTable, batch: EncodedPairs, config: TrainCon
     """
     if not len(batch):
         raise ValueError("batch must be non-empty")
-    _check_same_shape(policy, batch.reference)
+    _check_same_shape(policy, batch.reference_shape)
     log_table = log_softmax(policy.logits)
     margins, _, _ = _margins(log_table, batch, config.beta)
     weights = gradient_weight(config.loss, margins)
@@ -177,7 +177,7 @@ def train_step(
     state: OptimizerState,
 ) -> None:
     """One optimizer update on a batch, in place: the policy's logits and
-    the optimizer state change; the reference is never touched. The step is
+    the optimizer state change; the batch is never touched. The step is
     computed in place in the assembled gradient, so no table-sized array is
     allocated beyond that gradient and one scratch table for adam. An
     update that overflows is an error, raised before the logits change
@@ -244,8 +244,11 @@ class Evaluation:
         return means
 
     def record(self, step: int, loss: LossConfig) -> StepRecord:
-        """Full-dataset snapshot under the loss's variant and gamma."""
+        """Full-dataset snapshot under the loss's variant and gamma. A loss
+        or weight that overflows is a FloatingPointError naming its pair."""
         out = pair_loss(loss, self.margins)
+        _check_finite("loss", out.loss, self.pairs)
+        _check_finite("gradient weight", out.weight, self.pairs)
         positive = self.margins > 0.0
         weights = self.by_group(out.weight)
         accuracies = self.by_group(positive)
@@ -318,18 +321,18 @@ def evaluate(policy: PolicyTable, pairs: EncodedPairs, beta: float) -> Evaluatio
     chosen-over-rejected ranking, from one log-softmax of its table. No
     parameter updates happen here."""
     _check_beta(beta)
-    _check_same_shape(policy, pairs.reference)
+    _check_same_shape(policy, pairs.reference_shape)
     margins, chosen, rejected = _margins(log_softmax(policy.logits), pairs, beta)
     return Evaluation(pairs, margins, chosen > rejected)
 
 
 def train(
-    config: TrainConfig,
-    dataset: Dataset,
-    policy: PolicyTable,
-    reference: PolicyTable,
+    config: TrainConfig, pairs: EncodedPairs, policy: PolicyTable
 ) -> tuple[list[StepRecord], dict]:
-    """Shuffled mini-batch training; deterministic given config seeds.
+    """Shuffled mini-batch training of the policy, in place, on pairs
+    encoded against the reference (see data.encode_pairs); deterministic
+    given config seeds. The policy may be the reference's own table: the
+    pairs hold all that training reads of the reference.
 
     Returns (steps, final): a full-dataset StepRecord at step 0, every
     eval_every steps, and at the final step; and the final block, the
@@ -337,7 +340,6 @@ def train(
     ordering flags, read from the same evaluation as the last StepRecord.
     An overflow raises FloatingPointError naming the step it happened in.
     """
-    pairs = encode_pairs(reference, dataset)
     optimizer_state = init_optimizer_state(config, policy)
     records: list[StepRecord] = []
     step = 0

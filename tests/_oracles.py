@@ -403,7 +403,7 @@ def sequence_log_prob_grad(policy: PolicyTable, prompt_class: int, tokens) -> np
 
 def implicit_reward(policy, reference, prompt_class: int, tokens, beta: float) -> float:
     """beta * log(pi_policy(tokens) / pi_reference(tokens))."""
-    _check_same_shape(policy, reference)
+    _check_same_shape(policy, reference.logits.shape)
     if not beta > 0.0:
         raise ValueError(f"beta must be > 0, got {beta!r}")
     return beta * (

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from focalpo.cli import main as cli_main
-from focalpo.data import SynthConfig, random_reward_model, synthesize_dataset
+from focalpo.data import SynthConfig, encode_pairs, random_reward_model, synthesize_dataset
 from focalpo.losses import (
     LossConfig,
     LossVariant,
@@ -99,7 +99,9 @@ def toy_runs():
     for variant, gamma in RUN_VARIANTS:
         policy = reference.clone()
         start = time.perf_counter()
-        steps, final = train(toy_train_config(variant, gamma), dataset, policy, reference)
+        steps, final = train(
+            toy_train_config(variant, gamma), encode_pairs(reference, dataset), policy
+        )
         runs[variant.value] = {
             "steps": steps,
             "final": final,
@@ -108,7 +110,8 @@ def toy_runs():
         }
     # repeat the dpo run for the determinism clause
     policy = reference.clone()
-    steps, final = train(toy_train_config(*RUN_VARIANTS[0]), dataset, policy, reference)
+    pairs = encode_pairs(reference, dataset)
+    steps, final = train(toy_train_config(*RUN_VARIANTS[0]), pairs, policy)
     runs["dpo_repeat"] = {"steps": steps, "final": final, "checksum": checksum(policy)}
     return runs
 

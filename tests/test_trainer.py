@@ -221,7 +221,8 @@ class TestTrainConfig:
 class TestTrain:
     def test_zero_epochs_reports_only_step_zero(self):
         dataset, reference = toy_setup(num_pairs=12)
-        steps, _ = train(train_config(num_epochs=0), dataset, reference.clone(), reference)
+        pairs = encode_pairs(reference, dataset)
+        steps, _ = train(train_config(num_epochs=0), pairs, reference.clone())
         assert [rec.step for rec in steps] == [0]
         assert steps[0].accuracy_overall == 0.0  # all margins exactly zero
 
@@ -229,39 +230,42 @@ class TestTrain:
         dataset, reference = toy_setup(num_pairs=60)
         config = train_config(num_epochs=4)
         policy_a, policy_b = reference.clone(), reference.clone()
-        run_a = train(config, dataset, policy_a, reference)
-        run_b = train(config, dataset, policy_b, reference)
+        pairs = encode_pairs(reference, dataset)
+        run_a = train(config, pairs, policy_a)
+        run_b = train(config, pairs, policy_b)
         assert run_a == run_b  # (steps, final)
         assert checksum(policy_a) == checksum(policy_b)
 
     def test_reference_never_modified(self):
         dataset, reference = toy_setup(num_pairs=60)
         before = checksum(reference)
-        train(train_config(num_epochs=3), dataset, reference.clone(), reference)
+        train(train_config(num_epochs=3), encode_pairs(reference, dataset), reference.clone())
         assert checksum(reference) == before
 
     def test_loss_descends_on_toy_run(self):
         dataset, reference = toy_setup(num_pairs=150)
-        steps, final = train(train_config(num_epochs=20), dataset, reference.clone(), reference)
+        pairs = encode_pairs(reference, dataset)
+        steps, final = train(train_config(num_epochs=20), pairs, reference.clone())
         assert final["final_mean_loss"] < final["initial_mean_loss"]
         assert steps[-1].step == 20 * math.ceil(150 / 64)
 
     def test_empty_dataset_rejected(self):
         dataset, reference = toy_setup(num_pairs=4)
         with pytest.raises(ValueError, match="dataset must be non-empty"):
-            train(train_config(), dataset.take([]), reference.clone(), reference)
+            train(train_config(), encode_pairs(reference, dataset.take([])), reference.clone())
 
     def test_policy_of_another_shape_rejected_before_any_update(self):
         dataset, reference = toy_setup(num_pairs=8)
         policy = random_policy(3, 5, seed=7)
         before = checksum(policy)
         with pytest.raises(ValueError, match=r"policy shape \(C, V\) = \(3, 5\) does not match"):
-            train(train_config(), dataset, policy, reference)
+            train(train_config(), encode_pairs(reference, dataset), policy)
         assert checksum(policy) == before
 
     def test_report_records_orderings(self):
         dataset, reference = toy_setup(num_pairs=80)
-        _, final = train(train_config(num_epochs=6), dataset, reference.clone(), reference)
+        pairs = encode_pairs(reference, dataset)
+        _, final = train(train_config(num_epochs=6), pairs, reference.clone())
         assert set(final["weight_profile"]) == {"dpo", "focal", "focus-incorrect"}
         assert final["margin_ordering_incorrect_below_correct"] in (True, False)
         assert final["ratio_ordering_incorrect_below_correct"] in (True, False)
@@ -404,7 +408,9 @@ class TestOptimizers:
         for optimizer in ("adam", "sgd"):
             policy = reference.clone()
             train(
-                train_config(num_epochs=3, optimizer=optimizer), dataset, policy, reference
+                train_config(num_epochs=3, optimizer=optimizer),
+                encode_pairs(reference, dataset),
+                policy,
             )
             policies[optimizer] = checksum(policy)
         assert policies["adam"] != policies["sgd"]
