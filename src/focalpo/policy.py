@@ -229,7 +229,7 @@ def _read_block_table(fh, shape):
     with the same values, and it splits lines and fields as load_policy
     does, so a table it returns is the one the line-by-line path reads."""
     with warnings.catch_warnings():
-        warnings.simplefilter("error")  # as "input contained no data"
+        warnings.simplefilter("error")  # "input contained no data", say: a text to refuse
         try:
             rows = np.loadtxt(fh, dtype=np.float64, comments=None, ndmin=2)
         except (ValueError, Warning):

@@ -731,6 +731,11 @@ class TestTrain:
             # the update is finite, but the margins it leads to are not
             (["--beta", "1e300", "--optimizer", "sgd", "--lr", "1", "--epochs", "1"],
              "step 1: non-finite margin for pair_id 0"),
+            # the margins are finite, but the last snapshot's focal weights
+            # overflow, and no train step follows to name the pair
+            (["--loss", "focal", "--gamma", "5", "--beta", "1e308", "--optimizer", "sgd",
+              "--lr", "1e-306", "--epochs", "1", "--batch-size", "40"],
+             "step 1: non-finite gradient weight for pair_id 0"),
         ],
     )
     def test_overflow_names_its_step_and_writes_no_report(self, tmp_path, capsys, flags, message):
@@ -761,13 +766,21 @@ class TestTrain:
         assert capsys.readouterr().err.startswith(f"error: {reference}: line 1: invalid JSON")
         assert not (tmp_path / "run").exists()
 
-    def test_never_imports_the_csv_kernel(self, synth_dir, tmp_path):
-        # report.csv is formatted without csvtext, which only curves needs
-        argv = train_args(synth_dir / "pairs.jsonl", synth_dir / "reference.txt", tmp_path / "run")
+    def test_never_imports_the_csv_kernel(self, tmp_path):
+        # report.csv is formatted without csvtext, which only curves needs,
+        # and a README-size policy table is written without policytext, so
+        # neither is compiled by synth, train or eval at that size
+        data, run = tmp_path / "data", tmp_path / "run"
+        commands = [
+            ["synth", "--out", str(data), "--pairs", "500", "--holdout-fraction", "0.2"],
+            train_args(data / "pairs.jsonl", data / "reference.txt", run),
+            ["eval", "--dataset", str(data / "holdout.jsonl"), "--policy",
+             str(run / "policy.txt"), "--reference", str(data / "reference.txt")],
+        ]
         script = (
             "import sys\nfrom focalpo.cli import main\n"
-            f"assert main({[str(a) for a in argv]!r}) == 0\n"
-            "print('focalpo.csvtext' in sys.modules)\n"
+            f"for argv in {commands!r}:\n    assert main(argv) == 0\n"
+            "print(sorted({'focalpo.csvtext', 'focalpo.policytext'} & set(sys.modules)))\n"
         )
         path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
         done = subprocess.run(
@@ -776,8 +789,8 @@ class TestTrain:
             capture_output=True, text=True, timeout=120,
         )
         assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-1] == "False"
-        assert (tmp_path / "run" / "report.csv").exists()
+        assert done.stdout.splitlines()[-1] == "[]"
+        assert (run / "report.csv").exists()
 
 
 class TestEmptySubgroup:

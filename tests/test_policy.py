@@ -27,6 +27,7 @@ from _oracles import (
     template_save_policy,
     uniform_policy,
 )
+from focalpo import policy
 from focalpo.policy import (
     PolicyTable,
     _next_token_cdf,
@@ -35,6 +36,7 @@ from focalpo.policy import (
     random_policy,
     save_policy,
 )
+from focalpo.policytext import format_block
 
 
 class TestSequenceLogProb:
@@ -411,13 +413,14 @@ class TestSerialization:
             load_policy(path)
 
 
-# Values at the edges of exact 17-digit text: signed zeros, subnormals, a
-# %.17g tie (2**-25 has 18 significant digits, the last a 5), the switches
-# between fixed and exponent notation, doubles just below powers of ten,
-# and integers past 2**53.
+# Values at the edges of exact 17-digit text: signed zeros, subnormals,
+# %.17g ties (2**-25 and 3 * 2**-25 have 18 significant digits, the last a
+# 5, so the 17th rounds to even: down, and up), the switches between fixed
+# and exponent notation, doubles just below powers of ten (1e-14 is one
+# whose 17 digits round up to the power itself), and integers past 2**53.
 EDGE_LOGITS = (
     0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, -2.2250738585072014e-308,
-    2.0**-25, -(2.0**-25), 1e-5, -1e-5, 1e-4, 9.999999999999999e-05, 0.1, 1 / 3, 0.5, 1.0,
+    2.0**-25, -(2.0**-25), 3 * 2.0**-25, 1e-14, 1e-5, -1e-5, 1e-4, 9.999999999999999e-05, 0.1, 1 / 3, 0.5, 1.0,
     -1.0, 100.0, 1e16, -1e16, 1e17, 1e22, 1e23, 1.7976931348623157e308,
     *(float(np.nextafter(10.0**k, 0.0)) for k in (-5, -4, -1, 0, 1, 2, 15, 16, 17, 22)),
     2.0**53, 2.0**53 + 2, -(2.0**63), 12345678901234567.0, 99999999999999984.0, 123456.0,
@@ -457,6 +460,15 @@ FUZZ_TOKENS = (
 )
 
 
+# Whole fields a policy text may hold in place of a value: forms float()
+# takes and numpy's parser may not, non-finite and malformed literals.
+FIELD_TOKENS = (
+    "1_0", "\u0661\u0662", "\uff11.5", "+.5", "5.", "-0", "1e-400", "1E5", "0.1e+2", "inf",
+    "-inf", "nan", "infinity", "1e999", "0x1p3", "1.5j", "'1'", "1,5", "1d5", "#1", "e5", "--1",
+    "\x00", "\u00b2",
+)
+
+
 class TestPolicyTextOracle:
     """save_policy and load_policy against their line-at-a-time forms in
     _oracles, on tables of one block (4,096 values) and more."""
@@ -488,6 +500,40 @@ class TestPolicyTextOracle:
         assert load_policy(path).logits.tobytes() == policy.logits.tobytes()
         assert line_load_policy(path).logits.tobytes() == policy.logits.tobytes()
 
+    def test_a_header_alone_is_refused_without_a_warning(self, tmp_path, recwarn):
+        # numpy's parser warns on text without rows; the line path words the error
+        path = tmp_path / "policy.txt"
+        path.write_text("2 64\n\n")
+        with pytest.raises(ValueError, match="expected 130 context rows for C=2 V=64, got 0"):
+            load_policy(path)
+        assert not recwarn.list
+
+    def test_the_c_parser_reads_a_table_of_a_block_or_more(self, tmp_path, monkeypatch):
+        def line_path(fh):
+            raise AssertionError("read line by line")
+
+        small, wide = tmp_path / "small.txt", tmp_path / "wide.txt"
+        save_policy(small, PolicyTable(normal_logits(2, 44, seed=1)))  # 3,960 values
+        save_policy(wide, PolicyTable(normal_logits(2, 45, seed=1)))  # 4,140 values
+        monkeypatch.setattr(policy, "_rows", line_path)
+        assert load_policy(wide).logits.tobytes() == normal_logits(2, 45, seed=1).tobytes()
+        with pytest.raises(AssertionError, match="read line by line"):
+            load_policy(small)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 129), st.integers(0, 63),
+                              st.sampled_from(FIELD_TOKENS)), min_size=1, max_size=3))
+    def test_fuzzed_fields_load_as_the_oracle_loads_them(self, edits):
+        rows = [line.split(" ") for line in
+                legacy_policy_text(normal_logits(2, 64, seed=6)).splitlines()[1:]]
+        for row, column, token in edits:
+            rows[row][column] = token
+        text = "2 64\n" + "".join(" ".join(row) + "\n" for row in rows)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "policy.txt"
+            path.write_bytes(text.encode("utf-8"))
+            assert load_outcome(load_policy, path) == load_outcome(line_load_policy, path)
+
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True), st.integers(0, 3),
                               st.sampled_from(FUZZ_TOKENS)), min_size=1, max_size=3))
@@ -500,6 +546,60 @@ class TestPolicyTextOracle:
             path = Path(tmp) / "policy.txt"
             path.write_bytes(text.encode("utf-8"))
             assert load_outcome(load_policy, path) == load_outcome(line_load_policy, path)
+
+
+def kernel_text(values, seps):
+    """format_block's text for float64 values, each followed by its one-byte
+    separator, or None where it declines the block."""
+    values = np.asarray(values, np.float64)
+    words = np.frombuffer("".join(seps).encode(), np.uint8).astype(np.uint64) << 40
+    return format_block(values, words, np.empty((len(values), 4), "<u8"))
+
+
+def bits_to_float(bits: int) -> float:
+    return float(np.array(bits, np.uint64).view(np.float64))
+
+
+# float64 bit patterns: any, and those whose binary exponent puts them
+# inside the kernel's window [1e-49, 1e49)
+ANY_BITS = st.integers(0, 2**64 - 1)
+WINDOW_BITS = st.builds(lambda sign, exponent, fraction: sign << 63 | exponent << 52 | fraction,
+                        st.integers(0, 1), st.integers(1023 - 162, 1023 + 162),
+                        st.integers(0, 2**52 - 1))
+
+
+class TestPolicyTextKernel:
+    """policytext.format_block on its own: each block it accepts is the
+    `%.17g` text of its values, and it declines what it cannot prove."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.tuples(st.one_of(*[WINDOW_BITS] * 8, ANY_BITS,
+                                        st.sampled_from(EDGE_LOGITS).map(
+                                            lambda v: int(np.float64(v).view(np.uint64)))),
+                              st.sampled_from(" \n,")),
+                    min_size=1, max_size=24))
+    def test_accepted_blocks_are_the_percent_text(self, cells):
+        values = [bits_to_float(bits) for bits, _ in cells]
+        seps = [sep for _, sep in cells]
+        text = kernel_text(values, seps)
+        if text is not None:
+            assert text == "".join("%.17g" % v + sep for v, sep in zip(values, seps))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_normal_tables_take_no_fallback(self, seed):
+        values = normal_logits(16, 64, seed).reshape(-1)
+        for block in np.split(values, range(4096, len(values), 4096)):
+            assert kernel_text(block, [" "] * len(block)) == "".join("%.17g " % v for v in block)
+
+    @pytest.mark.parametrize("value", [
+        0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 9e-50, 1e49, -1e300,
+        2.0**-25,  # an exact tie at 17 digits
+        0.9999999999999999,  # log10 rounds to 0, one above its exponent
+    ])
+    def test_declines_what_it_cannot_prove(self, value):
+        block = normal_logits(1, 64, seed=2).reshape(-1)[:4096]
+        block[1234] = value
+        assert kernel_text(block, [" "] * len(block)) is None
 
 
 class TestPolicyTable:
