@@ -340,6 +340,8 @@ def train(
     ordering flags, read from the same evaluation as the last StepRecord.
     An overflow raises FloatingPointError naming the step it happened in.
     """
+    if not len(pairs):
+        raise ValueError("dataset must be non-empty")
     optimizer_state = init_optimizer_state(config, policy)
     records: list[StepRecord] = []
     step = 0

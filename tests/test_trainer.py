@@ -252,7 +252,7 @@ class TestTrain:
     def test_empty_dataset_rejected(self):
         dataset, reference = toy_setup(num_pairs=4)
         with pytest.raises(ValueError, match="dataset must be non-empty"):
-            train(train_config(), encode_pairs(reference, dataset.take([])), reference.clone())
+            train(train_config(), encode_pairs(reference, dataset).take([]), reference.clone())
 
     def test_policy_of_another_shape_rejected_before_any_update(self):
         dataset, reference = toy_setup(num_pairs=8)
