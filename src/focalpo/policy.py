@@ -18,8 +18,6 @@ next-token table built once per sampler, with one binary search per token.
 from __future__ import annotations
 
 import itertools
-import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,9 +26,8 @@ from .files import atomic_write
 
 # Table values per block when log_prob_grad subtracts the visit terms.
 GRAD_BLOCK_VALUES = 8192
-# Table values per block of policy text: a table of a block or more is
-# written a block at a time by the policytext kernel, and read by numpy's C
-# parser first.
+# Table values per block of policy text: policytext writes a table of a
+# block or more a block at a time, and reads it with numpy's C parser first.
 TEXT_BLOCK_VALUES = 4096
 
 __all__ = [
@@ -180,31 +177,21 @@ def save_policy(path, policy: PolicyTable) -> None:
     """Write the text format: header line "C V", then one line of V logits
     per (prompt_class, previous_token) context, previous-token-major within
     each class and the BOS context last. Values use 17 significant digits so
-    the round trip is value-exact.
-
-    Each value is `%.17g` of it: a `%` row template writes a table smaller
-    than a block, and every block that policytext.format_block declines.
+    the round trip is value-exact: each is `'%.17g' % x`, as the row
+    template below writes it; from a block of values up, policytext writes
+    the same bytes a block at a time.
     """
-    vocab = policy.vocab_size
-    values = policy.logits.reshape(-1)
-    line = " ".join(["%.17g"] * vocab) + "\n"
-
-    def template(block):
-        return line * (len(block) // vocab) % tuple(block.tolist())
-
     with atomic_write(path) as fh:
-        fh.write(f"{policy.num_prompt_classes} {vocab}\n")
-        if len(values) < TEXT_BLOCK_VALUES:  # README sizes: no kernel to compile
-            fh.write(template(values))
-            return
-        from .policytext import format_block
+        fh.write(f"{policy.num_prompt_classes} {policy.vocab_size}\n")
+        line = " ".join(["%.17g"] * policy.vocab_size) + "\n"
+        rows = policy.logits.reshape(-1, policy.vocab_size)
+        if rows.size >= TEXT_BLOCK_VALUES:
+            from .policytext import write_blocks  # compiled only for a table this size
 
-        block_rows = max(1, TEXT_BLOCK_VALUES // vocab)
-        seps = np.tile(np.uint64([ord(" ")] * (vocab - 1) + [ord("\n")]) << 40, block_rows)
-        out = np.empty((len(seps), 4), "<u8")
-        for start in range(0, len(values), len(seps)):
-            block = values[start:start + len(seps)]
-            fh.write(format_block(block, seps[:len(block)], out[:len(block)]) or template(block))
+            write_blocks(fh, rows, line)
+            return
+        for row in rows:
+            fh.write(line % tuple(row.tolist()))
 
 
 def _lines(fh):
@@ -222,28 +209,12 @@ def _rows(fh):
     return ((number, line) for number, line in lines if line.strip())
 
 
-def _read_block_table(fh, shape):
-    """The rows after the header as numpy's C parser reads them, shaped as
-    the table; None when it refuses the text, or reads a wrong shape or a
-    value that is not finite. Its accepted floats are a subset of float()'s,
-    with the same values, and it splits lines and fields as load_policy
-    does, so a table it returns is the one the line-by-line path reads."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # "input contained no data", say: a text to refuse
-        try:
-            rows = np.loadtxt(fh, dtype=np.float64, comments=None, ndmin=2)
-        except (ValueError, Warning):
-            return None
-    if rows.shape != (shape[0] * shape[1], shape[2]) or not np.isfinite(rows).all():
-        return None
-    return rows.reshape(shape)
-
-
 def load_policy(path) -> PolicyTable:
     """Read the text format written by save_policy. A table of a block or
-    more is read by numpy's C parser first; a text it does not take goes
-    the line-by-line way, which alone words every error. There the rows are
-    counted in one pass and parsed into the table in a second."""
+    more is read by numpy's C parser first (see policytext.read_table); a
+    text it does not take is read line by line, and that path alone words
+    every error. There the rows are counted in one pass and parsed into the
+    table in a second."""
     with open(path, "r", encoding="utf-8") as fh:
         first = next(_lines(fh), None)
         if first is None:
@@ -258,8 +229,10 @@ def load_policy(path) -> PolicyTable:
         if num_classes < 1 or vocab < 1:
             raise ValueError(f"{path}: line 1: C and V must be >= 1, got {first!r}")
         shape = (num_classes, vocab + 1, vocab)
-        if math.prod(shape) >= TEXT_BLOCK_VALUES:
-            logits = _read_block_table(fh, shape)
+        if num_classes * (vocab + 1) * vocab >= TEXT_BLOCK_VALUES:
+            from .policytext import read_table
+
+            logits = read_table(fh, shape)
             if logits is not None:
                 return PolicyTable(logits)
         expected_rows = num_classes * (vocab + 1)

@@ -1,8 +1,13 @@
-"""Exact `%.17g` text for blocks of float64 values. save_policy imports it
-when it first writes a table of a block or more, so other commands neither
-compile it nor build its tables."""
+"""Policy tables of a block of values or more as text: written a block at
+a time through an exact `%.17g` kernel, and read by numpy's C parser.
+save_policy and load_policy import it for a table that size, so smaller
+runs neither compile it nor build its tables."""
+
+import warnings
 
 import numpy as np
+
+from .policy import TEXT_BLOCK_VALUES
 
 # The decimal exponents the tables serve. Values in [1e-49, 1e49) take the
 # column log10|x| - E_MIN, truncated, in [0, 99] even where log10 rounds.
@@ -158,3 +163,35 @@ def _fill(out, values, m, i, seps) -> None:
     np.bitwise_and(kept[1], keep[1], out=out[:, 2])
     tails |= x[1] >> 56 & keep[2]
     np.bitwise_or(tails, seps, out=out[:, 3])
+
+
+def write_blocks(fh, rows: np.ndarray, line: str) -> None:
+    """Write a (contexts, V) table a block of whole rows at a time: each by
+    format_block, or by `line`, the `%` row template, where it declines."""
+    vocab = rows.shape[1]
+    values = rows.reshape(-1)
+    seps = np.uint64([ord(" ")] * (vocab - 1) + [ord("\n")]) << 40
+    seps = np.tile(seps, max(1, TEXT_BLOCK_VALUES // vocab))
+    out = np.empty((len(seps), 4), "<u8")
+    for start in range(0, len(values), len(seps)):
+        block = values[start:start + len(seps)]
+        fh.write(format_block(block, seps[:len(block)], out[:len(block)])
+                 or line * (len(block) // vocab) % tuple(block.tolist()))
+
+
+def read_table(fh, shape: tuple):
+    """The rows after the header as numpy's C parser reads them, shaped as
+    the table; None when it refuses the text, or reads a wrong shape or a
+    value that is not finite. The floats it takes are a subset of those
+    float() takes, with the same values, and it splits lines and fields
+    as load_policy does, so a table it returns is the one the line-by-line
+    path reads."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # "input contained no data", say: a text to refuse
+        try:
+            rows = np.loadtxt(fh, dtype=np.float64, comments=None, ndmin=2)
+        except (ValueError, Warning):
+            return None
+    if rows.shape != (shape[0] * shape[1], shape[2]) or not np.isfinite(rows).all():
+        return None
+    return rows.reshape(shape)
