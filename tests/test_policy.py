@@ -27,7 +27,7 @@ from _oracles import (
     template_save_policy,
     uniform_policy,
 )
-from focalpo import policy
+from focalpo import policy, policytext
 from focalpo.policy import (
     PolicyTable,
     _next_token_cdf,
@@ -420,8 +420,8 @@ class TestSerialization:
 # whose 17 digits round up to the power itself), and integers past 2**53.
 EDGE_LOGITS = (
     0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, -2.2250738585072014e-308,
-    2.0**-25, -(2.0**-25), 3 * 2.0**-25, 1e-14, 1e-5, -1e-5, 1e-4, 9.999999999999999e-05, 0.1, 1 / 3, 0.5, 1.0,
-    -1.0, 100.0, 1e16, -1e16, 1e17, 1e22, 1e23, 1.7976931348623157e308,
+    2.0**-25, -(2.0**-25), 3 * 2.0**-25, 1e-14, 1e-5, -1e-5, 1e-4, 9.999999999999999e-05, 0.1,
+    1 / 3, 0.5, 1.0, -1.0, 100.0, 1e16, -1e16, 1e17, 1e22, 1e23, 1.7976931348623157e308,
     *(float(np.nextafter(10.0**k, 0.0)) for k in (-5, -4, -1, 0, 1, 2, 15, 16, 17, 22)),
     2.0**53, 2.0**53 + 2, -(2.0**63), 12345678901234567.0, 99999999999999984.0, 123456.0,
 )
@@ -507,6 +507,20 @@ class TestPolicyTextOracle:
         with pytest.raises(ValueError, match="expected 130 context rows for C=2 V=64, got 0"):
             load_policy(path)
         assert not recwarn.list
+
+    def test_the_kernel_writes_a_table_of_a_block_or_more(self, tmp_path, monkeypatch):
+        def counted(values, seps, out):
+            blocks.append(len(values))
+            return format_block(values, seps, out)
+
+        blocks = []
+        monkeypatch.setattr(policytext, "format_block", counted)
+        save_policy(tmp_path / "small.txt", PolicyTable(normal_logits(2, 44, seed=1)))
+        assert blocks == []  # 3,960 values: the row template alone
+        logits = normal_logits(2, 45, seed=1)  # 4,140 values: 91 rows of 45, then 1
+        save_policy(tmp_path / "wide.txt", PolicyTable(logits))
+        assert blocks == [4095, 45]
+        assert (tmp_path / "wide.txt").read_bytes() == legacy_policy_text(logits).encode()
 
     def test_the_c_parser_reads_a_table_of_a_block_or_more(self, tmp_path, monkeypatch):
         def line_path(fh):
