@@ -202,8 +202,8 @@ def _write_csv(path: Path, columns: dict[str, np.ndarray]) -> None:
     values, ncols = list(columns.values()), len(columns)
     row = ",".join(["%.9g"] * ncols) + "\n"
     block_rows = max(1, CSV_BLOCK_VALUES // ncols)
-    seps = np.tile(np.uint64([ord(",")] * (ncols - 1) + [ord("\n")]) << 40, block_rows)
-    out = np.empty((len(seps), 4), "<u8")
+    seps = np.tile(np.uint64([ord(",")] * (ncols - 1) + [ord("\n")]) << 56, block_rows)
+    out = np.empty((len(seps), 3), "<u8")
     with atomic_write(path) as fh:
         fh.write(",".join(columns) + "\n")
         for start in range(0, len(values[0]), block_rows):

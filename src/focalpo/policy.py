@@ -64,9 +64,6 @@ class PolicyTable:
     def vocab_size(self) -> int:
         return self.logits.shape[2]
 
-    def clone(self) -> "PolicyTable":
-        return PolicyTable(self.logits.copy())
-
 
 def random_policy(num_prompt_classes: int, vocab_size: int, seed: int) -> PolicyTable:
     """Table with i.i.d. standard normal logits from a fixed seed."""

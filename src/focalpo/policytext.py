@@ -1,16 +1,17 @@
-"""Policy tables of a block of values or more as text: written a block at
-a time through an exact `%.17g` kernel, and read by numpy's C parser.
-save_policy and load_policy import it for a table that size, so smaller
-runs neither compile it nor build its tables."""
+"""Policy tables of a block of values or more as text, written by an exact
+`%.17g` kernel (its digit split and word fill also write csvtext's `%.9g`)
+and read by numpy's C parser. Imported only for a table that size, so
+smaller runs neither compile it nor build its tables."""
 
+import functools
 import warnings
 
 import numpy as np
 
 from .policy import TEXT_BLOCK_VALUES
 
-# The decimal exponents the tables serve. Values in [1e-49, 1e49) take the
-# column log10|x| - E_MIN, truncated, in [0, 99] even where log10 rounds.
+# The decimal exponents the `%.17g` tables serve. Values in [1e-49, 1e49)
+# take the column log10|x| - E_MIN, truncated, in [0, 99] even where log10 rounds.
 E_MIN, E_MAX = -50, 49
 SPLIT = 2.0**27 + 1  # Veltkamp's constant: splits a double into two 26-bit halves
 
@@ -20,12 +21,10 @@ def _low(count: int) -> int:
     return 2 ** (8 * min(max(count, 0), 8)) - 1
 
 
-def _tables():
-    """Tables read off `%.17g` itself; column e - E_MIN of the scales, texts
-    and places serves exponent e."""
-    exponents = range(E_MIN, E_MAX + 1)
+def _scales():
+    """Per `%.17g` column: 10**(16 - e) as a double, its two halves, and its error."""
     scales = []
-    for e in exponents:  # 10**(16 - e) as a double, its two halves, and its error
+    for e in range(E_MIN, E_MAX + 1):
         k = 16 - e
         power = float(10**k) if k >= 0 else float(f"1e{k}")
         num, den = power.as_integer_ratio()
@@ -33,33 +32,38 @@ def _tables():
         c = SPLIT * power
         high = c - (c - power)
         scales.append((power, high, power - high, error))
-    # 17 nonzero significant digits at each exponent: the mantissa shows
-    # what precedes the digits, where the point goes and which digits
-    # precede it; the rest of the text is the exponent
-    texts = ["%.17g" % float(f"1.2345678912345678e{e}") for e in exponents]
+    return np.array(scales).T.copy()
+
+
+_SCALES = _scales()
+# per count k of digit and point bytes after the first digit, the masks of
+# the low k bytes of the digit words and the tail; per point place r, the
+# bytes that stay (the others move up one for the point) and the point in
+# byte r, none for a place past the last digit word
+_KEEP = np.array([[_low(k), _low(k - 8), _low(k - 16)] for k in range(18)], np.uint64).T.copy()
+_POINT = (_KEEP[:2, 1:] ^ _KEEP[:2, :-1]) & 0x2E2E2E2E2E2E2E2E
+ASCII_ZEROS = 0x3030303030303030
+
+
+@functools.cache
+def layout(digits: int, e_min: int, e_max: int):
+    """Tables read off `%.{digits}g` itself; column e - e_min serves exponent
+    e: the head and tail words, the point's place and the digits shown
+    before it."""
+    # all digits nonzero: the mantissa shows what precedes the digits, where
+    # the point goes and which digits precede it; the rest is the exponent
+    texts = ["%.*g" % (digits, float(f"1.2345678912345678e{e}")) for e in range(e_min, e_max + 1)]
     mantissas = [t.partition("e")[0] for t in texts]
     # byte 0 is the sign's, then "0." and the zeros of a fixed value below 1
     heads = [(b"\0" + t[:t.index("1")].encode()).ljust(8, b"\0") for t in mantissas]
-    # byte 0 takes the last digit, bytes 1-4 the exponent, byte 5 the separator
+    # byte 0 takes the last digit, then the exponent; byte 7 the separator
     tails = [("\0" + t[len(m):]).encode().ljust(8, b"\0") for t, m in zip(texts, mantissas)]
-    # after how many of the 16 digits that follow the first the point goes
-    # (16: it is in the head or shown nowhere), and how many of them come
-    # before it, shown even when zero
+    # after how many digits past the first the point goes (digits - 1: in
+    # the head or nowhere), and how many come before it, shown even if zero
     whole = [len(m.partition(".")[0]) - 1 if m[0] != "0" else 0 for m in mantissas]
-    places = [w if "." in m and m[0] != "0" else 16 for w, m in zip(whole, mantissas)]
-    texts = np.frombuffer(b"".join(heads + tails), "<u8").reshape(2, -1)
-    # per point place r, for each digit word: the bytes that stay (the
-    # others move up one to make room for the point) and the point itself
-    low = np.array([[_low(r), _low(r - 8)] for r in range(17)], np.uint64).T.copy()
-    points = np.array([[0x2E << 8 * r if r < 8 else 0, 0x2E << 8 * (r - 8) if 8 <= r < 16 else 0]
-                       for r in range(17)], np.uint64).T.copy()
-    # per count of digit and point bytes shown after the first digit
-    keep = np.array([[_low(k), _low(k - 8), _low(k - 16)] for k in range(18)], np.uint64).T.copy()
-    return np.array(scales).T.copy(), texts, np.array([places, whole], np.uint8), low, points, keep
-
-
-_SCALES, _TEXTS, _PLACES, _LOW, _POINT, _KEEP = _tables()
-ASCII_ZEROS = 0x3030303030303030
+    places = [w if "." in m and m[0] != "0" else digits - 1 for w, m in zip(whole, mantissas)]
+    words = np.frombuffer(b"".join(heads + tails), "<u8").reshape(2, -1)
+    return words, np.array([places, whole], np.uint8)
 
 
 def _significands(values: np.ndarray):
@@ -88,21 +92,21 @@ def _significands(values: np.ndarray):
     return None if m.max() >= 10**17 else (m, i)
 
 
-def _digits(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The first digit of each 17-digit m; the other 16 as two words of
-    eight digit values (0-9) each, the first of them in the low byte; and
-    how many of those 16 are shown, up to the last nonzero one.
+def _digits(m: np.ndarray, words: int):
+    """The first digit of each (8 * words + 1)-digit m, for 1 or 2 words;
+    the others as words of eight digit values (0-9), the first in the low
+    byte; and how many of those are shown, up to the last nonzero one.
 
     Each eight-digit group splits into four-digit halves in 32-bit lanes,
     then two-digit quarters in 16-bit lanes, then digits: x * 10486 >> 20
     is x // 100 for x < 10**4, and x * 103 >> 10 is x // 10 for x < 100.
     A word's shown digits are its bytes up to the last nonzero one, from
     its bit length, read off its exponent as a double."""
-    x = np.empty((2, len(m)), np.uint64)  # digits 1-8 and 9-16
-    upper = m // 10**8
-    np.subtract(m, upper * 10**8, out=x[1])
-    first = upper // 10**8
-    np.subtract(upper, first * 10**8, out=x[0])
+    x = np.empty((words, len(m)), np.uint64)
+    for k in reversed(range(words)):
+        upper = m // 10**8
+        np.subtract(m, upper * 10**8, out=x[k])
+        m = upper
     q = x // 10**4
     x = q | (x - q * 10**4) << 32
     q = (x * 10486 >> 20) & 0x0000007F0000007F
@@ -110,14 +114,43 @@ def _digits(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     q = (x * 103 >> 10) & 0x000F000F000F000F
     x = q | (x - q * 10) << 8
     shown = np.maximum(x.astype(np.float64).view(np.int64) >> 52, 1015) - 1015 >> 3
-    return first, x, np.where(shown[1] > 0, shown[1] + 8, shown[0])
+    return m, x, np.where(shown[-1] > 0, shown[-1] + 8 * (words - 1), shown[0])
+
+
+def fill(values, m, i, seps, out, tables) -> None:
+    """The rows of `out`, (len(values), words + 2) uint64, for values with
+    significands m at columns i of tables, a layout(); `seps` holds each
+    separator in byte 7. A row is the sign, "0." and zeros, and the first
+    digit; the other digits, eight a word; the last digit, the exponent and
+    the separator. A point after the first digit moves the digits after it
+    up one byte. Bytes the text does not show are NUL, and one pass drops
+    them. The arrays of each stage die with its helper, so a block holds
+    few at once."""
+    words = out.shape[1] - 2
+    first, x, after = _digits(m, words)
+    r, whole = np.take(tables[1], i, axis=1)
+    keep = np.take(_KEEP[:words + 1], np.maximum(after, whole) + (r < after), axis=1)
+    x |= ASCII_ZEROS
+    kept = x & np.take(_KEEP[:words], r, axis=1)
+    x ^= kept  # the bytes that move up one
+    kept |= np.take(_POINT[:words], r, axis=1)
+    kept |= x << 8
+    kept[1:] |= x[:-1] >> 56
+    heads, tails = np.take(tables[0], i, axis=1)
+    heads |= (first + 48) << 56
+    heads |= (values.view(np.uint64) >> 63) * ord("-")
+    out[:, 0] = heads
+    for k in range(words):
+        np.bitwise_and(kept[k], keep[k], out=out[:, k + 1])
+    tails |= x[-1] >> 56 & keep[words]
+    np.bitwise_or(tails, seps, out=out[:, -1])
 
 
 def format_block(values: np.ndarray, seps: np.ndarray, out: np.ndarray) -> str | None:
     """Each value as `%.17g` followed by its separator, or None when a value
     needs the exact `%` path: zero, non-finite, |x| outside [1e-49, 1e49),
     within 1e-9 of a rounding tie, or a 17-digit significand that rounds
-    up to the next power of ten.
+    up to the next power of ten. `out` is (len(values), 4) uint64 (see fill).
 
     With e an estimate of floor(log10|x|), the product |x| * 10**(16 - e)
     is formed as a double-double: Dekker's exact product of |x| and the
@@ -127,42 +160,12 @@ def format_block(values: np.ndarray, seps: np.ndarray, out: np.ndarray) -> str |
     large (just below 1e16, the value rounded at e - 1 has the same text),
     and a rounded significand below 1e17 that it is not too small and that
     nothing carries.
-
-    Each value fills a row of `out`, (len(values), 4) uint64: sign, "0."
-    and zeros, and the first digit; eight digits; eight digits; the last
-    digit, the exponent and the separator that `seps` holds in byte 5. A
-    point after the first digit moves the digits after it up one byte.
-    Bytes the text does not show are NUL, and one pass drops them. The
-    arrays of each stage die with its helper, so a block holds few at once
-    and its memory is reused by the next block instead of paged in anew.
     """
     found = _significands(values)
     if found is None:
         return None
-    _fill(out, values, *found, seps)
+    fill(values, *found, seps, out, layout(17, E_MIN, E_MAX))
     return out.tobytes().translate(None, b"\0").decode("ascii")
-
-
-def _fill(out, values, m, i, seps) -> None:
-    """The rows of `out` for values with significands m at table columns i
-    (see format_block)."""
-    first, x, after = _digits(m)
-    r, whole = np.take(_PLACES, i, axis=1)
-    keep = np.take(_KEEP, np.maximum(after, whole) + (r < after), axis=1)
-    x |= ASCII_ZEROS
-    kept = x & np.take(_LOW, r, axis=1)
-    x ^= kept  # the bytes that move up one
-    kept |= np.take(_POINT, r, axis=1)
-    kept |= x << 8
-    kept[1] |= x[0] >> 56
-    heads, tails = np.take(_TEXTS, i, axis=1)
-    heads |= (first + 48) << 56
-    heads |= (values.view(np.uint64) >> 63) * ord("-")
-    out[:, 0] = heads
-    np.bitwise_and(kept[0], keep[0], out=out[:, 1])
-    np.bitwise_and(kept[1], keep[1], out=out[:, 2])
-    tails |= x[1] >> 56 & keep[2]
-    np.bitwise_or(tails, seps, out=out[:, 3])
 
 
 def write_blocks(fh, rows: np.ndarray, line: str) -> None:
@@ -170,7 +173,7 @@ def write_blocks(fh, rows: np.ndarray, line: str) -> None:
     format_block, or by `line`, the `%` row template, where it declines."""
     vocab = rows.shape[1]
     values = rows.reshape(-1)
-    seps = np.uint64([ord(" ")] * (vocab - 1) + [ord("\n")]) << 40
+    seps = np.uint64([ord(" ")] * (vocab - 1) + [ord("\n")]) << 56
     seps = np.tile(seps, max(1, TEXT_BLOCK_VALUES // vocab))
     out = np.empty((len(seps), 4), "<u8")
     for start in range(0, len(values), len(seps)):

@@ -160,7 +160,9 @@ def assemble_gradient(policy: PolicyTable, batch: EncodedPairs, config: TrainCon
     margins, _, _ = _margins(log_table, batch, config.beta)
     weights = gradient_weight(config.loss, margins)
     _check_finite("gradient weight", weights, batch)
-    coeffs = -weights * config.beta * (1.0 / len(batch))
+    with np.errstate(over="ignore"):  # checked below
+        coeffs = -weights * config.beta * (1.0 / len(batch))
+    _check_finite("gradient coefficient", coeffs, batch)
     # The (B, 2, L) rows flatten to every pair's chosen row and then its
     # rejected row, which take opposite signs, so the two add up next to
     # each other in a shared context.

@@ -27,7 +27,7 @@ from focalpo.losses import (
     modulating_factor,
     pair_loss,
 )
-from focalpo.policy import random_policy
+from focalpo.policy import PolicyTable, random_policy
 from focalpo.trainer import TrainConfig, train
 
 from _oracles import (
@@ -97,7 +97,7 @@ def toy_runs():
     )
     runs = {}
     for variant, gamma in RUN_VARIANTS:
-        policy = reference.clone()
+        policy = PolicyTable(reference.logits.copy())
         start = time.perf_counter()
         steps, final = train(
             toy_train_config(variant, gamma), encode_pairs(reference, dataset), policy
@@ -109,7 +109,7 @@ def toy_runs():
             "checksum": checksum(policy),
         }
     # repeat the dpo run for the determinism clause
-    policy = reference.clone()
+    policy = PolicyTable(reference.logits.copy())
     pairs = encode_pairs(reference, dataset)
     steps, final = train(toy_train_config(*RUN_VARIANTS[0]), pairs, policy)
     runs["dpo_repeat"] = {"steps": steps, "final": final, "checksum": checksum(policy)}

@@ -1,6 +1,7 @@
 """CLI tests: file outputs, manifests, notices, exit codes, reproducibility."""
 
 import argparse
+import ast
 import hashlib
 import json
 import math
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import savetxt_csv_text
+from _oracles import savetxt_csv_text, table_format_block
 from focalpo import cli, csvtext
 from focalpo.cli import CSV_BLOCK_VALUES, MAX_GRID_POINTS, _grid, _grid_points, _write_csv, main
 from focalpo.data import SynthConfig, synthesize_dataset
@@ -232,6 +233,7 @@ KERNEL_EDGES = (
     1.23456789e-05, 1e-05, 1.5e-05, 0.000123456789, 0.0001, 0.00010000000001,
     123456789.0, 100000000.0, 120.0, 1234567891.0, 1e9, 1.5e9,
     1e-300, 1e300, 1e-100, 1.23456789e-100, 1e100, 9.87654321e-99,
+    1e99, 1e-99, 1.23456789e99, 9.99999999e100, 1.00000001e-300, 9.87654321e299, 1.5e-300,
     0.0, 5e-324, 1.7976931348623157e308, math.nan, math.inf,
 )
 
@@ -314,6 +316,47 @@ class TestCsvWriter:
         monkeypatch.setattr(csvtext, "format_block", recorded)
         assert_csv_matches_savetxt({f"c{j}": table[:, j] for j in range(4)})
         assert [text is None for text in results] == [False, True]
+
+
+# float64 blocks for the CSV kernel: any bit pattern, the edge values above,
+# signed zeros and subnormals, three-digit exponents, and decimals within
+# 2e-6 of a tie of the 9th digit, on both sides of the kernel's 1e-6 margin
+NINE_DIGIT_TIES = st.builds(
+    lambda head, tail, exponent, sign: sign * float(f"{head}{tail:08d}e{exponent - 16}"),
+    st.integers(10**8, 10**9 - 1), st.integers(5 * 10**7 - 200, 5 * 10**7 + 200),
+    st.integers(-300, 300), st.sampled_from([1.0, -1.0]),
+)
+THREE_DIGIT_EXPONENTS = st.builds(
+    lambda mantissa, exponent: mantissa * 10.0**exponent,
+    st.floats(-9.999999999, 9.999999999),
+    st.one_of(st.integers(100, 300), st.integers(-300, -100)),
+)
+SIGNED_WINDOW = st.builds(lambda v, sign: sign * v, st.floats(1e-300, 1e300),
+                          st.sampled_from([1.0, -1.0]))
+CSV_KERNEL_VALUES = st.one_of(
+    *[SIGNED_WINDOW] * 8,
+    NINE_DIGIT_TIES, THREE_DIGIT_EXPONENTS,
+    st.integers(0, 2**64 - 1).map(lambda bits: float(np.array(bits, np.uint64).view(np.float64))),
+    st.sampled_from(KERNEL_EDGES + tuple(-v for v in KERNEL_EDGES)
+                    + (-0.0, 2.2250738585072009e-308, 1e-310, -1e-305)),
+)
+
+
+class TestCsvKernel:
+    """csvtext.format_block against the tabled kernel it replaced."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.tuples(CSV_KERNEL_VALUES, st.sampled_from(",\n")), min_size=1, max_size=12))
+    def test_text_or_decline_as_the_tabled_kernel(self, cells):
+        # the whole block, then each value alone, so that one declined value
+        # leaves the others checked
+        for block in [cells] + [[cell] for cell in cells]:
+            values = np.array([v for v, _ in block], np.float64)
+            seps = np.frombuffer("".join(s for _, s in block).encode(), np.uint8).astype(np.uint64)
+            text = csvtext.format_block(values, seps << 56, np.empty((len(values), 3), "<u8"))
+            assert text == table_format_block(values, seps << 40, np.empty((len(values), 4), "<u8"))
+            if text is not None:
+                assert text == "".join("%.9g" % v + s for v, s in block)
 
 
 class TestFlagTypes:
@@ -736,6 +779,10 @@ class TestTrain:
             (["--loss", "focal", "--gamma", "5", "--beta", "1e308", "--optimizer", "sgd",
               "--lr", "1e-306", "--epochs", "1", "--batch-size", "40"],
              "step 1: non-finite gradient weight for pair_id 0"),
+            # the weights are finite, but beta times a weight is not
+            (["--loss", "focal-exact", "--gamma", "5", "--beta", "1e308", "--optimizer", "sgd",
+              "--lr", "1e-306", "--epochs", "1", "--batch-size", "40"],
+             "step 1: non-finite gradient coefficient for pair_id 11"),
         ],
     )
     def test_overflow_names_its_step_and_writes_no_report(self, tmp_path, capsys, flags, message):
@@ -771,26 +818,52 @@ class TestTrain:
         # and a README-size policy table is written without policytext, so
         # neither is compiled by synth, train or eval at that size
         data, run = tmp_path / "data", tmp_path / "run"
-        commands = [
+        imported = kernels_imported(
             ["synth", "--out", str(data), "--pairs", "500", "--holdout-fraction", "0.2"],
             train_args(data / "pairs.jsonl", data / "reference.txt", run),
             ["eval", "--dataset", str(data / "holdout.jsonl"), "--policy",
              str(run / "policy.txt"), "--reference", str(data / "reference.txt")],
-        ]
-        script = (
-            "import sys\nfrom focalpo.cli import main\n"
-            f"for argv in {commands!r}:\n    assert main(argv) == 0\n"
-            "print(sorted({'focalpo.csvtext', 'focalpo.policytext'} & set(sys.modules)))\n"
         )
-        path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        assert imported == [[], [], []]
+        assert (run / "report.csv").exists()
+
+    def test_each_command_compiles_only_its_text_kernel(self, tmp_path):
+        # what a command compiles is what it imports, and the benchmark's
+        # children write no bytecode: a wide policy table takes the policy
+        # kernel alone, and the curves CSVs take csvtext and the policy
+        # kernel's digit split and word fill
+        data, run = tmp_path / "data", tmp_path / "run"
+        imported = kernels_imported(
+            ["synth", "--out", str(data), "--pairs", "100", "--holdout-fraction", "0.2",
+             "--classes", "16", "--vocab", "64", "--length", "16"],
+            train_args(data / "pairs.jsonl", data / "reference.txt", run),
+            ["eval", "--dataset", str(data / "holdout.jsonl"), "--policy",
+             str(run / "policy.txt"), "--reference", str(data / "reference.txt")],
+            ["curves", "--out", str(tmp_path / "curves")],
+        )
+        policy_only, both = ["focalpo.policytext"], ["focalpo.csvtext", "focalpo.policytext"]
+        assert imported == [policy_only, policy_only, policy_only, both]
+
+
+def kernels_imported(*commands) -> list:
+    """Runs each command in a fresh interpreter, in order, and lists the
+    text-kernel modules each one imported."""
+    script = (
+        "import sys\nfrom focalpo.cli import main\n"
+        "assert main(sys.argv[1:]) == 0\n"
+        "print(sorted({'focalpo.csvtext', 'focalpo.policytext'} & set(sys.modules)))\n"
+    )
+    path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    imported = []
+    for argv in commands:
         done = subprocess.run(
-            [sys.executable, "-c", script],
+            [sys.executable, "-c", script, *map(str, argv)],
             env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
             capture_output=True, text=True, timeout=120,
         )
         assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-1] == "[]"
-        assert (run / "report.csv").exists()
+        imported.append(ast.literal_eval(done.stdout.splitlines()[-1]))
+    return imported
 
 
 class TestEmptySubgroup:

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from _oracles import (
-    checksum,
     implicit_reward,
     legacy_policy_text,
     line_load_policy,
@@ -134,7 +133,7 @@ class TestImplicitRewardAndMargin:
     def test_zero_against_itself(self):
         policy = random_policy(2, 4, seed=3)
         seq = 0, (1, 2)
-        assert implicit_reward(policy, policy.clone(), *seq, beta=0.01) == 0.0
+        assert implicit_reward(policy, PolicyTable(policy.logits.copy()), *seq, beta=0.01) == 0.0
 
     def test_linear_in_beta(self):
         policy = random_policy(2, 4, seed=3)
@@ -163,7 +162,7 @@ class TestImplicitRewardAndMargin:
     def test_margin_zero_at_reference(self):
         reference = random_policy(2, 4, seed=21)
         pair = 0, (1, 2), (2, 1)
-        assert pair_margin(reference.clone(), reference, *pair, beta=0.01) == 0.0
+        assert pair_margin(PolicyTable(reference.logits.copy()), reference, *pair, beta=0.01) == 0.0
 
     def test_margin_antisymmetry(self):
         policy = random_policy(2, 4, seed=22)
@@ -566,7 +565,7 @@ def kernel_text(values, seps):
     """format_block's text for float64 values, each followed by its one-byte
     separator, or None where it declines the block."""
     values = np.asarray(values, np.float64)
-    words = np.frombuffer("".join(seps).encode(), np.uint8).astype(np.uint64) << 40
+    words = np.frombuffer("".join(seps).encode(), np.uint8).astype(np.uint64) << 56
     return format_block(values, words, np.empty((len(values), 4), "<u8"))
 
 
@@ -636,10 +635,3 @@ class TestPolicyTable:
         logits[0, 0, 0] = np.nan
         with pytest.raises(ValueError, match="^logits must be finite$"):
             PolicyTable(logits)
-
-    def test_clone_is_independent(self):
-        policy = random_policy(1, 3, seed=2)
-        clone = policy.clone()
-        clone.logits[0, 0, 0] += 1.0
-        assert policy.logits[0, 0, 0] != clone.logits[0, 0, 0]
-        assert checksum(policy) != checksum(clone)

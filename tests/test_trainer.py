@@ -82,7 +82,7 @@ def pair_grad(policy, prompt_class, chosen, rejected):
 class TestTrainStep:
     def test_zero_learning_rate_leaves_policy_unchanged(self):
         dataset, reference = toy_setup(num_pairs=16)
-        policy = reference.clone()
+        policy = PolicyTable(reference.logits.copy())
         config = train_config(learning_rate=0.0, optimizer="sgd")
         state = init_optimizer_state(config, policy)
         before = policy.logits.copy()
@@ -119,7 +119,7 @@ class TestTrainStep:
                 variant, gamma=gamma, beta=1.0, learning_rate=1e-3, optimizer="sgd",
                 batch_size=len(dataset),
             )
-            trial = policy.clone()
+            trial = PolicyTable(policy.logits.copy())
             before = mean_batch_loss(trial, reference, dataset, config)
             state = init_optimizer_state(config, trial)
             train_step(trial, encode_pairs(reference, dataset), config, state)
@@ -128,7 +128,7 @@ class TestTrainStep:
 
     def test_empty_batch_rejected(self):
         dataset, reference = toy_setup(num_pairs=4)
-        policy = reference.clone()
+        policy = PolicyTable(reference.logits.copy())
         config = train_config()
         with pytest.raises(ValueError):
             train_step(
@@ -222,14 +222,15 @@ class TestTrain:
     def test_zero_epochs_reports_only_step_zero(self):
         dataset, reference = toy_setup(num_pairs=12)
         pairs = encode_pairs(reference, dataset)
-        steps, _ = train(train_config(num_epochs=0), pairs, reference.clone())
+        steps, _ = train(train_config(num_epochs=0), pairs, PolicyTable(reference.logits.copy()))
         assert [rec.step for rec in steps] == [0]
         assert steps[0].accuracy_overall == 0.0  # all margins exactly zero
 
     def test_deterministic_reports_and_policies(self):
         dataset, reference = toy_setup(num_pairs=60)
         config = train_config(num_epochs=4)
-        policy_a, policy_b = reference.clone(), reference.clone()
+        policy_a = PolicyTable(reference.logits.copy())
+        policy_b = PolicyTable(reference.logits.copy())
         pairs = encode_pairs(reference, dataset)
         run_a = train(config, pairs, policy_a)
         run_b = train(config, pairs, policy_b)
@@ -239,20 +240,23 @@ class TestTrain:
     def test_reference_never_modified(self):
         dataset, reference = toy_setup(num_pairs=60)
         before = checksum(reference)
-        train(train_config(num_epochs=3), encode_pairs(reference, dataset), reference.clone())
+        train(train_config(num_epochs=3), encode_pairs(reference, dataset),
+              PolicyTable(reference.logits.copy()))
         assert checksum(reference) == before
 
     def test_loss_descends_on_toy_run(self):
         dataset, reference = toy_setup(num_pairs=150)
         pairs = encode_pairs(reference, dataset)
-        steps, final = train(train_config(num_epochs=20), pairs, reference.clone())
+        policy = PolicyTable(reference.logits.copy())
+        steps, final = train(train_config(num_epochs=20), pairs, policy)
         assert final["final_mean_loss"] < final["initial_mean_loss"]
         assert steps[-1].step == 20 * math.ceil(150 / 64)
 
     def test_empty_dataset_rejected(self):
         dataset, reference = toy_setup(num_pairs=4)
         with pytest.raises(ValueError, match="dataset must be non-empty"):
-            train(train_config(), encode_pairs(reference, dataset).take([]), reference.clone())
+            train(train_config(), encode_pairs(reference, dataset).take([]),
+                  PolicyTable(reference.logits.copy()))
 
     def test_policy_of_another_shape_rejected_before_any_update(self):
         dataset, reference = toy_setup(num_pairs=8)
@@ -265,7 +269,7 @@ class TestTrain:
     def test_report_records_orderings(self):
         dataset, reference = toy_setup(num_pairs=80)
         pairs = encode_pairs(reference, dataset)
-        _, final = train(train_config(num_epochs=6), pairs, reference.clone())
+        _, final = train(train_config(num_epochs=6), pairs, PolicyTable(reference.logits.copy()))
         assert set(final["weight_profile"]) == {"dpo", "focal", "focus-incorrect"}
         assert final["margin_ordering_incorrect_below_correct"] in (True, False)
         assert final["ratio_ordering_incorrect_below_correct"] in (True, False)
@@ -277,11 +281,12 @@ class TestEvaluate:
         dataset, reference = toy_setup(num_pairs=4)
         pairs = encode_pairs(reference, dataset)
         with pytest.raises(ValueError, match=f"^beta must be finite and > 0, got {beta!r}$"):
-            evaluate(reference.clone(), pairs, beta)
+            evaluate(PolicyTable(reference.logits.copy()), pairs, beta)
 
     def test_policy_equal_to_reference(self):
         dataset, reference = toy_setup(num_pairs=40)
-        metrics = evaluate(reference.clone(), encode_pairs(reference, dataset), beta=0.01).metrics()
+        policy = PolicyTable(reference.logits.copy())
+        metrics = evaluate(policy, encode_pairs(reference, dataset), beta=0.01).metrics()
         assert metrics["overall_accuracy"] == 0.0
         assert metrics["flip_incorrect_to_correct"] == 0.0
         assert metrics["flip_correct_to_incorrect"] == 0.0
@@ -293,7 +298,7 @@ class TestEvaluate:
         # noise-free deterministic labels are linearly realizable, so
         # perceptron-style nudges on violated pairs reach a perfect ranking
         dataset, reference = toy_setup(num_pairs=30, num_classes=2, vocab=4, length=3, noise=0.0)
-        policy = reference.clone()
+        policy = PolicyTable(reference.logits.copy())
         for _ in range(200):
             violated = [
                 pair
@@ -333,7 +338,7 @@ def weight_profile(policy, reference, dataset, beta):
 class TestSubgroupWeightProfile:
     def test_constant_weights_at_reference_state(self):
         dataset, reference = toy_setup(num_pairs=50)
-        profile = weight_profile(reference.clone(), reference, dataset, 0.01)
+        profile = weight_profile(PolicyTable(reference.logits.copy()), reference, dataset, 0.01)
         # all margins are exactly zero, so every pair carries the delta=0 weight
         for entry in profile["dpo"].values():
             assert entry["mean_weight"] == 0.5
@@ -344,7 +349,7 @@ class TestSubgroupWeightProfile:
 
     def test_perturbation_toward_correct_subgroup_orders_ratios(self):
         dataset, reference = toy_setup(num_pairs=100)
-        policy = reference.clone()
+        policy = PolicyTable(reference.logits.copy())
         for pair in pairs_of(dataset):
             if classify_pair(reference, *pair) == CORRECT:
                 policy.logits += 0.5 * pair_grad(policy, *pair)
@@ -391,7 +396,7 @@ class TestSubgroupWeightProfile:
     def test_empty_subgroup_absent(self):
         reference = uniform_policy(2, 4)  # ties everywhere: all incorrect-at-init
         dataset, _ = toy_setup(num_pairs=10, num_classes=2, vocab=4, length=3)
-        profile = weight_profile(reference.clone(), reference, dataset, 0.01)
+        profile = weight_profile(PolicyTable(reference.logits.copy()), reference, dataset, 0.01)
         assert all(set(groups) == {"incorrect_at_init"} for groups in profile.values())
 
 
@@ -399,14 +404,14 @@ class TestOptimizers:
     def test_adam_state_initialized_lazily_for_sgd(self):
         dataset, reference = toy_setup(num_pairs=8)
         config = train_config(optimizer="sgd")
-        state = init_optimizer_state(config, reference.clone())
+        state = init_optimizer_state(config, PolicyTable(reference.logits.copy()))
         assert state.first_moment is None
 
     def test_adam_and_sgd_differ(self):
         dataset, reference = toy_setup(num_pairs=40)
         policies = {}
         for optimizer in ("adam", "sgd"):
-            policy = reference.clone()
+            policy = PolicyTable(reference.logits.copy())
             train(
                 train_config(num_epochs=3, optimizer=optimizer),
                 encode_pairs(reference, dataset),
