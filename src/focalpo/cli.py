@@ -56,10 +56,6 @@ MAX_TABLE_VALUES = MAX_DATASET_TOKENS = 2**22
 # default gamma (eight weight columns) fits, and each extra --gamma adds
 # three columns to every file
 MAX_CSV_VALUES = 2**24
-# Values formatted per step when writing a CSV: big enough that the
-# per-call overhead vanishes, small enough that the block's arrays and text
-# stay a fraction of a megabyte.
-CSV_BLOCK_VALUES = 4096
 GRID_OPTIONS = ("--delta-grid", "--p-grid")
 FOCAL_FAMILY = tuple(v for v in LossVariant if v is not LossVariant.DPO)
 
@@ -194,22 +190,15 @@ def _load_dataset(path: str, reference):
 
 
 def _write_csv(path: Path, columns: dict[str, np.ndarray]) -> None:
-    """One column per entry, in order, with the entry's name as its header;
-    every value as %.9g. Each block of rows is stacked and formatted alone,
-    by csvtext.format_block or, for a block it declines, by one `%` call."""
-    from .csvtext import format_block  # compiled only by a command that writes a CSV
+    """One column per entry, in order, under the entry's name; every value as
+    %.9g, the columns stacked a block of rows at a time (see policytext.write_blocks)."""
+    from . import csvtext, policytext  # compiled only by a command that writes a CSV
 
-    values, ncols = list(columns.values()), len(columns)
-    row = ",".join(["%.9g"] * ncols) + "\n"
-    block_rows = max(1, CSV_BLOCK_VALUES // ncols)
-    seps = np.tile(np.uint64([ord(",")] * (ncols - 1) + [ord("\n")]) << 56, block_rows)
-    out = np.empty((len(seps), 3), "<u8")
+    values, line = list(columns.values()), ",".join(["%.9g"] * len(columns)) + "\n"
     with atomic_write(path) as fh:
         fh.write(",".join(columns) + "\n")
-        for start in range(0, len(values[0]), block_rows):
-            block = np.column_stack([v[start:start + block_rows] for v in values]).ravel()
-            fh.write(format_block(block, seps[:len(block)], out[:len(block)])
-                     or row * (len(block) // ncols) % tuple(block.tolist()))
+        policytext.write_blocks(fh, line, csvtext.format_block, len(values[0]),
+                                lambda rows: np.column_stack([v[rows] for v in values]))
 
 
 def _report_row(record: StepRecord) -> str:
@@ -304,9 +293,8 @@ def cmd_curves(args) -> int:
 # ------------------------------------------------------------------ synth
 
 
-def _census(dataset, reference, label: str) -> None:
-    n = len(dataset)
-    n_correct = int(encode_pairs(reference, dataset).correct_at_init.sum())
+def _census(dataset, correct: np.ndarray, label: str) -> None:
+    n, n_correct = len(dataset), int(correct.sum())
     n_flipped = int(dataset.label_flipped.sum())
     n_disagree = int((dataset.reward_chosen < dataset.reward_rejected).sum())
     print(f"{label}: {n} pairs")
@@ -362,6 +350,8 @@ def cmd_synth(args) -> int:
     reference = random_policy(args.classes, args.vocab, args.ref_seed)
     reward = random_reward_model(args.classes, args.vocab, args.reward_seed)
     dataset = synthesize_dataset(config, reward, reference)
+    # both splits scored once, here: after the saves, it raised synth's peak memory
+    correct = encode_pairs(reference, dataset).correct_at_init
     train_pairs, holdout_pairs = split_holdout(dataset, args.holdout_fraction)
 
     save_policy(out_dir / "reference.txt", reference)
@@ -369,9 +359,9 @@ def cmd_synth(args) -> int:
     if len(holdout_pairs):
         save_dataset(out_dir / "holdout.jsonl", holdout_pairs)
 
-    _census(train_pairs, reference, "pairs.jsonl")
+    _census(train_pairs, correct[:len(train_pairs)], "pairs.jsonl")
     if len(holdout_pairs):
-        _census(holdout_pairs, reference, "holdout.jsonl")
+        _census(holdout_pairs, correct[len(train_pairs):], "holdout.jsonl")
     return 0
 
 
@@ -420,12 +410,13 @@ def cmd_train(args) -> int:
     steps, final = train(config, encode_pairs(policy, dataset), policy)
     seconds = time.perf_counter() - start
 
-    # not by _write_csv, whose csvtext import train does not need
-    with atomic_write(out_dir / "report.csv") as fh:
-        fh.write(",".join(f.name for f in fields(StepRecord)) + "\n")
-        fh.writelines(map(_report_row, steps))
+    # both reports are formed before either is written (report.csv without csvtext)
     report = {"config": config.echo(), "steps": list(map(asdict, steps)), "final": final}
-    _write_json(out_dir / "report.json", report)
+    rows = [",".join(f.name for f in fields(StepRecord)) + "\n", *map(_report_row, steps)]
+    for name, text in [("report.csv", "".join(rows)), ("report.json", _write_json(None, report))]:
+        with atomic_write(out_dir / name) as fh:
+            fh.write(text)
+    del text  # before save_policy's blocks: a text left alive raised the wide run's peak
     save_policy(out_dir / "policy.txt", policy)
     _write_json(out_dir / "timing.json", {"wall_clock_seconds": seconds})
 

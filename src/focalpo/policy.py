@@ -26,8 +26,7 @@ from .files import atomic_write
 
 # Table values per block when log_prob_grad subtracts the visit terms.
 GRAD_BLOCK_VALUES = 8192
-# Table values per block of policy text: policytext writes a table of a
-# block or more a block at a time, and reads it with numpy's C parser first.
+# Values per block of text, of a policy table of a block or more or a curve CSV.
 TEXT_BLOCK_VALUES = 4096
 
 __all__ = [
@@ -183,9 +182,9 @@ def save_policy(path, policy: PolicyTable) -> None:
         line = " ".join(["%.17g"] * policy.vocab_size) + "\n"
         rows = policy.logits.reshape(-1, policy.vocab_size)
         if rows.size >= TEXT_BLOCK_VALUES:
-            from .policytext import write_blocks  # compiled only for a table this size
+            from .policytext import format_block, write_blocks  # compiled only at this size
 
-            write_blocks(fh, rows, line)
+            write_blocks(fh, line, format_block, len(rows), rows.__getitem__)
             return
         for row in rows:
             fh.write(line % tuple(row.tolist()))

@@ -1,7 +1,7 @@
 """Policy tables of a block of values or more as text, written by an exact
-`%.17g` kernel (its digit split and word fill also write csvtext's `%.9g`)
-and read by numpy's C parser. Imported only for a table that size, so
-smaller runs neither compile it nor build its tables."""
+`%.17g` kernel and read by numpy's C parser; its digit split, word fill and
+block writer also write the `%.9g` curve CSVs. Imported only for a table
+that size or a CSV, so other runs neither compile it nor build its tables."""
 
 import functools
 import warnings
@@ -168,18 +168,19 @@ def format_block(values: np.ndarray, seps: np.ndarray, out: np.ndarray) -> str |
     return out.tobytes().translate(None, b"\0").decode("ascii")
 
 
-def write_blocks(fh, rows: np.ndarray, line: str) -> None:
-    """Write a (contexts, V) table a block of whole rows at a time: each by
-    format_block, or by `line`, the `%` row template, where it declines."""
-    vocab = rows.shape[1]
-    values = rows.reshape(-1)
-    seps = np.uint64([ord(" ")] * (vocab - 1) + [ord("\n")]) << 56
-    seps = np.tile(seps, max(1, TEXT_BLOCK_VALUES // vocab))
-    out = np.empty((len(seps), 4), "<u8")
-    for start in range(0, len(values), len(seps)):
-        block = values[start:start + len(seps)]
-        fh.write(format_block(block, seps[:len(block)], out[:len(block)])
-                 or line * (len(block) // vocab) % tuple(block.tolist()))
+def write_blocks(fh, line: str, kernel, count: int, rows) -> None:
+    """Write a table of `count` rows, rows(s) being those in slice s as a 2-D
+    array, a block of whole rows (up to TEXT_BLOCK_VALUES values) at a time:
+    by kernel, a format_block, or where it declines by `line`, the `%` row
+    template, whose `%.{n}g` fields are each followed by a one-byte separator."""
+    fields = line.split("%")[1:]  # ".17g ", ..., ".17g\n": precision, "g", separator
+    block_rows = max(1, TEXT_BLOCK_VALUES // len(fields))
+    seps = np.tile(np.uint64([ord(field[-1]) for field in fields]) << 56, block_rows)
+    out = np.empty((len(seps), int(fields[0][1:-2]) // 8 + 2), "<u8")  # see fill: 8 digits a word
+    for start in range(0, count, block_rows):
+        block = rows(slice(start, start + block_rows)).reshape(-1)
+        fh.write(kernel(block, seps[:len(block)], out[:len(block)])
+                 or line * (len(block) // len(fields)) % tuple(block.tolist()))
 
 
 def read_table(fh, shape: tuple):

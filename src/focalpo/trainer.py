@@ -246,24 +246,25 @@ class Evaluation:
         return means
 
     def record(self, step: int, loss: LossConfig) -> StepRecord:
-        """Full-dataset snapshot under the loss's variant and gamma. A loss
-        or weight that overflows is a FloatingPointError naming its pair."""
+        """Full-dataset snapshot under the loss's variant and gamma. Overflow is
+        a FloatingPointError: naming its pair for a loss or weight, numpy's for a mean."""
         out = pair_loss(loss, self.margins)
         _check_finite("loss", out.loss, self.pairs)
         _check_finite("gradient weight", out.weight, self.pairs)
         positive = self.margins > 0.0
-        weights = self.by_group(out.weight)
         accuracies = self.by_group(positive)
-        return StepRecord(
-            step=step,
-            mean_loss=float(out.loss.mean()),
-            mean_abs_weight=float(np.abs(out.weight).mean()),
-            mean_weight_correct=weights[CORRECT],
-            mean_weight_incorrect=weights[INCORRECT],
-            accuracy_overall=float(positive.mean()),
-            accuracy_correct=accuracies[CORRECT],
-            accuracy_incorrect=accuracies[INCORRECT],
-        )
+        with np.errstate(over="raise"):  # a sum of finite values may not fit a float
+            weights = self.by_group(out.weight)
+            return StepRecord(
+                step=step,
+                mean_loss=float(out.loss.mean()),
+                mean_abs_weight=float(np.abs(out.weight).mean()),
+                mean_weight_correct=weights[CORRECT],
+                mean_weight_incorrect=weights[INCORRECT],
+                accuracy_overall=float(positive.mean()),
+                accuracy_correct=accuracies[CORRECT],
+                accuracy_incorrect=accuracies[INCORRECT],
+            )
 
     def metrics(self) -> dict:
         """Ranking accuracy (margin > 0, strict), flip rates, and subgroup margins.

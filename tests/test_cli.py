@@ -20,10 +20,10 @@ from hypothesis import strategies as st
 
 from _oracles import savetxt_csv_text, table_format_block
 from focalpo import cli, csvtext
-from focalpo.cli import CSV_BLOCK_VALUES, MAX_GRID_POINTS, _grid, _grid_points, _write_csv, main
+from focalpo.cli import MAX_GRID_POINTS, _grid, _grid_points, _write_csv, main
 from focalpo.data import SynthConfig, synthesize_dataset
 from focalpo.losses import LossConfig, LossVariant
-from focalpo.policy import random_policy
+from focalpo.policy import TEXT_BLOCK_VALUES, random_policy
 from focalpo.trainer import OPTIMIZERS, TrainConfig
 
 
@@ -265,7 +265,7 @@ def csv_shapes(draw):
     """(rows, columns), with the row count next to a block boundary or
     spanning several blocks."""
     ncols = draw(st.integers(1, 20))
-    block_rows = CSV_BLOCK_VALUES // ncols
+    block_rows = TEXT_BLOCK_VALUES // ncols
     nrows = draw(st.sampled_from(
         [1, 2, block_rows - 1, block_rows, block_rows + 1, 3 * block_rows + 1]
     ))
@@ -303,7 +303,7 @@ class TestCsvWriter:
     def test_fast_and_fallback_blocks(self, monkeypatch):
         # two 4-column blocks: the first all fast, the second holding one
         # zero, which sends the whole block to the `%` path
-        rows = CSV_BLOCK_VALUES // 4
+        rows = TEXT_BLOCK_VALUES // 4
         table = np.random.default_rng(3).standard_normal((2 * rows, 4))
         table[rows + 5, 2] = 0.0
         results = []
@@ -783,6 +783,10 @@ class TestTrain:
             (["--loss", "focal-exact", "--gamma", "5", "--beta", "1e308", "--optimizer", "sgd",
               "--lr", "1e-306", "--epochs", "1", "--batch-size", "40"],
              "step 1: non-finite gradient coefficient for pair_id 11"),
+            # each pair's loss is finite, but the last snapshot's mean of them is not
+            (["--loss", "focal-exact", "--gamma", "5", "--beta", "1e306", "--optimizer", "sgd",
+              "--lr", "1e-306", "--epochs", "1", "--batch-size", "40"],
+             "step 1: overflow encountered in reduce"),
         ],
     )
     def test_overflow_names_its_step_and_writes_no_report(self, tmp_path, capsys, flags, message):

@@ -1,6 +1,7 @@
 """Tabular policy tests: exact log-probabilities, analytic gradients against
 finite differences, sampling statistics, and the text round trip."""
 
+import io
 import itertools
 import math
 import re
@@ -19,6 +20,7 @@ from _oracles import (
     line_load_policy,
     pair_margin,
     sample_sequence,
+    savetxt_csv_text,
     scaled_random_policy,
     scan_sample_tokens,
     sequence_log_prob,
@@ -26,8 +28,9 @@ from _oracles import (
     template_save_policy,
     uniform_policy,
 )
-from focalpo import policy, policytext
+from focalpo import csvtext, policy, policytext
 from focalpo.policy import (
+    TEXT_BLOCK_VALUES,
     PolicyTable,
     _next_token_cdf,
     _sample_tokens,
@@ -35,7 +38,7 @@ from focalpo.policy import (
     random_policy,
     save_policy,
 )
-from focalpo.policytext import format_block
+from focalpo.policytext import format_block, write_blocks
 
 
 class TestSequenceLogProb:
@@ -559,6 +562,45 @@ class TestPolicyTextOracle:
             path = Path(tmp) / "policy.txt"
             path.write_bytes(text.encode("utf-8"))
             assert load_outcome(load_policy, path) == load_outcome(line_load_policy, path)
+
+
+class TestBlockWriter:
+    """policytext.write_blocks, the one block writer of the policy tables
+    and the curve CSVs, against the `%` row template and each format's
+    oracle, with the block that holds the middle row declined."""
+
+    # one row, or a block of rows and one less or more
+    @pytest.mark.parametrize("offset", [None, -1, 0, 1], ids=["1", "-1", "block", "+1"])
+    @pytest.mark.parametrize("kernel, line, declined", [
+        # a policy table of V = 64, whose kernel declines a zero
+        (policytext.format_block, " ".join(["%.17g"] * 64) + "\n", 0.0),
+        # a 4-column CSV, whose kernel declines a near-tie of the 9th digit
+        (csvtext.format_block, ",".join(["%.9g"] * 4) + "\n", 1.000000005),
+    ])
+    def test_both_formats_match_the_template_and_oracle(self, kernel, line, declined, offset):
+        ncols = line.count("%")
+        block = TEXT_BLOCK_VALUES // ncols
+        nrows = 1 if offset is None else block + offset
+        table = np.random.default_rng(nrows).standard_normal((nrows, ncols))
+        table[nrows // 2, ncols // 2] = declined
+        columns = {f"c{j}": table[:, j] for j in range(ncols)}
+        results = []
+
+        def recorded(*args):
+            results.append(kernel(*args))
+            return results[-1]
+
+        fh = io.StringIO()
+        write_blocks(fh, line, recorded, nrows,
+                     lambda s: np.column_stack([c[s] for c in columns.values()]))
+        assert [text is None for text in results] == [
+            start <= nrows // 2 < start + block for start in range(0, nrows, block)]
+        assert fh.getvalue() == line * nrows % tuple(table.ravel().tolist())
+        if "%.9g" in line:
+            oracle = savetxt_csv_text(columns)
+        else:
+            oracle = legacy_policy_text(table[None])
+        assert fh.getvalue() == oracle.partition("\n")[2]
 
 
 def kernel_text(values, seps):

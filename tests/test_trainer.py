@@ -16,6 +16,7 @@ from focalpo.losses import LossConfig, LossVariant, gradient_weight
 from focalpo.policy import PolicyTable, random_policy
 from focalpo.trainer import (
     CORRECT,
+    Evaluation,
     OptimizerState,
     TrainConfig,
     assemble_gradient,
@@ -311,6 +312,17 @@ class TestEvaluate:
                 policy.logits += 0.5 * pair_grad(policy, *pair)
         metrics = evaluate(policy, encode_pairs(reference, dataset), beta=0.01).metrics()
         assert metrics["overall_accuracy"] == 1.0
+
+    def test_a_mean_loss_that_overflows_is_an_error(self):
+        # each pair's dpo loss, 1e308, is finite; their mean's sum is not
+        dataset, reference = toy_setup(num_pairs=4)
+        pairs = encode_pairs(reference, dataset)
+        dpo = LossConfig(LossVariant.DPO)
+        assert pair_loss(dpo, -1e308).loss == 1e308
+        record = Evaluation(pairs, np.full(4, -1e307), np.zeros(4, bool)).record(3, dpo)
+        assert record.mean_loss == pytest.approx(1e307)
+        with pytest.raises(FloatingPointError, match="^overflow encountered in reduce$"):
+            Evaluation(pairs, np.full(4, -1e308), np.zeros(4, bool)).record(3, dpo)
 
     def test_accuracy_matches_brute_force_margins(self):
 
