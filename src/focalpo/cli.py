@@ -192,20 +192,13 @@ def _load_dataset(path: str, reference):
 def _write_csv(path: Path, columns: dict[str, np.ndarray]) -> None:
     """One column per entry, in order, under the entry's name; every value as
     %.9g, the columns stacked a block of rows at a time (see policytext.write_blocks)."""
-    from . import csvtext, policytext  # compiled only by a command that writes a CSV
+    from .policytext import write_blocks  # compiled only by a command that writes a CSV
 
     values, line = list(columns.values()), ",".join(["%.9g"] * len(columns)) + "\n"
     with atomic_write(path) as fh:
         fh.write(",".join(columns) + "\n")
-        policytext.write_blocks(fh, line, csvtext.format_block, len(values[0]),
-                                lambda rows: np.column_stack([v[rows] for v in values]))
-
-
-def _report_row(record: StepRecord) -> str:
-    """A report.csv row: ints as is, floats as %.9g, None (empty subgroup) as nan."""
-    cells = ("nan" if v is None else _fmt(v) if isinstance(v, float) else str(v)
-             for v in astuple(record))
-    return ",".join(cells) + "\n"
+        write_blocks(fh, line, len(values[0]),
+                     lambda rows: np.column_stack([v[rows] for v in values]))
 
 
 # ----------------------------------------------------------------- curves
@@ -410,9 +403,12 @@ def cmd_train(args) -> int:
     steps, final = train(config, encode_pairs(policy, dataset), policy)
     seconds = time.perf_counter() - start
 
-    # both reports are formed before either is written (report.csv without csvtext)
+    # both reports are formed before either is written; report.csv writes
+    # each int as is, each float as %.9g and None (empty subgroup) as nan
     report = {"config": config.echo(), "steps": list(map(asdict, steps)), "final": final}
-    rows = [",".join(f.name for f in fields(StepRecord)) + "\n", *map(_report_row, steps)]
+    row = "%d" + ",%.9g" * (len(fields(StepRecord)) - 1) + "\n"
+    rows = [",".join(f.name for f in fields(StepRecord)) + "\n",
+            *(row % tuple(math.nan if v is None else v for v in astuple(s)) for s in steps)]
     for name, text in [("report.csv", "".join(rows)), ("report.json", _write_json(None, report))]:
         with atomic_write(out_dir / name) as fh:
             fh.write(text)
@@ -441,7 +437,7 @@ def cmd_eval(args) -> int:
     pairs = encode_pairs(reference, _load_dataset(args.dataset, reference))
     del reference  # the pairs keep all that evaluation reads of it
     evaluation = evaluate(policy, pairs, args.beta)
-    ordering = evaluation.orderings()
+    metrics, ordering = evaluation.metrics(), evaluation.orderings()  # before any file
 
     out_dir = Path(args.out) if args.out else None
     manifest = _manifest(
@@ -458,7 +454,7 @@ def cmd_eval(args) -> int:
     )
     output = {
         "manifest": manifest,
-        "metrics": evaluation.metrics(),
+        "metrics": metrics,
         "weights": ordering.pop("weight_profile"),
         **dict(sorted(ordering.items())),  # metrics.json lists these by name
     }

@@ -182,12 +182,11 @@ def save_policy(path, policy: PolicyTable) -> None:
         line = " ".join(["%.17g"] * policy.vocab_size) + "\n"
         rows = policy.logits.reshape(-1, policy.vocab_size)
         if rows.size >= TEXT_BLOCK_VALUES:
-            from .policytext import format_block, write_blocks  # compiled only at this size
+            from .policytext import write_blocks  # compiled only at this size
 
-            write_blocks(fh, line, format_block, len(rows), rows.__getitem__)
-            return
-        for row in rows:
-            fh.write(line % tuple(row.tolist()))
+            write_blocks(fh, line, len(rows), rows.__getitem__)
+        else:
+            fh.write(line * len(rows) % tuple(rows.ravel().tolist()))
 
 
 def _lines(fh):

@@ -1,6 +1,7 @@
-"""Policy tables of a block of values or more as text, written by an exact
-`%.17g` kernel and read by numpy's C parser; its digit split, word fill and
-block writer also write the `%.9g` curve CSVs. Imported only for a table
+"""Exact float-to-text for blocks of float64 values, `%.17g` for policy
+tables of a block of values or more and `%.9g` for the curve CSVs: one
+significand step per format, then one digit split, word fill and block
+writer; and numpy's C parser for those tables. Imported only for a table
 that size or a CSV, so other runs neither compile it nor build its tables."""
 
 import functools
@@ -66,10 +67,21 @@ def layout(digits: int, e_min: int, e_max: int):
     return words, np.array([places, whole], np.uint8)
 
 
-def _significands(values: np.ndarray):
+def _seventeen_digits(values: np.ndarray):
     """(m, i): m each value's 17-digit `%.17g` significand, and i the table
-    column of its exponent; None when a value needs the exact path (see
-    format_block)."""
+    column of its exponent; None when a value needs the exact path: zero,
+    non-finite, |x| outside [1e-49, 1e49), within 1e-9 of a rounding tie, or
+    a significand that rounds up to the next power of ten.
+
+    With e an estimate of floor(log10|x|), the product |x| * 10**(16 - e)
+    is formed as a double-double: Dekker's exact product of |x| and the
+    double nearest the power, plus |x| times that double's error. It is
+    within 1e-14 of the exact product, so its floor and its rounding are
+    exact away from ties. A floor of at least 1e16 shows that e is not too
+    large (just below 1e16, the value rounded at e - 1 has the same text),
+    and a rounded significand below 1e17 that it is not too small and that
+    nothing carries.
+    """
     a = np.abs(values)
     if not (a.min() >= 1e-49 and a.max() < 1e49):
         return None
@@ -90,6 +102,36 @@ def _significands(values: np.ndarray):
         return None
     m += rest > 0.5
     return None if m.max() >= 10**17 else (m, i)
+
+
+@functools.cache
+def _powers():
+    """10**k as the double nearest it, for k in [-292, 309] (1e309 is inf)."""
+    return np.array([float(f"1e{k}") for k in range(-292, 310)])
+
+
+def _nine_digits(values: np.ndarray):
+    """(m, i): m each value's 9-digit `%.9g` significand, and i the table
+    column of its exponent; None when a value needs the exact path: zero,
+    non-finite, |x| outside [1e-300, 1e300], or near a rounding boundary.
+
+    With e = floor(log10|x|) and s = |x| * 10**(8 - e), both factors
+    correctly rounded, s is within 2.3e-7 of the exact product while s < 1e9,
+    so m = rint(s) is the correctly rounded 9-digit significand whenever
+    1e8 <= m < 1e9 and |s - m| < 0.5 - 1e-6. A misestimated e, a round-up to
+    the next power of ten and any near-tie fail that check, except that
+    log10 of x a few ulps below 10**k may round up to k: then m = 1e8, which
+    is also the text of x rounded at exponent k - 1.
+    """
+    a = np.abs(values)
+    if not (a.min() >= 1e-300 and a.max() <= 1e300):
+        return None
+    e = np.floor(np.log10(a)).astype(np.intp) + 300  # the table column of the exponent
+    s = a * _powers()[600 - e]
+    m = np.rint(s)
+    if not (m.min() >= 1e8 and m.max() < 1e9 and np.abs(s - m).max() < 0.5 - 1e-6):
+        return None
+    return m.astype(np.uint64), e
 
 
 def _digits(m: np.ndarray, words: int):
@@ -147,39 +189,33 @@ def fill(values, m, i, seps, out, tables) -> None:
 
 
 def format_block(values: np.ndarray, seps: np.ndarray, out: np.ndarray) -> str | None:
-    """Each value as `%.17g` followed by its separator, or None when a value
-    needs the exact `%` path: zero, non-finite, |x| outside [1e-49, 1e49),
-    within 1e-9 of a rounding tie, or a 17-digit significand that rounds
-    up to the next power of ten. `out` is (len(values), 4) uint64 (see fill).
-
-    With e an estimate of floor(log10|x|), the product |x| * 10**(16 - e)
-    is formed as a double-double: Dekker's exact product of |x| and the
-    double nearest the power, plus |x| times that double's error. It is
-    within 1e-14 of the exact product, so its floor and its rounding are
-    exact away from ties. A floor of at least 1e16 shows that e is not too
-    large (just below 1e16, the value rounded at e - 1 has the same text),
-    and a rounded significand below 1e17 that it is not too small and that
-    nothing carries.
-    """
-    found = _significands(values)
+    """Each value as `%.9g` or `%.17g` followed by its separator, or None
+    when a value needs the exact `%` path. `out`, (len(values), words + 2)
+    uint64 (see fill), picks the format: 3 words a value for `%.9g`, 4 for
+    `%.17g`."""
+    if out.shape[1] == 3:
+        found, tables = _nine_digits(values), (9, -300, 300)
+    else:
+        found, tables = _seventeen_digits(values), (17, E_MIN, E_MAX)
     if found is None:
         return None
-    fill(values, *found, seps, out, layout(17, E_MIN, E_MAX))
+    fill(values, *found, seps, out, layout(*tables))
     return out.tobytes().translate(None, b"\0").decode("ascii")
 
 
-def write_blocks(fh, line: str, kernel, count: int, rows) -> None:
+def write_blocks(fh, line: str, count: int, rows) -> None:
     """Write a table of `count` rows, rows(s) being those in slice s as a 2-D
-    array, a block of whole rows (up to TEXT_BLOCK_VALUES values) at a time:
-    by kernel, a format_block, or where it declines by `line`, the `%` row
-    template, whose `%.{n}g` fields are each followed by a one-byte separator."""
+    array, a block of whole rows (up to TEXT_BLOCK_VALUES values) at a time.
+    `line` is the `%` row template, whose `%.{n}g` fields are each followed
+    by a one-byte separator: its precision picks format_block's format, and
+    it writes each block that format_block declines."""
     fields = line.split("%")[1:]  # ".17g ", ..., ".17g\n": precision, "g", separator
     block_rows = max(1, TEXT_BLOCK_VALUES // len(fields))
     seps = np.tile(np.uint64([ord(field[-1]) for field in fields]) << 56, block_rows)
     out = np.empty((len(seps), int(fields[0][1:-2]) // 8 + 2), "<u8")  # see fill: 8 digits a word
     for start in range(0, count, block_rows):
         block = rows(slice(start, start + block_rows)).reshape(-1)
-        fh.write(kernel(block, seps[:len(block)], out[:len(block)])
+        fh.write(format_block(block, seps[:len(block)], out[:len(block)])
                  or line * (len(block) // len(fields)) % tuple(block.tolist()))
 
 

@@ -238,11 +238,13 @@ class Evaluation:
 
     def by_group(self, values: np.ndarray) -> dict:
         """Maps each subgroup name to the mean of values over its pairs,
-        None when it has none."""
+        None when it has none. A sum of finite values that does not fit a
+        float raises numpy's FloatingPointError."""
         means = {}
-        for name, mask in self.groups().items():
-            count = int(mask.sum())
-            means[name] = float(values[mask].sum() / count) if count else None
+        with np.errstate(over="raise"):
+            for name, mask in self.groups().items():
+                count = int(mask.sum())
+                means[name] = float(values[mask].sum() / count) if count else None
         return means
 
     def record(self, step: int, loss: LossConfig) -> StepRecord:
@@ -252,9 +254,8 @@ class Evaluation:
         _check_finite("loss", out.loss, self.pairs)
         _check_finite("gradient weight", out.weight, self.pairs)
         positive = self.margins > 0.0
-        accuracies = self.by_group(positive)
+        accuracies, weights = self.by_group(positive), self.by_group(out.weight)
         with np.errstate(over="raise"):  # a sum of finite values may not fit a float
-            weights = self.by_group(out.weight)
             return StepRecord(
                 step=step,
                 mean_loss=float(out.loss.mean()),
@@ -367,12 +368,9 @@ def train(
                     latest = snapshot()
         if records[-1].step != step:
             latest = snapshot()
-    except FloatingPointError as exc:  # from the update or snapshot of this step
+        final = {**latest.metrics(), "initial_mean_loss": records[0].mean_loss,
+                 "final_mean_loss": records[-1].mean_loss, **latest.orderings()}
+    except FloatingPointError as exc:  # from the update, snapshot or final block of this step
         raise FloatingPointError(f"step {step}: {exc}") from exc
-
-    final = latest.metrics()
-    final["initial_mean_loss"] = records[0].mean_loss
-    final["final_mean_loss"] = records[-1].mean_loss
-    final.update(latest.orderings())
     return records, final
 

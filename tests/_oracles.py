@@ -23,8 +23,8 @@ kept verbatim. The loss zoo must match them byte for byte. The tabled
 CSV kernel is the `%.9g` block writer as it stood before it shared the
 policy writer's digit split and word fill: 4-digit lookup tables read off
 `%.9g`, kept verbatim but for its name (table_format_block), with the
-separator in byte 5 of a row's fourth word. csvtext.format_block must
-return its text, or decline where it declines.
+separator in byte 5 of a row's fourth word. policytext.format_block must
+return its text for a 3-word `out`, or decline where it declines.
 
 The one-sequence helpers state single-sequence and single-pair quantities
 (log-probability, gradient, implicit reward, margin, subgroup, a sampled

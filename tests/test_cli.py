@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import savetxt_csv_text, table_format_block
-from focalpo import cli, csvtext
+from focalpo import cli, policytext
 from focalpo.cli import MAX_GRID_POINTS, _grid, _grid_points, _write_csv, main
 from focalpo.data import SynthConfig, synthesize_dataset
 from focalpo.losses import LossConfig, LossVariant
@@ -307,13 +307,13 @@ class TestCsvWriter:
         table = np.random.default_rng(3).standard_normal((2 * rows, 4))
         table[rows + 5, 2] = 0.0
         results = []
-        kernel = csvtext.format_block
+        kernel = policytext.format_block
 
         def recorded(*args):
             results.append(kernel(*args))
             return results[-1]
 
-        monkeypatch.setattr(csvtext, "format_block", recorded)
+        monkeypatch.setattr(policytext, "format_block", recorded)
         assert_csv_matches_savetxt({f"c{j}": table[:, j] for j in range(4)})
         assert [text is None for text in results] == [False, True]
 
@@ -343,7 +343,7 @@ CSV_KERNEL_VALUES = st.one_of(
 
 
 class TestCsvKernel:
-    """csvtext.format_block against the tabled kernel it replaced."""
+    """policytext.format_block at `%.9g` against the tabled kernel it replaced."""
 
     @settings(max_examples=500, deadline=None)
     @given(st.lists(st.tuples(CSV_KERNEL_VALUES, st.sampled_from(",\n")), min_size=1, max_size=12))
@@ -353,7 +353,7 @@ class TestCsvKernel:
         for block in [cells] + [[cell] for cell in cells]:
             values = np.array([v for v, _ in block], np.float64)
             seps = np.frombuffer("".join(s for _, s in block).encode(), np.uint8).astype(np.uint64)
-            text = csvtext.format_block(values, seps << 56, np.empty((len(values), 3), "<u8"))
+            text = policytext.format_block(values, seps << 56, np.empty((len(values), 3), "<u8"))
             assert text == table_format_block(values, seps << 40, np.empty((len(values), 4), "<u8"))
             if text is not None:
                 assert text == "".join("%.9g" % v + s for v, s in block)
@@ -455,6 +455,16 @@ class TestSynth:
         err = capsys.readouterr().err
         assert "--pairs" in err and "--holdout-fraction" in err
         assert not out.exists()
+
+    def test_failed_draw_exits_1_with_only_the_manifest(self, tmp_path, capsys):
+        # V = 2 and L = 1 leave two sequences to draw, and this reference puts
+        # so little mass on one of them in some class that 100 retries miss it
+        out = tmp_path / "data"
+        assert main(["synth", "--out", str(out), "--pairs", "500", "--vocab", "2",
+                     "--length", "1", "--ref-seed", "9"]) == 1
+        assert capsys.readouterr().err == ("error: pair 98: failed to draw distinct sequences "
+                                           "after 100 retries (sampler too concentrated)\n")
+        assert [path.name for path in out.iterdir()] == ["manifest.json"]
 
     @pytest.mark.parametrize(
         "extra, flags, cap",
@@ -817,12 +827,12 @@ class TestTrain:
         assert capsys.readouterr().err.startswith(f"error: {reference}: line 1: invalid JSON")
         assert not (tmp_path / "run").exists()
 
-    def test_never_imports_the_csv_kernel(self, tmp_path):
-        # report.csv is formatted without csvtext, which only curves needs,
-        # and a README-size policy table is written without policytext, so
-        # neither is compiled by synth, train or eval at that size
+    def test_readme_size_runs_import_no_text_module(self, tmp_path):
+        # report.csv is formatted by its own row template, and a README-size
+        # policy table by the `%` template alone, so synth, train and eval
+        # compile no module beyond the CLI's own imports at that size
         data, run = tmp_path / "data", tmp_path / "run"
-        imported = kernels_imported(
+        imported = lazily_imported(
             ["synth", "--out", str(data), "--pairs", "500", "--holdout-fraction", "0.2"],
             train_args(data / "pairs.jsonl", data / "reference.txt", run),
             ["eval", "--dataset", str(data / "holdout.jsonl"), "--policy",
@@ -833,11 +843,10 @@ class TestTrain:
 
     def test_each_command_compiles_only_its_text_kernel(self, tmp_path):
         # what a command compiles is what it imports, and the benchmark's
-        # children write no bytecode: a wide policy table takes the policy
-        # kernel alone, and the curves CSVs take csvtext and the policy
-        # kernel's digit split and word fill
+        # children write no bytecode: a wide policy table and the curves
+        # CSVs take the one float-to-text module, and nothing else
         data, run = tmp_path / "data", tmp_path / "run"
-        imported = kernels_imported(
+        imported = lazily_imported(
             ["synth", "--out", str(data), "--pairs", "100", "--holdout-fraction", "0.2",
              "--classes", "16", "--vocab", "64", "--length", "16"],
             train_args(data / "pairs.jsonl", data / "reference.txt", run),
@@ -845,17 +854,17 @@ class TestTrain:
              str(run / "policy.txt"), "--reference", str(data / "reference.txt")],
             ["curves", "--out", str(tmp_path / "curves")],
         )
-        policy_only, both = ["focalpo.policytext"], ["focalpo.csvtext", "focalpo.policytext"]
-        assert imported == [policy_only, policy_only, policy_only, both]
+        assert imported == [["focalpo.policytext"]] * 4
 
 
-def kernels_imported(*commands) -> list:
+def lazily_imported(*commands) -> list:
     """Runs each command in a fresh interpreter, in order, and lists the
-    text-kernel modules each one imported."""
+    focalpo modules each one imported beyond those `import focalpo.cli` loads."""
     script = (
         "import sys\nfrom focalpo.cli import main\n"
+        "loaded = set(sys.modules)\n"
         "assert main(sys.argv[1:]) == 0\n"
-        "print(sorted({'focalpo.csvtext', 'focalpo.policytext'} & set(sys.modules)))\n"
+        "print(sorted(m for m in set(sys.modules) - loaded if m.startswith('focalpo.')))\n"
     )
     path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
     imported = []
@@ -964,6 +973,21 @@ class TestEval:
             ])
         assert excinfo.value.code == 2
         assert "--beta" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_mean_margin_overflow_exits_1_before_any_file(self, tmp_path, capsys):
+        # at beta 2e307 every margin is finite, but a subgroup's sum is not
+        data, run, out = tmp_path / "data", tmp_path / "run", tmp_path / "evalout"
+        assert main(["synth", "--out", str(data), "--pairs", "50",
+                     "--holdout-fraction", "0.2"]) == 0
+        assert main(["train", "--dataset", str(data / "pairs.jsonl"), "--reference",
+                     str(data / "reference.txt"), "--out", str(run), "--epochs", "20",
+                     "--lr", "0.05"]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--dataset", str(data / "holdout.jsonl"), "--policy",
+                     str(run / "policy.txt"), "--reference", str(data / "reference.txt"),
+                     "--beta", "2e307", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: overflow encountered in reduce\n"
         assert not out.exists()
 
     def test_out_directory(self, synth_dir, tmp_path, capsys):

@@ -28,7 +28,7 @@ from _oracles import (
     template_save_policy,
     uniform_policy,
 )
-from focalpo import csvtext, policy, policytext
+from focalpo import policy, policytext
 from focalpo.policy import (
     TEXT_BLOCK_VALUES,
     PolicyTable,
@@ -571,28 +571,31 @@ class TestBlockWriter:
 
     # one row, or a block of rows and one less or more
     @pytest.mark.parametrize("offset", [None, -1, 0, 1], ids=["1", "-1", "block", "+1"])
-    @pytest.mark.parametrize("kernel, line, declined", [
+    @pytest.mark.parametrize("line, declined", [
         # a policy table of V = 64, whose kernel declines a zero
-        (policytext.format_block, " ".join(["%.17g"] * 64) + "\n", 0.0),
+        (" ".join(["%.17g"] * 64) + "\n", 0.0),
         # a 4-column CSV, whose kernel declines a near-tie of the 9th digit
-        (csvtext.format_block, ",".join(["%.9g"] * 4) + "\n", 1.000000005),
-    ])
-    def test_both_formats_match_the_template_and_oracle(self, kernel, line, declined, offset):
+        (",".join(["%.9g"] * 4) + "\n", 1.000000005),
+    ], ids=["%.17g", "%.9g"])
+    def test_both_formats_match_the_template_and_oracle(self, monkeypatch, line, declined,
+                                                        offset):
         ncols = line.count("%")
         block = TEXT_BLOCK_VALUES // ncols
         nrows = 1 if offset is None else block + offset
         table = np.random.default_rng(nrows).standard_normal((nrows, ncols))
         table[nrows // 2, ncols // 2] = declined
         columns = {f"c{j}": table[:, j] for j in range(ncols)}
-        results = []
+        results, widths = [], set()
 
-        def recorded(*args):
-            results.append(kernel(*args))
+        def recorded(values, seps, out):
+            widths.add(out.shape[1])  # the template's precision picks the format
+            results.append(format_block(values, seps, out))
             return results[-1]
 
+        monkeypatch.setattr(policytext, "format_block", recorded)
         fh = io.StringIO()
-        write_blocks(fh, line, recorded, nrows,
-                     lambda s: np.column_stack([c[s] for c in columns.values()]))
+        write_blocks(fh, line, nrows, lambda s: np.column_stack([c[s] for c in columns.values()]))
+        assert widths == {3 if "%.9g" in line else 4}
         assert [text is None for text in results] == [
             start <= nrows // 2 < start + block for start in range(0, nrows, block)]
         assert fh.getvalue() == line * nrows % tuple(table.ravel().tolist())

@@ -324,6 +324,18 @@ class TestEvaluate:
         with pytest.raises(FloatingPointError, match="^overflow encountered in reduce$"):
             Evaluation(pairs, np.full(4, -1e308), np.zeros(4, bool)).record(3, dpo)
 
+    def test_a_mean_margin_that_overflows_is_an_error(self):
+        # each margin is finite; a subgroup's sum of them is not
+        dataset, reference = toy_setup(num_pairs=4)
+        pairs = encode_pairs(reference, dataset)
+        metrics = Evaluation(pairs, np.full(4, 1e307), np.zeros(4, bool)).metrics()
+        means = [m for m in metrics["mean_margin_by_subgroup"].values() if m is not None]
+        assert means == pytest.approx([1e307] * len(means))
+        overflowing = Evaluation(pairs, np.full(4, 1e308), np.zeros(4, bool))
+        for read in (overflowing.metrics, overflowing.orderings):
+            with pytest.raises(FloatingPointError, match="^overflow encountered in reduce$"):
+                read()
+
     def test_accuracy_matches_brute_force_margins(self):
 
         dataset, reference = toy_setup(num_pairs=200)
