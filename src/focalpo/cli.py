@@ -38,13 +38,13 @@ from .data import (
 from .files import atomic_write
 from .losses import (
     GAMMA_MAX,
+    PROB_EPS,
     TUNED_GAMMA_RANGE,
     LossConfig,
     LossVariant,
     modulating_factor,
     pair_loss,
 )
-from .numerics import PROB_EPS
 from .policy import load_policy, random_policy, save_policy
 from .trainer import OPTIMIZERS, PROFILE_LOSSES, StepRecord, TrainConfig, evaluate, train
 
@@ -137,13 +137,18 @@ def _grid_points(grid: tuple[float, float, float]) -> np.ndarray:
 
 
 def _join_grid_values(argv: list[str]) -> list[str]:
-    """Rewrite `--delta-grid -5:5:1` as `--delta-grid=-5:5:1`: argparse
-    takes a value that starts with '-' for an option unless it looks like a
-    plain negative number, so a grid with a negative lower bound would
-    otherwise only parse in the joined form."""
-    out = []
-    for arg in argv:
-        if out and out[-1] in GRID_OPTIONS and re.fullmatch(r"-[^:]*:[^:]*:[^:]*", arg):
+    """Rewrite `curves --delta-grid -5:5:1` as `curves --delta-grid=-5:5:1`:
+    argparse takes a value that starts with '-' for an option unless it
+    looks like a plain negative number, so a grid with a negative lower
+    bound would otherwise only parse in the joined form. A prefix of a grid
+    flag, such as `--delta`, is joined too: argparse resolves the joined
+    form as it resolves the prefix, to that flag or to an ambiguity."""
+    if argv[:1] != ["curves"]:
+        return argv
+    out = argv[:1]
+    for arg in argv[1:]:
+        if (len(out[-1]) > 2 and any(flag.startswith(out[-1]) for flag in GRID_OPTIONS)
+                and re.fullmatch(r"-[^:]*:[^:]*:[^:]*", arg)):
             out[-1] = f"{out[-1]}={arg}"
         else:
             out.append(arg)

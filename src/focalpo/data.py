@@ -5,9 +5,11 @@ itself), scored by a bag-of-tokens true reward, a (C, V) weight array shaped
 like the sampler's table, and labeled either deterministically (higher
 reward wins) or stochastically via the Bradley-Terry probability
 sigmoid(reward gap). A noise rate then swaps a random subset of labels, with
-the flip recorded per pair. encode_pairs turns a dataset into one (N, 2, L)
-array of flat table indices (policy.token_rows), each pair's chosen side
-then its rejected side, scored once against the frozen reference.
+the flip recorded per pair. Sampling walks a cumulative next-token table
+built once per sampler, with one binary search per token. encode_pairs
+turns a dataset into one (N, 2, L) array of flat table indices
+(policy.token_rows), each pair's chosen side then its rejected side, scored
+once against the frozen reference.
 """
 
 from __future__ import annotations
@@ -20,15 +22,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .files import atomic_write
-from .numerics import logistic
-from .policy import (
-    PolicyTable,
-    _next_token_cdf,
-    _sample_tokens,
-    log_probs,
-    log_softmax,
-    token_rows,
-)
+from .losses import logistic
+from .policy import PolicyTable, log_probs, log_softmax, token_rows
 
 LABELING_MODES = ("deterministic", "bradley_terry")
 DISTINCT_DRAW_RETRIES = 100
@@ -117,6 +112,34 @@ class SynthConfig:
 def random_reward_model(num_prompt_classes: int, vocab_size: int, seed: int) -> np.ndarray:
     """Standard normal (C, V) true-reward weights from a fixed seed."""
     return np.random.default_rng(seed).standard_normal((num_prompt_classes, vocab_size))
+
+
+def _next_token_cdf(logits: np.ndarray) -> np.ndarray:
+    """Cumulative next-token distribution of every context of a logits
+    array (..., V): softmax, then a running sum along the last axis. Built
+    in place, so the result is the only allocation of the logits' size."""
+    cdf = logits - logits.max(axis=-1, keepdims=True)
+    np.exp(cdf, out=cdf)
+    cdf /= cdf.sum(axis=-1, keepdims=True)
+    np.cumsum(cdf, axis=-1, out=cdf)
+    return cdf
+
+
+def _sample_tokens(cdf: np.ndarray, length: int, rng: np.random.Generator) -> tuple[int, ...]:
+    """Ancestral sampling via inverse CDF on one uniform draw per step.
+
+    `cdf` is _next_token_cdf of one prompt class's (V+1, V) logits, the BOS
+    context last. Each step takes the first token whose cumulative
+    probability exceeds the draw, or the last token when rounding leaves
+    the row's total below it.
+    """
+    last = cdf.shape[1] - 1
+    prev = cdf.shape[0] - 1
+    out = []
+    for u in rng.random(length):
+        prev = min(int(cdf[prev].searchsorted(u, side="right")), last)
+        out.append(prev)
+    return tuple(out)
 
 
 def synthesize_dataset(config: SynthConfig, reward: np.ndarray, sampler: PolicyTable) -> Dataset:

@@ -17,6 +17,13 @@ accurate where 1 - p would cancel. The gradient weight w(Delta) =
 chosen/rejected log-probability difference during descent.
 beta never enters here: the trainer owns it, forms the beta-scaled margins
 and applies the policy-gradient term.
+
+logistic, the one stable primitive under every variant, works element by
+element: scalars give scalars, arrays give arrays of their shape, and one
+non-finite element anywhere raises ValueError. It clamps p and s into
+[PROB_EPS, 1 - PROB_EPS], so every power of them, the exact focal factor
+(1-p)**(-gamma) included, stays finite at saturated margins, where a naive
+implementation produces NaN gradients.
 """
 
 from dataclasses import dataclass
@@ -24,8 +31,7 @@ from enum import Enum
 
 import numpy as np
 
-from .numerics import _open_unit, clamp_probability, logistic
-
+PROB_EPS = 1e-12
 GAMMA_MAX = 5.0
 
 # Focusing-parameter window the focal variant was tuned in, both ends
@@ -33,15 +39,58 @@ GAMMA_MAX = 5.0
 TUNED_GAMMA_RANGE = (0.05, 0.07)
 
 __all__ = [
+    "PROB_EPS",
     "GAMMA_MAX",
     "TUNED_GAMMA_RANGE",
     "LossVariant",
     "LossConfig",
     "LossOutput",
+    "clamp_probability",
+    "logistic",
     "modulating_factor",
     "pair_loss",
     "gradient_weight",
 ]
+
+
+def _checked(x, ok, message: str) -> np.ndarray:
+    """x as a float64 array; raises ValueError naming the first element
+    where ok(x) is False."""
+    x = np.asarray(x, dtype=np.float64)
+    good = ok(x)
+    if not good.all():
+        raise ValueError(f"{message}, got {float(x[~good][0])!r}")
+    return x
+
+
+def _open_unit(name: str, x) -> np.ndarray:
+    message = f"{name} must lie in the open interval (0, 1)"
+    return _checked(x, lambda x: (0.0 < x) & (x < 1.0), message)
+
+
+def clamp_probability(p):
+    """Clamp a probability into [PROB_EPS, 1 - PROB_EPS]."""
+    return np.minimum(np.maximum(p, PROB_EPS), 1.0 - PROB_EPS)
+
+
+def logistic(x):
+    """(p, s, log_p): p = sigmoid(x) = 1 / (1 + exp(-x)) and s = sigmoid(-x),
+    both clamped, and log_p = log sigmoid(x) = -softplus(-x), unclamped.
+
+    All three come from one finiteness check and one e = exp(-|x|), whose
+    argument is never positive, so large |x| cannot overflow. On the sign of
+    x the pair (p, s) is (1/(1+e), e/(1+e)) or its mirror image, both 0.5 at
+    x = 0, and the log1p form of log_p avoids the cancellation of
+    log(1 - small) near saturation; log_p <= 0 always.
+    """
+    x = _checked(x, np.isfinite, "logistic argument must be finite")
+    e = np.exp(-np.abs(x))
+    tail = np.log1p(e)
+    non_negative = x >= 0.0
+    high, low = 1.0 / (1.0 + e), e / (1.0 + e)
+    p = clamp_probability(np.where(non_negative, high, low))
+    s = clamp_probability(np.where(non_negative, low, high))
+    return p[()], s[()], np.where(non_negative, -tail, x - tail)[()]
 
 
 class LossVariant(Enum):

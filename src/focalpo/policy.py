@@ -11,13 +11,13 @@ a fixed sequence length.
 All scoring is batched: token_rows encodes each token once as its flat
 index into the table; the table's log-softmax is taken once, the log-probs
 of every row come from one gather and a sum over positions, and their
-gradients from bincounts of those indices. Sampling walks a cumulative
-next-token table built once per sampler, with one binary search per token.
+gradients from bincounts of those indices.
 """
 
 from __future__ import annotations
 
 import itertools
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,44 +131,6 @@ def log_prob_grad(log_table: np.ndarray, rows: np.ndarray, coeffs: np.ndarray) -
     return grad
 
 
-def _check_same_shape(policy: PolicyTable, shape: tuple) -> None:
-    """Raises ValueError unless the policy's logits have the reference's shape."""
-    if policy.logits.shape != shape:
-        raise ValueError(
-            "policy shape (C, V) = "
-            f"({policy.num_prompt_classes}, {policy.vocab_size}) does not match "
-            f"reference ({shape[0]}, {shape[2]})"
-        )
-
-
-def _next_token_cdf(logits: np.ndarray) -> np.ndarray:
-    """Cumulative next-token distribution of every context of a logits
-    array (..., V): softmax, then a running sum along the last axis. Built
-    in place, so the result is the only allocation of the logits' size."""
-    cdf = logits - logits.max(axis=-1, keepdims=True)
-    np.exp(cdf, out=cdf)
-    cdf /= cdf.sum(axis=-1, keepdims=True)
-    np.cumsum(cdf, axis=-1, out=cdf)
-    return cdf
-
-
-def _sample_tokens(cdf: np.ndarray, length: int, rng: np.random.Generator) -> tuple[int, ...]:
-    """Ancestral sampling via inverse CDF on one uniform draw per step.
-
-    `cdf` is _next_token_cdf of one prompt class's (V+1, V) logits, the BOS
-    context last. Each step takes the first token whose cumulative
-    probability exceeds the draw, or the last token when rounding leaves
-    the row's total below it.
-    """
-    last = cdf.shape[1] - 1
-    prev = cdf.shape[0] - 1
-    out = []
-    for u in rng.random(length):
-        prev = min(int(cdf[prev].searchsorted(u, side="right")), last)
-        out.append(prev)
-    return tuple(out)
-
-
 def save_policy(path, policy: PolicyTable) -> None:
     """Write the text format: header line "C V", then one line of V logits
     per (prompt_class, previous_token) context, previous-token-major within
@@ -206,10 +168,13 @@ def _rows(fh):
 
 def load_policy(path) -> PolicyTable:
     """Read the text format written by save_policy. A table of a block or
-    more is read by numpy's C parser first (see policytext.read_table); a
-    text it does not take is read line by line, and that path alone words
-    every error. There the rows are counted in one pass and parsed into the
-    table in a second."""
+    more is read by numpy's C parser first: the floats it takes are a subset
+    of those float() takes, with the same values, and it splits lines and
+    fields as the line-by-line path does, so a table it returns is the one
+    that path reads. A text it refuses, or reads with a wrong shape or a
+    value that is not finite, is read line by line, and that path alone
+    words every error. There the rows are counted in one pass and parsed
+    into the table in a second."""
     with open(path, "r", encoding="utf-8") as fh:
         first = next(_lines(fh), None)
         if first is None:
@@ -224,13 +189,16 @@ def load_policy(path) -> PolicyTable:
         if num_classes < 1 or vocab < 1:
             raise ValueError(f"{path}: line 1: C and V must be >= 1, got {first!r}")
         shape = (num_classes, vocab + 1, vocab)
-        if num_classes * (vocab + 1) * vocab >= TEXT_BLOCK_VALUES:
-            from .policytext import read_table
-
-            logits = read_table(fh, shape)
-            if logits is not None:
-                return PolicyTable(logits)
         expected_rows = num_classes * (vocab + 1)
+        if expected_rows * vocab >= TEXT_BLOCK_VALUES:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # "input contained no data", say: a text to refuse
+                try:
+                    rows = np.loadtxt(fh, dtype=np.float64, comments=None, ndmin=2)
+                except (ValueError, Warning):
+                    rows = np.empty(0)  # no table's shape: read line by line
+            if rows.shape == (expected_rows, vocab) and np.isfinite(rows).all():
+                return PolicyTable(rows.reshape(shape))
         got = sum(1 for _ in _rows(fh))
         if got != expected_rows:
             raise ValueError(

@@ -1,11 +1,10 @@
 """Exact float-to-text for blocks of float64 values, `%.17g` for policy
 tables of a block of values or more and `%.9g` for the curve CSVs: one
 significand step per format, then one digit split, word fill and block
-writer; and numpy's C parser for those tables. Imported only for a table
-that size or a CSV, so other runs neither compile it nor build its tables."""
+writer. Float-to-text only: imported only to write a table that size or a
+CSV, so other runs neither compile it nor build its tables."""
 
 import functools
-import warnings
 
 import numpy as np
 
@@ -218,20 +217,3 @@ def write_blocks(fh, line: str, count: int, rows) -> None:
         fh.write(format_block(block, seps[:len(block)], out[:len(block)])
                  or line * (len(block) // len(fields)) % tuple(block.tolist()))
 
-
-def read_table(fh, shape: tuple):
-    """The rows after the header as numpy's C parser reads them, shaped as
-    the table; None when it refuses the text, or reads a wrong shape or a
-    value that is not finite. The floats it takes are a subset of those
-    float() takes, with the same values, and it splits lines and fields
-    as load_policy does, so a table it returns is the one the line-by-line
-    path reads."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # "input contained no data", say: a text to refuse
-        try:
-            rows = np.loadtxt(fh, dtype=np.float64, comments=None, ndmin=2)
-        except (ValueError, Warning):
-            return None
-    if rows.shape != (shape[0] * shape[1], shape[2]) or not np.isfinite(rows).all():
-        return None
-    return rows.reshape(shape)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .data import EncodedPairs
 from .losses import LossConfig, LossVariant, gradient_weight, pair_loss
-from .policy import PolicyTable, _check_same_shape, log_prob_grad, log_probs, log_softmax
+from .policy import PolicyTable, log_prob_grad, log_probs, log_softmax
 
 OPTIMIZERS = ("sgd", "adam")
 # Whether the frozen reference ranks a pair correctly at initialization.
@@ -126,6 +126,16 @@ def init_optimizer_state(config: TrainConfig, policy: PolicyTable) -> OptimizerS
         return OptimizerState()
     shape = policy.logits.shape
     return OptimizerState(0, np.zeros(shape), np.zeros(shape))
+
+
+def _check_same_shape(policy: PolicyTable, shape: tuple) -> None:
+    """Raises ValueError unless the policy's logits have the reference's shape."""
+    if policy.logits.shape != shape:
+        raise ValueError(
+            "policy shape (C, V) = "
+            f"({policy.num_prompt_classes}, {policy.vocab_size}) does not match "
+            f"reference ({shape[0]}, {shape[2]})"
+        )
 
 
 def _margins(log_table: np.ndarray, pairs: EncodedPairs, beta: float):

@@ -42,22 +42,25 @@ import math
 import mpmath as mp
 import numpy as np
 
-from focalpo.data import Dataset, encode_pairs
+from focalpo.data import Dataset, _next_token_cdf, _sample_tokens, encode_pairs
 from focalpo.files import atomic_write
-from focalpo.losses import LossConfig, LossVariant
-from focalpo.numerics import _checked, _open_unit, clamp_probability, logistic
+from focalpo.losses import (
+    LossConfig,
+    LossVariant,
+    _checked,
+    _open_unit,
+    clamp_probability,
+    logistic,
+)
 from focalpo.policy import (
     PolicyTable,
-    _check_same_shape,
-    _next_token_cdf,
-    _sample_tokens,
     log_prob_grad,
     log_probs,
     log_softmax,
     random_policy,
     token_rows,
 )
-from focalpo.trainer import CORRECT, INCORRECT
+from focalpo.trainer import CORRECT, INCORRECT, _check_same_shape
 
 mp.mp.dps = 30
 

@@ -20,7 +20,14 @@ from hypothesis import strategies as st
 
 from _oracles import savetxt_csv_text, table_format_block
 from focalpo import cli, policytext
-from focalpo.cli import MAX_GRID_POINTS, _grid, _grid_points, _write_csv, main
+from focalpo.cli import (
+    MAX_GRID_POINTS,
+    _grid,
+    _grid_points,
+    _join_grid_values,
+    _write_csv,
+    main,
+)
 from focalpo.data import SynthConfig, synthesize_dataset
 from focalpo.losses import LossConfig, LossVariant
 from focalpo.policy import TEXT_BLOCK_VALUES, random_policy
@@ -197,6 +204,16 @@ class TestCurves:
         assert [row[0] for row in rows] == [float(d) for d in range(-5, 6)]
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["configuration"]["delta_grid"] == [-5.0, 5.0, 1.0]
+
+    @pytest.mark.parametrize("flag", ["--delta", "--delta-g"])
+    def test_abbreviated_grid_flag_takes_a_negative_lower_bound(self, tmp_path, capsys, flag):
+        for name, option in (("full", "--delta-grid"), ("abbreviated", flag)):
+            assert main(["curves", "--out", str(tmp_path / name), option, "-5:5:1"]) == 0
+        capsys.readouterr()
+        full, abbreviated = (tmp_path / name / "weights.csv" for name in ("full", "abbreviated"))
+        assert abbreviated.read_bytes() == full.read_bytes()
+        # another command's arguments are passed on as given
+        assert _join_grid_values(["train", flag, "-5:5:1"]) == ["train", flag, "-5:5:1"]
 
     def test_p_grid_sets_the_factor_rows(self, tmp_path, capsys):
         out = tmp_path / "c"
@@ -843,8 +860,9 @@ class TestTrain:
 
     def test_each_command_compiles_only_its_text_kernel(self, tmp_path):
         # what a command compiles is what it imports, and the benchmark's
-        # children write no bytecode: a wide policy table and the curves
-        # CSVs take the one float-to-text module, and nothing else
+        # children write no bytecode: a command that writes a policy table
+        # of a block or more, or a CSV, takes the one float-to-text module
+        # and nothing else, and reading a table takes none
         data, run = tmp_path / "data", tmp_path / "run"
         imported = lazily_imported(
             ["synth", "--out", str(data), "--pairs", "100", "--holdout-fraction", "0.2",
@@ -854,7 +872,8 @@ class TestTrain:
              str(run / "policy.txt"), "--reference", str(data / "reference.txt")],
             ["curves", "--out", str(tmp_path / "curves")],
         )
-        assert imported == [["focalpo.policytext"]] * 4
+        kernel = ["focalpo.policytext"]
+        assert imported == [kernel, kernel, [], kernel]
 
 
 def lazily_imported(*commands) -> list:

@@ -1,6 +1,8 @@
-"""Every name that a focalpo module lists in __all__ is defined in it, and
-the package runs as `python -m focalpo`."""
+"""Every name that a focalpo module lists in __all__ is defined in it, no
+module imports another's private name, and the package runs as
+`python -m focalpo`."""
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -22,6 +24,20 @@ def test_every_exported_name_exists(module_name):
     module = importlib.import_module(module_name)
     missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert missing == []
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # each function lives in the module that calls it; the tests may still
+    # import private names for their oracles
+    crossings = [
+        f"{path.name}: from .{node.module} import {alias.name}"
+        for path in sorted(Path(focalpo.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")
+    ]
+    assert crossings == []
 
 
 def test_runs_as_a_module():

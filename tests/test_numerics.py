@@ -8,8 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from focalpo.losses import _pow
-from focalpo.numerics import PROB_EPS, _open_unit, clamp_probability, logistic
+from focalpo.losses import PROB_EPS, _open_unit, _pow, clamp_probability, logistic
 
 
 def sigmoid(x):

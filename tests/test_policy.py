@@ -29,11 +29,10 @@ from _oracles import (
     uniform_policy,
 )
 from focalpo import policy, policytext
+from focalpo.data import _next_token_cdf, _sample_tokens
 from focalpo.policy import (
     TEXT_BLOCK_VALUES,
     PolicyTable,
-    _next_token_cdf,
-    _sample_tokens,
     load_policy,
     random_policy,
     save_policy,
