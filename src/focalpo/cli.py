@@ -417,7 +417,6 @@ def cmd_train(args) -> int:
     for name, text in [("report.csv", "".join(rows)), ("report.json", _write_json(None, report))]:
         with atomic_write(out_dir / name) as fh:
             fh.write(text)
-    del text  # before save_policy's blocks: a text left alive raised the wide run's peak
     save_policy(out_dir / "policy.txt", policy)
     _write_json(out_dir / "timing.json", {"wall_clock_seconds": seconds})
 
@@ -440,7 +439,6 @@ def cmd_eval(args) -> int:
     policy = load_policy(args.policy)
     reference = load_policy(args.reference)
     pairs = encode_pairs(reference, _load_dataset(args.dataset, reference))
-    del reference  # the pairs keep all that evaluation reads of it
     evaluation = evaluate(policy, pairs, args.beta)
     metrics, ordering = evaluation.metrics(), evaluation.orderings()  # before any file
 

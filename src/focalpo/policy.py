@@ -26,7 +26,7 @@ from .files import atomic_write
 
 # Table values per block when log_prob_grad subtracts the visit terms.
 GRAD_BLOCK_VALUES = 8192
-# Values per block of text, of a policy table of a block or more or a curve CSV.
+# Values per block of text, of a policy table or a curve CSV.
 TEXT_BLOCK_VALUES = 4096
 
 __all__ = [
@@ -144,7 +144,9 @@ def save_policy(path, policy: PolicyTable) -> None:
         line = " ".join(["%.17g"] * policy.vocab_size) + "\n"
         rows = policy.logits.reshape(-1, policy.vocab_size)
         if rows.size >= TEXT_BLOCK_VALUES:
-            from .policytext import write_blocks  # compiled only at this size
+            # compiled only at this size: under a block, as at the README size, the
+            # kernel's full-block scratch and first-call pages cost more than it saves
+            from .policytext import write_blocks
 
             write_blocks(fh, line, len(rows), rows.__getitem__)
         else:
@@ -167,11 +169,11 @@ def _rows(fh):
 
 
 def load_policy(path) -> PolicyTable:
-    """Read the text format written by save_policy. A table of a block or
-    more is read by numpy's C parser first: the floats it takes are a subset
-    of those float() takes, with the same values, and it splits lines and
-    fields as the line-by-line path does, so a table it returns is the one
-    that path reads. A text it refuses, or reads with a wrong shape or a
+    """Read the text format written by save_policy. Every table is read by
+    numpy's C parser first: the floats it takes are a subset of those
+    float() takes, with the same values, and it splits lines and fields as
+    the line-by-line path does, so a table it returns is the one that path
+    reads. A text it refuses, or reads with a wrong shape or a
     value that is not finite, is read line by line, and that path alone
     words every error. There the rows are counted in one pass and parsed
     into the table in a second."""
@@ -190,15 +192,14 @@ def load_policy(path) -> PolicyTable:
             raise ValueError(f"{path}: line 1: C and V must be >= 1, got {first!r}")
         shape = (num_classes, vocab + 1, vocab)
         expected_rows = num_classes * (vocab + 1)
-        if expected_rows * vocab >= TEXT_BLOCK_VALUES:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")  # "input contained no data", say: a text to refuse
-                try:
-                    rows = np.loadtxt(fh, dtype=np.float64, comments=None, ndmin=2)
-                except (ValueError, Warning):
-                    rows = np.empty(0)  # no table's shape: read line by line
-            if rows.shape == (expected_rows, vocab) and np.isfinite(rows).all():
-                return PolicyTable(rows.reshape(shape))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # "input contained no data", say: a text to refuse
+            try:
+                rows = np.loadtxt(fh, dtype=np.float64, comments=None, ndmin=2)
+            except (ValueError, Warning):
+                rows = np.empty(0)  # no table's shape: read line by line
+        if rows.shape == (expected_rows, vocab) and np.isfinite(rows).all():
+            return PolicyTable(rows.reshape(shape))
         got = sum(1 for _ in _rows(fh))
         if got != expected_rows:
             raise ValueError(

@@ -1,6 +1,6 @@
 """Every name that a focalpo module lists in __all__ is defined in it, no
-module imports another's private name, and the package runs as
-`python -m focalpo`."""
+module imports another's private name, every test module names a source
+module, and the package runs as `python -m focalpo`."""
 
 import ast
 import importlib
@@ -38,6 +38,18 @@ def test_no_module_imports_a_private_name_of_another():
         if alias.name.startswith("_") and not alias.name.startswith("__")
     ]
     assert crossings == []
+
+
+def test_every_test_module_names_a_source_module():
+    # tests/test_<name>.py tests src/focalpo/<name>.py; only the acceptance
+    # criteria and this lint span the package
+    source = Path(focalpo.__file__).parent
+    orphans = [
+        path.name for path in sorted(Path(__file__).parent.glob("test_*.py"))
+        if path.name not in ("test_acceptance.py", "test_exports.py")
+        and not (source / path.name.removeprefix("test_")).exists()
+    ]
+    assert orphans == []
 
 
 def test_runs_as_a_module():
