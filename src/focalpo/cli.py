@@ -52,6 +52,11 @@ MANIFEST_NAME = "manifest.json"
 MAX_GRID_POINTS = 1_000_000
 # synth caps on C x (V+1) x V table values and on --pairs x --length tokens
 MAX_TABLE_VALUES = MAX_DATASET_TOKENS = 2**22
+# train caps on its steps and on its token visits: an epoch visits every
+# token of the pairs once, and so does each snapshot, at step 0, every
+# --eval-every steps and at the end
+MAX_TRAIN_STEPS = 2**20
+MAX_TRAIN_TOKEN_VISITS = 2**28
 # curves cap on the rows x columns of each CSV: a million-row grid at the
 # default gamma (eight weight columns) fits, and each extra --gamma adds
 # three columns to every file
@@ -384,6 +389,17 @@ def cmd_train(args) -> int:
     config = TrainConfig(loss, **given)
     policy = load_policy(args.reference)  # the reference until the pairs are encoded
     dataset = _load_dataset(args.dataset, policy)
+    num_steps = config.num_epochs * -(-len(dataset) // config.batch_size)
+    if num_steps > MAX_TRAIN_STEPS:
+        raise UsageError(
+            f"--epochs x ceil({len(dataset)} pairs / --batch-size) exceeds {MAX_TRAIN_STEPS} steps"
+        )
+    visits = (config.num_epochs + num_steps // config.eval_every + 2) * dataset.chosen.size
+    if visits > MAX_TRAIN_TOKEN_VISITS:
+        raise UsageError(
+            f"(--epochs + steps / --eval-every + 2) x {dataset.chosen.size} tokens exceeds "
+            f"{MAX_TRAIN_TOKEN_VISITS} token visits"
+        )
     out_dir = Path(args.out)
     _manifest(
         out_dir,

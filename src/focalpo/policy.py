@@ -24,10 +24,9 @@ import numpy as np
 
 from .files import atomic_write
 
-# Table values per block when log_prob_grad subtracts the visit terms.
-GRAD_BLOCK_VALUES = 8192
-# Values per block of text, of a policy table or a curve CSV.
-TEXT_BLOCK_VALUES = 4096
+# Values per block of a pass over a table, whose temporaries stay a block in
+# size: log_prob_grad's visit terms, and the text of a table or a curve CSV.
+BLOCK_VALUES = 4096
 
 __all__ = [
     "PolicyTable",
@@ -123,7 +122,7 @@ def log_prob_grad(log_table: np.ndarray, rows: np.ndarray, coeffs: np.ndarray) -
     # a block of classes at a time: a large table allocates no second
     # table-sized array, and a small one is a single block.
     visits = visits.reshape(num_classes, num_contexts, 1)
-    classes_per_block = max(1, GRAD_BLOCK_VALUES // (num_contexts * vocab))
+    classes_per_block = max(1, BLOCK_VALUES // (num_contexts * vocab))
     for lo in range(0, num_classes, classes_per_block):
         classes = slice(lo, lo + classes_per_block)
         block = grad[classes]
@@ -143,7 +142,7 @@ def save_policy(path, policy: PolicyTable) -> None:
         fh.write(f"{policy.num_prompt_classes} {policy.vocab_size}\n")
         line = " ".join(["%.17g"] * policy.vocab_size) + "\n"
         rows = policy.logits.reshape(-1, policy.vocab_size)
-        if rows.size >= TEXT_BLOCK_VALUES:
+        if rows.size >= BLOCK_VALUES:
             # compiled only at this size: under a block, as at the README size, the
             # kernel's full-block scratch and first-call pages cost more than it saves
             from .policytext import write_blocks

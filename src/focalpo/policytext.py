@@ -8,7 +8,7 @@ import functools
 
 import numpy as np
 
-from .policy import TEXT_BLOCK_VALUES
+from .policy import BLOCK_VALUES
 
 # The decimal exponents the `%.17g` tables serve. Values in [1e-49, 1e49)
 # take the column log10|x| - E_MIN, truncated, in [0, 99] even where log10 rounds.
@@ -204,12 +204,12 @@ def format_block(values: np.ndarray, seps: np.ndarray, out: np.ndarray) -> str |
 
 def write_blocks(fh, line: str, count: int, rows) -> None:
     """Write a table of `count` rows, rows(s) being those in slice s as a 2-D
-    array, a block of whole rows (up to TEXT_BLOCK_VALUES values) at a time.
+    array, a block of whole rows (up to BLOCK_VALUES values) at a time.
     `line` is the `%` row template, whose `%.{n}g` fields are each followed
     by a one-byte separator: its precision picks format_block's format, and
     it writes each block that format_block declines."""
     fields = line.split("%")[1:]  # ".17g ", ..., ".17g\n": precision, "g", separator
-    block_rows = max(1, TEXT_BLOCK_VALUES // len(fields))
+    block_rows = max(1, BLOCK_VALUES // len(fields))
     seps = np.tile(np.uint64([ord(field[-1]) for field in fields]) << 56, block_rows)
     out = np.empty((len(seps), int(fields[0][1:-2]) // 8 + 2), "<u8")  # see fill: 8 digits a word
     for start in range(0, count, block_rows):

@@ -513,6 +513,11 @@ def preference_probability(margin):
     return logistic(margin)[0]
 
 
+def log_preference_probability(margin):
+    """log p, from the same logistic as preference_probability."""
+    return logistic(margin)[2]
+
+
 def classify_pair(reference, prompt_class: int, chosen, rejected) -> str:
     """The subgroup name of one pair, as encode_pairs labels it."""
     pair = make_dataset([(0, prompt_class, chosen, rejected, 0.0, 0.0, False)])

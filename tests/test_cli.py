@@ -30,7 +30,7 @@ from focalpo.cli import (
 )
 from focalpo.data import SynthConfig, synthesize_dataset
 from focalpo.losses import LossConfig, LossVariant
-from focalpo.policy import TEXT_BLOCK_VALUES, random_policy
+from focalpo.policy import BLOCK_VALUES, random_policy
 from focalpo.trainer import OPTIMIZERS, TrainConfig
 
 
@@ -282,7 +282,7 @@ def csv_shapes(draw):
     """(rows, columns), with the row count next to a block boundary or
     spanning several blocks."""
     ncols = draw(st.integers(1, 20))
-    block_rows = TEXT_BLOCK_VALUES // ncols
+    block_rows = BLOCK_VALUES // ncols
     nrows = draw(st.sampled_from(
         [1, 2, block_rows - 1, block_rows, block_rows + 1, 3 * block_rows + 1]
     ))
@@ -320,7 +320,7 @@ class TestCsvWriter:
     def test_fast_and_fallback_blocks(self, monkeypatch):
         # two 4-column blocks: the first all fast, the second holding one
         # zero, which sends the whole block to the `%` path
-        rows = TEXT_BLOCK_VALUES // 4
+        rows = BLOCK_VALUES // 4
         table = np.random.default_rng(3).standard_normal((2 * rows, 4))
         table[rows + 5, 2] = 0.0
         results = []
@@ -782,6 +782,27 @@ class TestTrain:
             assert main(argv) == 1
             assert capsys.readouterr().err.startswith(f"error: {empty}: dataset must be non-empty")
             assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "extra, flags, cap",
+        [
+            # 96 pairs in batches of 32 take 3 steps an epoch
+            (("--epochs", str(cli.MAX_TRAIN_STEPS // 3 + 1)), ("--epochs", "--batch-size"),
+             cli.MAX_TRAIN_STEPS),
+            # one pair a step and a snapshot a step: 97 passes over 96 x 3 tokens an epoch
+            (("--epochs", "9609", "--batch-size", "1", "--eval-every", "1"),
+             ("--epochs", "--eval-every"), cli.MAX_TRAIN_TOKEN_VISITS),
+        ],
+    )
+    def test_work_cap_exits_2_before_any_file(self, synth_dir, tmp_path, capsys, extra, flags,
+                                              cap):
+        # each case sits just above its cap, under the other
+        out = tmp_path / "run"
+        argv = train_args(synth_dir / "pairs.jsonl", synth_dir / "reference.txt", out, extra=extra)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert all(flag in err for flag in flags) and str(cap) in err
+        assert not out.exists()
 
     def test_timing_is_one_wall_clock_value(self, synth_dir, tmp_path, capsys):
         out = tmp_path / "run"

@@ -42,12 +42,11 @@ def test_no_module_imports_a_private_name_of_another():
 
 def test_every_test_module_names_a_source_module():
     # tests/test_<name>.py tests src/focalpo/<name>.py; only the acceptance
-    # criteria and this lint span the package. test_numerics.py tests the
-    # primitives in losses.py and is still to be moved into test_losses.py
+    # criteria and this lint span the package
     source = Path(focalpo.__file__).parent
     orphans = [
         path.name for path in sorted(Path(__file__).parent.glob("test_*.py"))
-        if path.name not in ("test_acceptance.py", "test_exports.py", "test_numerics.py")
+        if path.name not in ("test_acceptance.py", "test_exports.py")
         and not (source / path.name.removeprefix("test_")).exists()
     ]
     assert orphans == []

@@ -37,7 +37,7 @@ from _oracles import (
 from focalpo import policy, policytext
 from focalpo.data import _next_token_cdf, _sample_tokens
 from focalpo.policy import (
-    TEXT_BLOCK_VALUES,
+    BLOCK_VALUES,
     PolicyTable,
     load_policy,
     log_prob_grad,
@@ -713,7 +713,7 @@ class TestBlockWriter:
     def test_both_formats_match_the_template_and_oracle(self, monkeypatch, line, declined,
                                                         offset):
         ncols = line.count("%")
-        block = TEXT_BLOCK_VALUES // ncols
+        block = BLOCK_VALUES // ncols
         nrows = 1 if offset is None else block + offset
         table = np.random.default_rng(nrows).standard_normal((nrows, ncols))
         table[nrows // 2, ncols // 2] = declined
